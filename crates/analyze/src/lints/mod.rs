@@ -8,8 +8,9 @@
 //! condvar parks outside a predicate re-check loop ([`condvar`]),
 //! relaxed atomic read-modify-writes whose results feed control
 //! decisions ([`atomics`]), silently-truncating index casts in routing
-//! hot paths ([`casts`]), and silently-discarded `Result`s in engine
-//! job paths ([`results`]). The shared lexer lives in [`source`].
+//! hot paths ([`casts`]), silently-discarded `Result`s in engine
+//! job paths ([`results`]), and sleeps or short socket read timeouts
+//! on the wire path ([`sleep`]). The shared lexer lives in [`source`].
 //!
 //! Exemptions are explicit and greppable: a flagged line is sanctioned
 //! by an `// analyze:allow(<lint>): <reason>` comment on the same line
@@ -20,6 +21,7 @@ pub mod casts;
 pub mod condvar;
 pub mod locks;
 pub mod results;
+pub mod sleep;
 pub mod source;
 
 use std::io;
@@ -55,6 +57,10 @@ const CAST_SCOPE: &[&str] = &[
     "crates/core/src/waksman.rs",
     "crates/engine/src",
 ];
+
+/// Files covered by the sleep-poll lint: the wire path, where every
+/// thread must block on the event it waits for.
+const SLEEP_SCOPE: &[&str] = &["crates/serve/src", "crates/shard/src"];
 
 /// Collects `.rs` files for a scope entry (a file, or a directory
 /// scanned one level deep), as `(display, absolute)` pairs.
@@ -108,6 +114,13 @@ pub fn lint_workspace(root: &Path) -> io::Result<(Vec<Finding>, LockGraph)> {
         for (display, path) in collect(root, entry)? {
             let file = SourceFile::load(&path)?;
             findings.extend(casts::scan_casts(&display, &file));
+        }
+    }
+
+    for entry in SLEEP_SCOPE {
+        for (display, path) in collect(root, entry)? {
+            let file = SourceFile::load(&path)?;
+            findings.extend(sleep::scan_sleep_polls(&display, &file));
         }
     }
     Ok((findings, graph))

@@ -26,7 +26,9 @@
 //! server down over the wire. `--json` writes the machine-readable
 //! results as `BENCH_SERVE.json` with a stable schema (`experiment`,
 //! the load parameters, `req_per_s`, per-status reply counts, latency
-//! quantiles, and the per-tenant ledger with a `conserved` flag).
+//! quantiles, the per-tenant ledger with a `conserved` flag, and a
+//! `host` object: `available_parallelism`, build `profile`, `git_rev`
+//! and `git_dirty`).
 //!
 //! Exits nonzero on any reply on an unexpected status, a ledger that
 //! fails to conserve, or a steady tenant whose server-side ledger
@@ -40,8 +42,8 @@
 //! `R` rounds of random `2^n` permutations over the wire, per-round
 //! wall latency, and the fleet transport ledger (retries, failovers,
 //! hedges, reconnects). `--json` writes `BENCH_FLEET.json` with a
-//! stable schema; exits nonzero if any round fails to verify or any
-//! backend ledger does not conserve.
+//! stable schema (the same `host` object included); exits nonzero if
+//! any round fails to verify or any backend ledger does not conserve.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,6 +121,30 @@ fn parse_args() -> Args {
         assert!(parsed.order >= 2, "--fleet needs --order >= 2 (block decomposition)");
     }
     parsed
+}
+
+/// What the numbers ran on: core count, build profile, and the git
+/// revision of the working tree plus whether it had uncommitted
+/// changes (`null` outside a git checkout).
+fn host_json() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let rev =
+        git(&["rev-parse", "HEAD"]).map_or_else(|| "null".into(), |r| format!("\"{r}\""));
+    let dirty = git(&["status", "--porcelain"])
+        .map_or_else(|| "null".into(), |s| (!s.is_empty()).to_string());
+    format!(
+        "{{\"available_parallelism\":{cores},\"profile\":\"{profile}\",\"git_rev\":{rev},\
+         \"git_dirty\":{dirty}}}"
+    )
 }
 
 /// EXP-FLEET: scatter `requests` rounds of random `2^order`
@@ -212,7 +238,7 @@ fn run_fleet(args: &Args) {
              \"round_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}},\
              \"transport\":{{\"retries\":{},\"failovers\":{},\"hedges\":{},\
              \"reconnects\":{},\"conserved\":{}}},\
-             \"per_shard\":[{}]}}\n",
+             \"per_shard\":[{}],\"host\":{}}}\n",
             args.fleet.len(),
             args.order,
             wall.as_secs_f64() * 1e3,
@@ -226,6 +252,7 @@ fn run_fleet(args: &Args) {
             fleet.reconnects(),
             fleet.conserves_requests(),
             shards_json.join(","),
+            host_json(),
         );
         std::fs::write(path, doc).expect("write --json output");
         println!("machine-readable results written to {path}");
@@ -462,7 +489,7 @@ fn main() {
              \"status\":{{{}}},\
              \"latency_ns\":{{\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\
              \"mean\":{},\"max\":{}}},\
-             \"tenants_ledger\":[{}]}}\n",
+             \"tenants_ledger\":[{}],\"host\":{}}}\n",
             args.conns,
             args.kill_conns,
             args.tenants,
@@ -479,6 +506,7 @@ fn main() {
             snap.mean(),
             snap.max(),
             rows_json.join(","),
+            host_json(),
         );
         std::fs::write(path, doc).expect("write --json output");
         println!("machine-readable results written to {path}");

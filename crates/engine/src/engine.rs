@@ -50,10 +50,10 @@ use crate::queue::{Block, SubmissionQueue};
 use crate::stats::{EngineStats, Recorder};
 use crate::worker::{cancel_job, worker_loop};
 
-pub use crate::queue::{DrainReport, RequestOutcome, SubmitError, Ticket};
+pub use crate::queue::{Completion, DrainReport, RequestOutcome, SubmitError, Ticket};
 
 /// Per-request submission options for [`Engine::submit_opts`] /
-/// [`Engine::try_submit_opts`]: everything the wire service needs to
+/// [`Engine::try_submit_to`]: everything the wire service needs to
 /// attach to a request beyond the permutation itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOpts {
@@ -402,25 +402,34 @@ impl Engine {
         }
     }
 
-    /// Non-blocking admission carrying full [`SubmitOpts`] — the wire
-    /// service's submission path: rejected requests bump the tenant's
-    /// `rejected` ledger and surface as a protocol error code.
+    /// Non-blocking admission carrying full [`SubmitOpts`] and
+    /// completing through the caller's own sink instead of a
+    /// [`Ticket`] — the wire service's submission path. The worker
+    /// that finishes the request runs `done` with its outcome; a
+    /// caller that already blocks on a channel (the wire server's
+    /// handler) passes a sink that wakes it, so a reply needs no
+    /// polling.
+    ///
+    /// A refused submission bumps the tenant's `rejected` ledger and
+    /// drops `done` without running it.
     ///
     /// # Errors
     ///
     /// [`SubmitError::QueueFull`] on a full bounded queue,
     /// [`SubmitError::ShuttingDown`] on a draining engine.
-    pub fn try_submit_opts(
+    pub fn try_submit_to(
         &self,
         perm: Permutation,
         opts: SubmitOpts,
-    ) -> Result<Ticket, SubmitError> {
-        self.shared.sub.admit(
+        done: Completion,
+    ) -> Result<(), SubmitError> {
+        self.shared.sub.admit_to(
             &self.shared.recorder,
             perm,
             opts.deadline,
             opts.tenant,
             Block::Never,
+            done,
         )
     }
 

@@ -18,7 +18,8 @@
 //!   cached [`benes_core::SwitchSettings`] with zero set-up;
 //! * [`engine`] — the **batched worker pool**: `k` `std::thread`
 //!   workers drain a submission queue in configurable batches and
-//!   return per-request outcomes over `mpsc` channels — with a shared
+//!   hand each outcome to its [`Completion`] sink (a [`Ticket`], or a
+//!   send into the caller's own channel) — with a shared
 //!   fault registry ([`Engine::inject_fault`]) and a detect → evict →
 //!   re-plan-around-faults → bounded-retry ladder that keeps serving
 //!   through stuck switches;
@@ -91,8 +92,8 @@ pub use breaker::{Admission, Breaker, BreakerConfig, BreakerState};
 pub use cache::PlanCache;
 pub use chaos::{run_soak, ChaosConfig, ChaosEvent, ChaosSchedule, SoakConfig, SoakReport};
 pub use engine::{
-    DrainReport, Engine, EngineConfig, EngineError, RequestOutcome, SubmitError,
-    SubmitOpts, Ticket,
+    Completion, DrainReport, Engine, EngineConfig, EngineError, RequestOutcome,
+    SubmitError, SubmitOpts, Ticket,
 };
 pub use flightrec::{LadderStep, PhaseNanos, RouteAttempt};
 pub use plan::{Fallback, Plan, PlanError, Tier};

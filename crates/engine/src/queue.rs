@@ -1,7 +1,7 @@
 //! The submission side of the engine: the sharded job queue, the three
 //! admission disciplines (reject / block / block-with-timeout), and the
-//! per-request lifecycle types ([`Ticket`], [`RequestOutcome`],
-//! [`SubmitError`], [`DrainReport`]).
+//! per-request lifecycle types ([`Completion`], [`Ticket`],
+//! [`RequestOutcome`], [`SubmitError`], [`DrainReport`]).
 //!
 //! `SubmissionQueue` is **sharded**: one `ShardQueue` per worker, so
 //! the common case is a worker popping from its own shard's mutex with
@@ -106,6 +106,34 @@ impl RequestOutcome {
     }
 }
 
+/// Where one request's outcome goes once it is terminal: a callback
+/// run exactly once, on the worker that finished the request (or on
+/// the thread that canceled it). Every admitted request completes
+/// through one of these; a [`Ticket`] is the sink that sends into a
+/// one-slot channel, and a caller with its own wake-up channel passes
+/// a sink that sends there instead ([`crate::Engine::try_submit_to`]).
+///
+/// The callback runs on an engine worker: it should hand the outcome
+/// off (a channel send) rather than do work of its own.
+pub struct Completion(Box<dyn FnOnce(RequestOutcome) + Send>);
+
+impl Completion {
+    /// Wraps the callback that receives the outcome.
+    pub fn new(sink: impl FnOnce(RequestOutcome) + Send + 'static) -> Self {
+        Self(Box::new(sink))
+    }
+
+    fn complete(self, outcome: RequestOutcome) {
+        (self.0)(outcome);
+    }
+}
+
+impl fmt::Debug for Completion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Completion")
+    }
+}
+
 /// A handle on one submitted request; redeem it with [`Ticket::wait`],
 /// poll it with [`Ticket::try_result`], or bound the wait with
 /// [`Ticket::wait_timeout`].
@@ -120,10 +148,21 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// An unresolved ticket and the [`Completion`] that resolves it.
+    fn pending() -> (Self, Completion) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let done = Completion::new(move |outcome| {
+            // A dropped ticket just means the caller stopped listening.
+            // analyze:allow(discarded-result): caller hung up
+            let _ = tx.send(outcome);
+        });
+        (Self { rx, outcome: None }, done)
+    }
+
     /// A ticket that is already resolved (never touches the queue);
     /// used for submissions refused by a draining engine.
     pub(crate) fn resolved(outcome: RequestOutcome) -> Self {
-        let (_, rx) = mpsc::channel();
+        let (_, rx) = mpsc::sync_channel(1);
         Self { rx, outcome: Some(outcome) }
     }
 
@@ -208,7 +247,27 @@ pub(crate) struct Job {
     /// The tenant namespace this request belongs to (set by the wire
     /// service); tagged requests land in the per-tenant ledgers.
     pub(crate) tenant: Option<u64>,
-    pub(crate) reply: mpsc::Sender<RequestOutcome>,
+    /// Taken exactly once by [`Job::complete`]; a job dropped with it
+    /// still set (its worker died mid-batch) completes as
+    /// [`EngineError::WorkerLost`].
+    reply: Option<Completion>,
+}
+
+impl Job {
+    /// Sends the job's terminal outcome to its sink.
+    pub(crate) fn complete(mut self, outcome: RequestOutcome) {
+        if let Some(done) = self.reply.take() {
+            done.complete(outcome);
+        }
+    }
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        if let Some(done) = self.reply.take() {
+            done.complete(Ticket::lost());
+        }
+    }
 }
 
 /// One per-worker queue shard.
@@ -340,10 +399,8 @@ impl SubmissionQueue {
         }
     }
 
-    /// The one admission path: checks drain state and the depth bound
-    /// (blocking per `block`), reserves a slot, enqueues on the hashed
-    /// shard, and wakes a worker. Rejected submissions are counted
-    /// `rejected`, never `submitted`.
+    /// [`SubmissionQueue::admit_to`] with a fresh [`Ticket`] as the
+    /// sink.
     pub(crate) fn admit(
         &self,
         recorder: &Recorder,
@@ -352,6 +409,24 @@ impl SubmissionQueue {
         tenant: Option<u64>,
         block: Block,
     ) -> Result<Ticket, SubmitError> {
+        let (ticket, done) = Ticket::pending();
+        self.admit_to(recorder, perm, deadline, tenant, block, done).map(|()| ticket)
+    }
+
+    /// The one admission path: checks drain state and the depth bound
+    /// (blocking per `block`), reserves a slot, enqueues on the hashed
+    /// shard, and wakes a worker. Rejected submissions are counted
+    /// `rejected`, never `submitted`, and drop `done` without running
+    /// it.
+    pub(crate) fn admit_to(
+        &self,
+        recorder: &Recorder,
+        perm: Permutation,
+        deadline: Option<Instant>,
+        tenant: Option<u64>,
+        block: Block,
+        done: Completion,
+    ) -> Result<(), SubmitError> {
         let reject = |err: SubmitError| {
             recorder.note_rejected(tenant);
             Err(err)
@@ -399,7 +474,6 @@ impl SubmissionQueue {
         let nonce = self.rr.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards
             [(mix64(perm.fingerprint() ^ nonce) % self.shards.len() as u64) as usize];
-        let (tx, rx) = mpsc::channel();
         {
             let mut q = shard.lock();
             // Re-check under the shard lock: `shut_down` stores
@@ -417,13 +491,13 @@ impl SubmissionQueue {
                 submitted_at: Instant::now(),
                 deadline,
                 tenant,
-                reply: tx,
+                reply: Some(done),
             });
             shard.depth.store(q.len() as u64, Ordering::Relaxed);
         }
         recorder.note_queue_depth(self.depth.load(Ordering::SeqCst) as u64);
         self.wake_workers(false);
-        Ok(Ticket { rx, outcome: None })
+        Ok(())
     }
 
     /// The queue's total reserved depth (admission slots held, pushed

@@ -460,7 +460,7 @@ pub struct EngineStats {
     pub queue_depths: Vec<u64>,
     /// Per-tenant request ledgers, sorted by tenant id. Only requests
     /// submitted through [`crate::Engine::submit_opts`] /
-    /// [`crate::Engine::try_submit_opts`] with a tenant tag land here;
+    /// [`crate::Engine::try_submit_to`] with a tenant tag land here;
     /// untagged traffic leaves this empty.
     pub tenants: Vec<(u64, TenantStats)>,
 }

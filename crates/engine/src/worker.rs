@@ -174,8 +174,8 @@ fn breaker_countable(e: &EngineError) -> bool {
 /// Terminal accounting for one job: classify the outcome into exactly
 /// one of completed / failed / shed / canceled, record latency on the
 /// matching path (split into queue wait and service time when the job
-/// reached a worker), freeze the flight record, and reply to the
-/// ticket.
+/// reached a worker), freeze the flight record, and hand the outcome
+/// to the job's completion sink.
 fn finish_job(
     shared: &Shared,
     job: Job,
@@ -228,9 +228,7 @@ fn finish_job(
     attempt.result = Some(result.clone());
     attempt.phases.total = latency_ns;
     shared.flight.record(attempt);
-    // A dropped ticket just means the caller stopped listening.
-    // analyze:allow(discarded-result): caller hung up
-    let _ = job.reply.send(RequestOutcome { result, latency });
+    job.complete(RequestOutcome { result, latency });
 }
 
 /// Cancels one never-served job (drain shedding or a post-join sweep):

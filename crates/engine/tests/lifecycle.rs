@@ -1,12 +1,16 @@
 //! Request-lifecycle integration tests: bounded admission, deadlines,
-//! ticket polling, drain semantics, and the shutdown/condvar race.
+//! ticket polling, caller-owned completion sinks, drain semantics, and
+//! the shutdown/condvar race.
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use benes_engine::workload::mixed_workload;
-use benes_engine::{ChaosConfig, Engine, EngineConfig, EngineError, SubmitError, Ticket};
+use benes_engine::{
+    ChaosConfig, Completion, Engine, EngineConfig, EngineError, SubmitError, SubmitOpts,
+    Ticket,
+};
 use benes_perm::bpc::Bpc;
 use benes_perm::Permutation;
 
@@ -65,6 +69,39 @@ fn bounded_queue_rejects_and_times_out() {
     let stats = engine.stats();
     assert_eq!(stats.rejected, 2, "QueueFull + Timeout both count rejected");
     assert_eq!(stats.submitted, 4);
+    assert!(stats.conserves_requests());
+}
+
+#[test]
+fn completion_sinks_run_once_on_the_worker_and_never_for_refusals() {
+    // The wire server's path: every outcome lands on the caller's own
+    // channel, tagged by the caller; a refused submission runs nothing.
+    let engine = slow_engine(1, Duration::from_millis(100));
+    let (tx, rx) = mpsc::sync_channel(8);
+    let sink = |tag: u32| {
+        let tx = tx.clone();
+        Completion::new(move |outcome| tx.send((tag, outcome)).expect("test holds rx"))
+    };
+    engine.try_submit_to(small(), SubmitOpts::default(), sink(1)).expect("queue empty");
+    // Let the worker take the first job and start its injected sleep.
+    std::thread::sleep(Duration::from_millis(30));
+    engine.try_submit_to(small(), SubmitOpts::default(), sink(2)).expect("one slot");
+    assert!(matches!(
+        engine.try_submit_to(small(), SubmitOpts::default(), sink(3)),
+        Err(SubmitError::QueueFull { depth: 1 })
+    ));
+    drop(tx);
+    let mut tags: Vec<u32> = rx
+        .iter()
+        .map(|(tag, outcome)| {
+            assert!(outcome.is_ok(), "{outcome:?}");
+            tag
+        })
+        .collect();
+    tags.sort_unstable();
+    assert_eq!(tags, [1, 2], "each admitted request completes once, the refused one never");
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.rejected), (2, 1));
     assert!(stats.conserves_requests());
 }
 

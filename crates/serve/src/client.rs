@@ -5,7 +5,10 @@
 //! The client owns one TCP connection and an incremental decode
 //! buffer; [`Client::send`] writes frames (pipelining is just calling
 //! it repeatedly before reading), [`Client::recv`] blocks until the
-//! next complete frame arrives.
+//! next complete frame arrives, and [`Client::recv_batch`] until at
+//! least one has, returning every complete frame buffered by then.
+//! [`Client::try_clone`] splits one connection into a writer and a
+//! reader that blocks on its own thread.
 //!
 //! Failure reporting is typed ([`RecvError`]) because callers react
 //! very differently to the arms: a [`RecvError::Timeout`] leaves the
@@ -122,6 +125,32 @@ impl Client {
         }))
     }
 
+    /// Wraps an already-connected stream (the server's per-connection
+    /// readers decode through the same code as the client).
+    pub(crate) fn from_stream(stream: TcpStream) -> Self {
+        Self { stream, buf: Vec::new() }
+    }
+
+    /// A second handle on the same connection with its own (empty)
+    /// decode buffer: one thread writes through one handle while
+    /// another blocks reading through the other. Socket options such
+    /// as the read timeout are shared between the two.
+    ///
+    /// # Errors
+    ///
+    /// Any socket error from duplicating the handle.
+    pub fn try_clone(&self) -> std::io::Result<Self> {
+        Ok(Self::from_stream(self.stream.try_clone()?))
+    }
+
+    /// Shuts the connection down in both directions without consuming
+    /// the handle: a thread blocked reading it through a clone wakes
+    /// with [`RecvError::Closed`] (or an I/O error).
+    pub fn shutdown(&self) {
+        // analyze:allow(discarded-result): a connection already gone needs no shutdown
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+    }
+
     /// Bounds how long [`Client::recv`] blocks for bytes.
     ///
     /// # Errors
@@ -167,7 +196,6 @@ impl Client {
     ///   frame;
     /// * [`RecvError::Io`] — any other socket read error.
     pub fn recv(&mut self) -> Result<Frame, RecvError> {
-        let mut scratch = [0u8; 16 * 1024];
         loop {
             match decode(&self.buf) {
                 Ok(Some((frame, used))) => {
@@ -177,9 +205,55 @@ impl Client {
                 Ok(None) => {}
                 Err(e) => return Err(RecvError::Wire(e)),
             }
+            self.fill()?;
+        }
+    }
+
+    /// Blocks until at least one complete frame has arrived, then
+    /// appends every complete frame buffered by then to `out`: one
+    /// wake-up for a whole burst of pipelined frames.
+    ///
+    /// Frames decoded ahead of undecodable bytes are returned first;
+    /// the next call reports the bad bytes as [`RecvError::Wire`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::recv`], when no complete frame arrived.
+    pub fn recv_batch(&mut self, out: &mut Vec<Frame>) -> Result<(), RecvError> {
+        let start = out.len();
+        loop {
+            let mut consumed = 0;
+            let bad = loop {
+                match decode(&self.buf[consumed..]) {
+                    Ok(Some((frame, used))) => {
+                        consumed += used;
+                        out.push(frame);
+                    }
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
+                }
+            };
+            self.buf.drain(..consumed);
+            if out.len() > start {
+                return Ok(());
+            }
+            if let Some(e) = bad {
+                return Err(RecvError::Wire(e));
+            }
+            self.fill()?;
+        }
+    }
+
+    /// One blocking read onto the decode buffer.
+    fn fill(&mut self) -> Result<(), RecvError> {
+        let mut scratch = [0u8; 16 * 1024];
+        loop {
             match self.stream.read(&mut scratch) {
                 Ok(0) => return Err(RecvError::Closed),
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
+                Ok(n) => {
+                    self.buf.extend_from_slice(&scratch[..n]);
+                    return Ok(());
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 // Both kinds appear for an expired SO_RCVTIMEO
                 // depending on platform; either way the stream (and
@@ -199,8 +273,6 @@ impl Client {
     /// the chaos path: kill a connection with requests still in
     /// flight.
     pub fn kill(self) {
-        // analyze:allow(discarded-result): an abrupt kill ignores shutdown errors
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        drop(self);
+        self.shutdown();
     }
 }

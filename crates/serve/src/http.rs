@@ -10,13 +10,19 @@
 //! connection times out and is dropped without ever delaying another
 //! scrape, and the route handler is a plain closure — policy (what a
 //! 404 does, what runs per scrape) stays with the caller.
+//!
+//! The accept loop blocks in `accept`. With a request cap, the handler
+//! that serves the last request wakes it with a loopback self-connect,
+//! so stopping needs no polling either.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+use crate::server::wake_acceptor;
 
 /// One HTTP response, produced by the route handler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +86,13 @@ where
 {
     let handler = Arc::new(handler);
     let served = Arc::new(AtomicU64::new(0));
-    let (tx, rx) = channel::<TcpStream>();
+    let done = |served: &AtomicU64| {
+        opts.max_requests.is_some_and(|max| served.load(Ordering::Acquire) >= max)
+    };
+    let Ok(addr) = listener.local_addr() else { return 0 };
+    // Bounded: with every handler busy, accepted connections wait in
+    // the kernel's backlog rather than in an unbounded queue here.
+    let (tx, rx) = sync_channel::<TcpStream>(opts.threads.max(1));
     let rx = Arc::new(Mutex::new(rx));
     let pool: Vec<_> = (0..opts.threads.max(1))
         .map(|i| {
@@ -88,6 +100,7 @@ where
             let handler = Arc::clone(&handler);
             let served = Arc::clone(&served);
             let read_timeout = opts.read_timeout;
+            let max = opts.max_requests;
             std::thread::Builder::new()
                 .name(format!("benes-http-{i}"))
                 .spawn(move || loop {
@@ -99,35 +112,28 @@ where
                     };
                     let Ok(stream) = stream else { return };
                     if handle_conn(stream, read_timeout, handler.as_ref()) {
-                        served.fetch_add(1, Ordering::Relaxed);
+                        let now = served.fetch_add(1, Ordering::AcqRel) + 1;
+                        if max == Some(now) {
+                            // The last request: wake the blocked accept
+                            // so it sees the cap.
+                            wake_acceptor(addr);
+                        }
                     }
                 })
                 .expect("spawn http handler")
         })
         .collect();
 
-    // Nonblocking accept so the loop can observe the served count even
-    // while no new connections arrive.
-    let accept_nonblocking = listener.set_nonblocking(true).is_ok();
-    loop {
-        if let Some(max) = opts.max_requests {
-            if served.load(Ordering::Relaxed) >= max {
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if !accept_nonblocking {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+    while !done(&served) {
+        let Ok((stream, _)) = listener.accept() else {
+            // A failing accept (out of descriptors) fails again at
+            // once; pace the retries instead of spinning.
+            // analyze:allow(sleep-poll): back-off after an accept error only, never on the idle path
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        if done(&served) || tx.send(stream).is_err() {
+            break;
         }
     }
     // Close the channel; handlers finish their current connection and
@@ -137,7 +143,7 @@ where
         // analyze:allow(discarded-result): a panicked handler has nothing to report
         let _ = h.join();
     }
-    served.load(Ordering::Relaxed)
+    served.load(Ordering::Acquire)
 }
 
 /// Serves one connection: reads the request line under the timeout,

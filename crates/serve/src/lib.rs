@@ -11,11 +11,12 @@
 //! * [`tenant`] — **fair scheduling**: deficit-round-robin over
 //!   per-tenant bounded backlogs, so one flooding tenant gets its
 //!   round share of engine slots instead of all of them;
-//! * [`server`] — the **server**: nonblocking `std::net` connection
-//!   handling on thread-per-core accept loops, per-connection
-//!   read/write buffers, read-timeout reaping, shed/rejected surfaced
-//!   as protocol status codes, and graceful drain wired to
-//!   [`benes_engine::Engine::drain`];
+//! * [`server`] — the **server**: blocking `std::net` connection
+//!   handling in which every thread waits in one place (an acceptor,
+//!   one reader per connection, handlers that each block on a single
+//!   event channel the engine completes into), read-timeout reaping,
+//!   shed/rejected surfaced as protocol status codes, and graceful
+//!   drain wired to [`benes_engine::Engine::drain`];
 //! * [`client`] — a small blocking client (the load generator and the
 //!   tests speak through it);
 //! * [`http`] — a pooled HTTP/1.0 metrics endpoint with per-connection

@@ -1,20 +1,41 @@
-//! The benes-serve server: nonblocking connection handling over
-//! `std::net`, per-tenant DRR fair scheduling in front of the engine's
-//! bounded admission, and graceful drain wired to [`Engine::drain`].
+//! The benes-serve server: blocking `std::net` connection handling in
+//! which every thread waits in exactly one place, per-tenant DRR fair
+//! scheduling in front of the engine's bounded admission, and graceful
+//! drain wired to [`Engine::drain`].
 //!
-//! # Connection lifecycle
+//! # Threads and where each one blocks
 //!
-//! A shared nonblocking listener is polled by `threads` handler
-//! threads (thread-per-core by default); each accepted connection is
-//! owned by exactly one handler for its whole life. Per iteration a
-//! handler: accepts new connections, reads whatever bytes are
-//! available into each connection's read buffer, decodes complete
-//! frames, feeds Route frames through the tenant scheduler into
-//! [`Engine::try_submit_opts`] (backpressure: a full engine queue
-//! pauses the pump, an over-quota tenant is refused on the spot),
-//! polls in-flight tickets and encodes replies, and flushes write
-//! buffers. A connection idle longer than the read timeout with
-//! nothing in flight is reaped — a silent client cannot pin a handler.
+//! * **acceptor** (`benes-serve-accept`) — a blocking `accept` on the
+//!   listener. Each new connection goes round-robin to one handler,
+//!   which owns it for its whole life.
+//! * **reader** (`benes-serve-rd-*`, one per connection) — a blocking
+//!   `read` whose `SO_RCVTIMEO` is [`ServeConfig::read_timeout`]. Every
+//!   complete frame decoded from one read travels to the handler as
+//!   one event; a read timeout travels as an idle event, which is how
+//!   a silent connection gets reaped. At most `READER_CREDIT` (2) of one
+//!   reader's events wait in the handler's channel; past that the
+//!   reader waits for the handler (and, through TCP, so does its
+//!   client), so a flooding connection cannot queue its frames ahead of
+//!   everyone else's.
+//! * **writer** (`benes-serve-wr-*`, one per connection) — a condvar
+//!   wait on the connection's outbox, then a blocking `write` of
+//!   everything queued in it. A client that stops reading blocks only
+//!   its own writer: its unread replies pile up in the outbox until
+//!   `OUTBOX_LIMIT` (4 MiB) or the write timeout (= read timeout) cuts the
+//!   connection.
+//! * **handler** (`benes-serve-{i}`, [`ServeConfig::threads`] of them)
+//!   — a receive on one bounded channel that carries every event that
+//!   can concern it: accepted connections, frames, closes and wire
+//!   errors, idle reports, engine completions, and stop. After each
+//!   wake it drains the channel, takes the outcomes the engine
+//!   finished, pumps its DRR scheduler into [`Engine::try_submit_to`]
+//!   (backpressure: a full engine queue pauses the pump, an over-quota
+//!   tenant is refused on the spot), and hands each connection's
+//!   pending replies to its writer once. It never blocks anywhere else.
+//!   The engine's workers finish a request by pushing its outcome onto
+//!   the handler's done list and, unless a wake-up is already pending,
+//!   sending a token into the same channel with `try_send` — so nothing
+//!   polls a ticket, and no worker ever waits on a handler.
 //!
 //! Malformed input (oversize length prefix, unknown version or type,
 //! torn payloads) gets one [`Frame::ErrorReply`] and the connection is
@@ -24,40 +45,64 @@
 //!
 //! A [`Frame::Drain`] (honoured only with
 //! [`ServeConfig::allow_drain`]) or [`Server::shutdown`] flips the
-//! shared stop flag: handlers stop accepting, refuse new Route frames
-//! with [`Status::Draining`], finish pumping their backlog, wait out
-//! their in-flight tickets (bounded by a grace period), flush, and
-//! exit; then the engine itself drains — every admitted request
-//! reaches a terminal state, so per-tenant conservation holds through
-//! shutdown.
+//! shared stop flag and wakes the acceptor with a loopback
+//! self-connect; the acceptor stops accepting and sends every handler
+//! a stop event. Handlers then refuse new Route frames with
+//! [`Status::Draining`], finish pumping their backlog, wait out their
+//! in-flight requests (bounded by a grace period), flush, and exit;
+//! then the engine itself drains — every admitted request reaches a
+//! terminal state, so per-tenant conservation holds through shutdown.
 
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use benes_engine::{
-    DrainReport, Engine, EngineConfig, EngineError, SubmitError, SubmitOpts, Ticket, Tier,
+    Completion, DrainReport, Engine, EngineConfig, EngineError, RequestOutcome,
+    SubmitError, SubmitOpts, Tier,
 };
 use benes_perm::Permutation;
 
-use crate::proto::{decode, tier_code, Frame, Status, TenantRow, WireError};
+use crate::client::{Client, RecvError};
+use crate::proto::{tier_code, Frame, Status, TenantRow, WireError};
 use crate::tenant::DrrScheduler;
+
+/// Capacity of each handler's event channel. A full channel blocks the
+/// readers (and so, through TCP, the clients) until the handler, which
+/// never blocks on anything else, catches up. Engine workers never wait
+/// on it (see [`DoneList`]).
+const EVENT_QUEUE: usize = 1024;
+
+/// Most events one connection's reader may have waiting in its
+/// handler's channel. The handler serves connections in the order
+/// their events arrive, so this bounds how many of a flooding
+/// connection's batches another connection's frames can queue behind.
+const READER_CREDIT: usize = 2;
+
+/// Most reply bytes one connection's outbox holds. A client this far
+/// behind on reading its replies is cut off rather than grow the
+/// server's memory without bound.
+const OUTBOX_LIMIT: usize = 4 << 20;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Handler threads polling the shared listener (thread-per-core:
-    /// defaults to the machine's available parallelism).
+    /// Handler threads; the acceptor deals connections to them
+    /// round-robin (thread-per-core: defaults to the machine's
+    /// available parallelism).
     pub threads: usize,
     /// The engine the server fronts. The default bounds the queue
     /// (`max_queue_depth`) — unbounded admission would turn a flood
     /// into unbounded memory instead of `Rejected` replies.
     pub engine: EngineConfig,
-    /// Reap a connection idle this long with nothing in flight.
+    /// Reap a connection idle this long with nothing in flight. Also
+    /// bounds how long a connection's writer may block on a client
+    /// that does not read before the connection is cut.
     pub read_timeout: Duration,
     /// Max requests a tenant may have queued (per handler thread)
     /// before new ones are refused with [`Status::QuotaExceeded`].
@@ -66,7 +111,7 @@ pub struct ServeConfig {
     pub quantum: u32,
     /// Whether a [`Frame::Drain`] from a client may stop the server.
     pub allow_drain: bool,
-    /// How long a draining handler waits for its in-flight tickets
+    /// How long a draining handler waits for its in-flight requests
     /// before abandoning them to [`Engine::drain`]'s cancel sweep.
     pub drain_grace: Duration,
 }
@@ -158,40 +203,58 @@ pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     counters: Arc<ServerCounters>,
-    handlers: Vec<JoinHandle<()>>,
+    /// The acceptor first, then the handlers.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and spawns the
-    /// handler threads.
+    /// acceptor and handler threads.
     ///
     /// # Errors
     ///
-    /// Any I/O error from binding or configuring the listener.
+    /// Any I/O error from binding the listener or spawning a thread.
     pub fn start(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(config.engine.clone()));
         let stop = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServerCounters::default());
-        let threads = config.threads.max(1);
-        let handlers = (0..threads)
-            .map(|i| {
-                let ctx = HandlerCtx {
-                    listener: listener.try_clone().expect("clone listener"),
+        let mut threads = Vec::new();
+        let mut inboxes = Vec::new();
+        for index in 0..config.threads.max(1) {
+            let (tx, rx) = sync_channel(EVENT_QUEUE);
+            inboxes.push(tx.clone());
+            let handler = Handler {
+                ctx: HandlerCtx {
+                    index,
+                    addr,
                     engine: Arc::clone(&engine),
                     stop: Arc::clone(&stop),
                     counters: Arc::clone(&counters),
                     config: config.clone(),
-                };
+                    tx,
+                    done: Arc::new(DoneList::default()),
+                },
+                conns: HashMap::new(),
+                sched: DrrScheduler::new(config.quantum, config.quota),
+                next_conn: 0,
+            };
+            threads.push(
                 std::thread::Builder::new()
-                    .name(format!("benes-serve-{i}"))
-                    .spawn(move || handler_loop(ctx))
-                    .expect("spawn serve handler")
-            })
-            .collect();
-        Ok(Self { engine, addr, stop, counters, handlers })
+                    .name(format!("benes-serve-{index}"))
+                    .spawn(move || handler.run(rx))?,
+            );
+        }
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            let counters = Arc::clone(&counters);
+            std::thread::Builder::new()
+                .name("benes-serve-accept".into())
+                .spawn(move || accept_loop(&listener, &stop, &counters, &inboxes))?
+        };
+        threads.insert(0, acceptor);
+        Ok(Self { engine, addr, stop, counters, threads })
     }
 
     /// The address the server is listening on.
@@ -238,35 +301,192 @@ impl Server {
     /// `allow_drain`, or a concurrent [`Server::shutdown`]), then
     /// drains the engine. Returns the engine's drain report.
     pub fn wait(mut self) -> DrainReport {
-        for h in self.handlers.drain(..) {
-            // A panicked handler already lost its connections; the
-            // engine drain below still resolves every ticket.
-            // analyze:allow(discarded-result): handler panic leaves nothing to join
-            let _ = h.join();
-        }
+        self.join();
         self.engine.drain(Instant::now() + Duration::from_secs(5))
     }
 
     /// Stops the server: handlers finish their in-flight work (bounded
     /// by the drain grace), then the engine drains until `deadline`.
-    pub fn shutdown(self, deadline: Instant) -> DrainReport {
+    pub fn shutdown(mut self, deadline: Instant) -> DrainReport {
         self.stop.store(true, Ordering::Release);
-        let mut this = self;
-        for h in this.handlers.drain(..) {
-            // analyze:allow(discarded-result): handler panic leaves nothing to join
-            let _ = h.join();
+        wake_acceptor(self.addr);
+        self.join();
+        self.engine.drain(deadline)
+    }
+
+    fn join(&mut self) {
+        for t in self.threads.drain(..) {
+            // A panicked handler already lost its connections; the
+            // engine drain that follows still resolves every request.
+            // analyze:allow(discarded-result): thread panic leaves nothing to join
+            let _ = t.join();
         }
-        this.engine.drain(deadline)
     }
 }
 
-/// Everything one handler thread owns a handle to.
-struct HandlerCtx {
-    listener: TcpListener,
-    engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
-    counters: Arc<ServerCounters>,
-    config: ServeConfig,
+/// Wakes a thread blocked in `accept` on the listener bound to `addr`
+/// by connecting to it (over loopback when it is bound to the
+/// unspecified address). The woken thread checks its stop condition
+/// before serving what it accepted.
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    // A refused connect means the acceptor already exited.
+    // analyze:allow(discarded-result): nothing left to wake
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+}
+
+/// The acceptor: blocks in `accept` and deals each connection to the
+/// next handler. Once the stop flag is up it stops accepting, tells
+/// every handler to drain, and exits (dropping the listener).
+fn accept_loop(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    counters: &ServerCounters,
+    handlers: &[SyncSender<Event>],
+) {
+    let mut next = 0usize;
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok((stream, _)) = accepted else {
+            // A failing accept (out of descriptors) fails again at
+            // once; pace the retries instead of spinning.
+            // analyze:allow(sleep-poll): back-off after an accept error only, never on the idle path
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        // Frames are small and latency-sensitive.
+        // analyze:allow(discarded-result): nodelay is advisory
+        let _ = stream.set_nodelay(true);
+        counters.accepted.fetch_add(1, Ordering::Relaxed);
+        if handlers[next % handlers.len()].send(Event::Accepted(stream)).is_err() {
+            break;
+        }
+        next = next.wrapping_add(1);
+    }
+    for h in handlers {
+        // analyze:allow(discarded-result): an exited handler needs no stop
+        let _ = h.send(Event::Stop);
+    }
+}
+
+/// Everything that can wake a handler, on its one channel.
+enum Event {
+    /// A new connection from the acceptor.
+    Accepted(TcpStream),
+    /// Every complete frame one read of connection `.0` produced.
+    Frames(u64, Vec<Frame>),
+    /// Connection `.0` sent undecodable bytes (after its good frames).
+    WireError(u64, WireError),
+    /// Connection `.0`'s read side ended (EOF or socket error).
+    Closed(u64),
+    /// Connection `.0` sent nothing for a whole read timeout.
+    Idle(u64),
+    /// The engine finished requests: their outcomes wait on the
+    /// handler's [`DoneList`].
+    Completed,
+    /// The server is stopping: drain.
+    Stop,
+}
+
+/// One connection's reader: blocks in `read`, forwards what it decoded.
+/// Each event first takes a token from `credit`, which the handler
+/// returns once it has handled the event; the handler drops the other
+/// end when it lets the connection go, which ends a reader waiting
+/// for a token.
+fn reader_loop(id: u64, mut wire: Client, credit: &SyncSender<()>, tx: &SyncSender<Event>) {
+    let mut frames = Vec::new();
+    loop {
+        let event = match wire.recv_batch(&mut frames) {
+            Ok(()) => Event::Frames(id, std::mem::take(&mut frames)),
+            Err(RecvError::Timeout) => Event::Idle(id),
+            Err(RecvError::Wire(err)) => Event::WireError(id, err),
+            Err(RecvError::Closed | RecvError::Io(_)) => Event::Closed(id),
+        };
+        let last = matches!(event, Event::WireError(..) | Event::Closed(_));
+        if credit.send(()).is_err() || tx.send(event).is_err() || last {
+            return;
+        }
+    }
+}
+
+/// One connection's writer: waits for replies in its outbox and writes
+/// them; once the connection is closing, writes what is left and shuts
+/// the socket down, which also ends the reader.
+fn writer_loop(outbox: &Outbox) {
+    let mut batch = Vec::new();
+    loop {
+        {
+            let state = outbox.state.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut state = outbox
+                .ready
+                .wait_while(state, |s| s.bytes.is_empty() && !s.closing)
+                .unwrap_or_else(PoisonError::into_inner);
+            if state.bytes.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut state.bytes, &mut batch);
+        }
+        if (&outbox.stream).write_all(&batch).is_err() {
+            let mut state = outbox.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.broken = true;
+            state.bytes = Vec::new();
+            break;
+        }
+        batch.clear();
+    }
+    // analyze:allow(discarded-result): a connection already gone needs no shutdown
+    let _ = outbox.stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Replies on their way from a handler to one connection's writer.
+struct Outbox {
+    /// The connection's write side (the writer writes it; the handler
+    /// shuts it down to cut a client off).
+    stream: TcpStream,
+    state: Mutex<OutboxState>,
+    /// Signalled when bytes arrive or the connection starts closing.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct OutboxState {
+    /// Encoded replies the writer has not taken yet (at most
+    /// [`OUTBOX_LIMIT`]).
+    bytes: Vec<u8>,
+    /// No more replies will come: write what is left, then shut down.
+    closing: bool,
+    /// A write failed; the writer shut the socket down and left.
+    broken: bool,
+}
+
+/// One finished request, handed from an engine worker to its handler.
+struct Done {
+    conn: u64,
+    req_id: u64,
+    outcome: RequestOutcome,
+}
+
+/// Engine outcomes for one handler's requests. A worker finishing a
+/// request pushes onto `outcomes` under a short lock and sends the
+/// handler a [`Event::Completed`] token only when `wake_pending` was
+/// clear, with `try_send`: a channel full of reader events is about to
+/// wake the handler anyway, so the worker never waits. The list holds
+/// at most as many entries as its handler has requests in flight.
+#[derive(Default)]
+struct DoneList {
+    outcomes: Mutex<Vec<Done>>,
+    /// Set by the worker that sends a token, cleared by the handler
+    /// just before it takes the list.
+    wake_pending: AtomicBool,
 }
 
 /// One request decoded off a connection, waiting for an engine slot.
@@ -277,26 +497,26 @@ struct Pending {
     perm: Permutation,
 }
 
-/// One request the engine has admitted, awaiting its ticket.
-struct Inflight {
-    req_id: u64,
-    ticket: Ticket,
-}
-
 /// One client connection, owned by exactly one handler thread.
 struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet decoded (consumed prefix trimmed).
-    rbuf: Vec<u8>,
-    /// Encoded replies not yet written.
+    /// Shared with the writer thread (the reader holds its own clone
+    /// of the socket).
+    outbox: Arc<Outbox>,
+    reader: JoinHandle<()>,
+    writer: JoinHandle<()>,
+    /// Tokens of the reader's events in the channel ([`READER_CREDIT`]
+    /// at most); one is returned per event handled.
+    credit: Receiver<()>,
+    /// Encoded replies not yet handed to the writer.
     wbuf: Vec<u8>,
-    /// How much of `wbuf` has been written.
-    woff: usize,
-    inflight: Vec<Inflight>,
-    last_activity: Instant,
+    /// Requests the engine admitted and has not finished.
+    inflight: usize,
+    /// The last reply hand-off (or the accept): an idle report reaps
+    /// the connection only when this is a read timeout old too.
+    last_write: Instant,
     /// Read side finished (EOF or error): close once quiescent.
     read_closed: bool,
-    /// Protocol violation: close as soon as `wbuf` is flushed.
+    /// Protocol violation: close as soon as the error reply is out.
     poisoned: bool,
 }
 
@@ -305,8 +525,46 @@ impl Conn {
         frame.encode(&mut self.wbuf);
     }
 
-    fn wants_write(&self) -> bool {
-        self.woff < self.wbuf.len()
+    /// Route replies with no outcome from the engine.
+    fn refuse(&mut self, counters: &ServerCounters, req_id: u64, status: Status) {
+        self.push_frame(&Frame::RouteReply { req_id, status, tier: None, latency_ns: 0 });
+        counters.replies.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Moves `wbuf` into the outbox and wakes the writer. Returns
+    /// false, dropping the bytes, when the connection must be cut: its
+    /// writer failed, or the client is [`OUTBOX_LIMIT`] behind.
+    fn post(&mut self) -> bool {
+        let mut state = self.outbox.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if state.broken || state.bytes.len() + self.wbuf.len() > OUTBOX_LIMIT {
+            self.wbuf.clear();
+            return false;
+        }
+        if state.bytes.is_empty() {
+            std::mem::swap(&mut state.bytes, &mut self.wbuf);
+        } else {
+            state.bytes.extend_from_slice(&self.wbuf);
+            self.wbuf.clear();
+        }
+        drop(state);
+        self.outbox.ready.notify_one();
+        self.last_write = Instant::now();
+        true
+    }
+
+    /// Lets the writer finish what the outbox holds and then shut the
+    /// socket down, which unblocks the reader (its `Closed` report
+    /// finds no connection and is ignored). With `cut`, shuts the
+    /// socket down at once instead, dropping unwritten replies.
+    /// Returns the reader and writer for the caller to join or detach.
+    fn close(self, cut: bool) -> [JoinHandle<()>; 2] {
+        if cut {
+            // analyze:allow(discarded-result): a connection already gone needs no shutdown
+            let _ = self.outbox.stream.shutdown(std::net::Shutdown::Both);
+        }
+        self.outbox.state.lock().unwrap_or_else(PoisonError::into_inner).closing = true;
+        self.outbox.ready.notify_one();
+        [self.reader, self.writer]
     }
 }
 
@@ -340,256 +598,301 @@ fn stats_rows(engine: &Engine) -> Vec<TenantRow> {
         .collect()
 }
 
-fn handler_loop(ctx: HandlerCtx) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut sched: DrrScheduler<Pending> =
-        DrrScheduler::new(ctx.config.quantum, ctx.config.quota);
-    let mut next_conn_id = 0u64;
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut drain_started: Option<Instant> = None;
+/// Everything one handler thread holds a handle to.
+struct HandlerCtx {
+    index: usize,
+    /// The listener's address, for waking the acceptor on Drain.
+    addr: SocketAddr,
+    engine: Arc<Engine>,
+    stop: Arc<AtomicBool>,
+    counters: Arc<ServerCounters>,
+    config: ServeConfig,
+    /// The sending side of this handler's own channel (for readers and
+    /// engine completions).
+    tx: SyncSender<Event>,
+    /// Where engine workers leave this handler's outcomes.
+    done: Arc<DoneList>,
+}
 
-    loop {
-        let stopping = ctx.stop.load(Ordering::Acquire);
-        if stopping && drain_started.is_none() {
-            drain_started = Some(Instant::now());
-        }
-        let mut progress = false;
+/// One handler thread: its connections and its tenant scheduler.
+struct Handler {
+    ctx: HandlerCtx,
+    conns: HashMap<u64, Conn>,
+    sched: DrrScheduler<Pending>,
+    next_conn: u64,
+}
 
-        // Accept — but not once draining.
-        if !stopping {
-            loop {
-                match ctx.listener.accept() {
-                    Ok((stream, _)) => {
-                        if stream.set_nonblocking(true).is_err() {
-                            continue;
-                        }
-                        // Frames are small and latency-sensitive.
-                        // analyze:allow(discarded-result): nodelay is advisory
-                        let _ = stream.set_nodelay(true);
-                        ctx.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                        conns.insert(
-                            next_conn_id,
-                            Conn {
-                                stream,
-                                rbuf: Vec::new(),
-                                wbuf: Vec::new(),
-                                woff: 0,
-                                inflight: Vec::new(),
-                                last_activity: Instant::now(),
-                                read_closed: false,
-                                poisoned: false,
-                            },
-                        );
-                        next_conn_id += 1;
-                        progress = true;
+impl Handler {
+    fn run(mut self, rx: Receiver<Event>) {
+        let mut drain_started: Option<Instant> = None;
+        // Whether the last pump left requests queued behind a full
+        // engine with none of ours in flight to wake us when it frees.
+        let mut starved = false;
+        loop {
+            let budget = match drain_started {
+                Some(started) => {
+                    Some(self.ctx.config.drain_grace.saturating_sub(started.elapsed()))
+                }
+                // The one timer outside drain: engine queue space freed
+                // by another handler's requests sends us no event.
+                None if starved => Some(Duration::from_millis(1)),
+                None => None,
+            };
+            let first = match budget {
+                None => match rx.recv() {
+                    Ok(event) => Some(event),
+                    Err(_) => return,
+                },
+                Some(budget) => match rx.recv_timeout(budget) {
+                    Ok(event) => Some(event),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                },
+            };
+            let stopping = self.ctx.stop.load(Ordering::Acquire);
+            if stopping && drain_started.is_none() {
+                drain_started = Some(Instant::now());
+            }
+            for event in first.into_iter().chain(std::iter::from_fn(|| rx.try_recv().ok()))
+            {
+                self.handle(event, stopping);
+            }
+            self.take_done();
+            starved = self.pump();
+            self.flush_and_close();
+
+            // Drain exit: backlog refused/pumped, in-flight resolved
+            // (or the grace expired), replies flushed.
+            if let Some(started) = drain_started {
+                let inflight: usize = self.conns.values().map(|c| c.inflight).sum();
+                if (self.sched.is_empty() && inflight == 0)
+                    || started.elapsed() >= self.ctx.config.drain_grace
+                {
+                    let threads: Vec<JoinHandle<()>> = self
+                        .conns
+                        .drain()
+                        .flat_map(|(_, conn)| {
+                            self.ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
+                            conn.close(false)
+                        })
+                        .collect();
+                    // Readers blocked on a full channel wake with an
+                    // error once no one can receive. Writers finish
+                    // the last replies, bounded by the write timeout.
+                    drop(rx);
+                    for t in threads {
+                        // analyze:allow(discarded-result): thread panic leaves nothing to join
+                        let _ = t.join();
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(_) => break, // transient accept error; retry next tick
+                    return;
                 }
             }
         }
+    }
 
-        // Read + decode every connection.
-        let conn_ids: Vec<u64> = conns.keys().copied().collect();
-        for id in conn_ids {
-            let Some(conn) = conns.get_mut(&id) else { continue };
-            if conn.poisoned {
-                continue;
-            }
-            // Read whatever is available.
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&scratch[..n]);
-                        conn.last_activity = Instant::now();
-                        progress = true;
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                }
-            }
-            // Decode complete frames off the front.
-            let mut consumed = 0usize;
-            loop {
-                match decode(&conn.rbuf[consumed..]) {
-                    Ok(Some((frame, used))) => {
-                        consumed += used;
-                        progress = true;
-                        handle_frame(&ctx, conn, id, frame, stopping, &mut sched);
-                        if conn.poisoned {
-                            break;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(err) => {
-                        wire_error(&ctx, conn, &err);
-                        break;
-                    }
-                }
-            }
-            if consumed > 0 {
-                conn.rbuf.drain(..consumed);
+    fn handle(&mut self, event: Event, stopping: bool) {
+        if let Event::Frames(id, _)
+        | Event::WireError(id, _)
+        | Event::Closed(id)
+        | Event::Idle(id) = &event
+        {
+            if let Some(conn) = self.conns.get(id) {
+                // analyze:allow(discarded-result): every reader event holds exactly one token
+                let _ = conn.credit.try_recv();
             }
         }
+        match event {
+            Event::Accepted(stream) => self.adopt(stream),
+            Event::Frames(id, frames) => {
+                for frame in frames {
+                    let Some(conn) = self.conns.get_mut(&id) else { return };
+                    if conn.poisoned {
+                        return;
+                    }
+                    handle_frame(&self.ctx, conn, id, frame, stopping, &mut self.sched);
+                }
+            }
+            Event::WireError(id, err) => {
+                if let Some(conn) = self.conns.get_mut(&id) {
+                    wire_error(&self.ctx.counters, conn, &err);
+                }
+            }
+            Event::Closed(id) => {
+                if let Some(conn) = self.conns.get_mut(&id) {
+                    conn.read_closed = true;
+                }
+            }
+            Event::Idle(id) => {
+                let reap = self.conns.get(&id).is_some_and(|c| {
+                    !stopping
+                        && c.inflight == 0
+                        && c.wbuf.is_empty()
+                        && c.last_write.elapsed() >= self.ctx.config.read_timeout
+                });
+                if reap {
+                    self.ctx.counters.timed_out.fetch_add(1, Ordering::Relaxed);
+                    self.ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
+                    self.conns.remove(&id).expect("checked above").close(false);
+                }
+            }
+            // The outcomes are taken after the channel is drained.
+            Event::Completed => {}
+            // The stop flag is already up; the caller reads it.
+            Event::Stop => {}
+        }
+    }
 
-        // Pump the scheduler into the engine until it pushes back.
-        while let Some((tenant, cost, pending)) = sched.dequeue() {
+    /// Turns every outcome the engine finished into a reply.
+    fn take_done(&mut self) {
+        // Clear before taking: a worker pushing after the take sees the
+        // flag down and sends a fresh token.
+        self.ctx.done.wake_pending.store(false, Ordering::SeqCst);
+        let done = std::mem::take(
+            &mut *self.ctx.done.outcomes.lock().unwrap_or_else(PoisonError::into_inner),
+        );
+        for Done { conn, req_id, outcome } in done {
+            // Conn already gone: the reply is dropped, but the engine
+            // still booked the tenant's terminal state — conservation
+            // survives killed connections.
+            let Some(conn) = self.conns.get_mut(&conn) else { continue };
+            conn.inflight -= 1;
+            let (status, tier) = classify(&outcome.result);
+            let latency_ns = u64::try_from(outcome.latency.as_nanos()).unwrap_or(u64::MAX);
+            conn.push_frame(&Frame::RouteReply { req_id, status, tier, latency_ns });
+            self.ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Takes ownership of a new connection and starts its reader and
+    /// writer.
+    fn adopt(&mut self, stream: TcpStream) {
+        let id = self.next_conn;
+        self.next_conn += 1;
+        let timeout = (!self.ctx.config.read_timeout.is_zero())
+            .then_some(self.ctx.config.read_timeout);
+        let outbox = Arc::new(Outbox {
+            stream,
+            state: Mutex::new(OutboxState::default()),
+            ready: Condvar::new(),
+        });
+        let name = |role: &str| format!("benes-serve-{role}-{}.{id}", self.ctx.index);
+        let (credit_tx, credit) = sync_channel(READER_CREDIT);
+        let reader = outbox.stream.try_clone().and_then(|rd| {
+            // Both timeouts are socket options, shared by the two
+            // handles: the reader's reads and the writer's writes.
+            rd.set_read_timeout(timeout)?;
+            rd.set_write_timeout(timeout)?;
+            let tx = self.ctx.tx.clone();
+            std::thread::Builder::new()
+                .name(name("rd"))
+                .spawn(move || reader_loop(id, Client::from_stream(rd), &credit_tx, &tx))
+        });
+        let Ok(reader) = reader else {
+            // No reader, no connection: out of threads or descriptors.
+            self.ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let writer = {
+            let outbox = Arc::clone(&outbox);
+            std::thread::Builder::new().name(name("wr")).spawn(move || writer_loop(&outbox))
+        };
+        let Ok(writer) = writer else {
+            // The reader exits once the socket is shut down.
+            // analyze:allow(discarded-result): a connection already gone needs no shutdown
+            let _ = outbox.stream.shutdown(std::net::Shutdown::Both);
+            self.ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        self.conns.insert(
+            id,
+            Conn {
+                outbox,
+                reader,
+                writer,
+                credit,
+                wbuf: Vec::new(),
+                inflight: 0,
+                last_write: Instant::now(),
+                read_closed: false,
+                poisoned: false,
+            },
+        );
+    }
+
+    /// Pumps the scheduler into the engine until it pushes back.
+    /// Returns whether requests stay queued behind a full engine with
+    /// none of this handler's in flight.
+    fn pump(&mut self) -> bool {
+        while let Some((tenant, cost, pending)) = self.sched.dequeue() {
             let opts = SubmitOpts { deadline: pending.deadline, tenant: Some(tenant) };
-            match ctx.engine.try_submit_opts(pending.perm.clone(), opts) {
-                Ok(ticket) => {
-                    progress = true;
-                    if let Some(conn) = conns.get_mut(&pending.conn) {
-                        conn.inflight.push(Inflight { req_id: pending.req_id, ticket });
+            let (conn, req_id) = (pending.conn, pending.req_id);
+            let (list, tx) = (Arc::clone(&self.ctx.done), self.ctx.tx.clone());
+            let done = Completion::new(move |outcome| {
+                list.outcomes.lock().unwrap_or_else(PoisonError::into_inner).push(Done {
+                    conn,
+                    req_id,
+                    outcome,
+                });
+                if !list.wake_pending.swap(true, Ordering::SeqCst) {
+                    // Full: queued events wake the handler, which takes
+                    // the list after draining them. Disconnected: the
+                    // handler exited; the engine booked the outcome.
+                    // analyze:allow(discarded-result): see above
+                    let _ = tx.try_send(Event::Completed);
+                }
+            });
+            match self.ctx.engine.try_submit_to(pending.perm.clone(), opts, done) {
+                Ok(()) => {
+                    if let Some(conn) = self.conns.get_mut(&conn) {
+                        conn.inflight += 1;
                     }
-                    // Conn already gone: the ticket is dropped, but the
-                    // engine still books the tenant's terminal state —
-                    // conservation survives killed connections.
                 }
                 Err(SubmitError::QueueFull { .. }) => {
-                    sched.requeue_front(tenant, cost, pending);
-                    break;
+                    self.sched.requeue_front(tenant, cost, pending);
+                    return self.conns.values().all(|c| c.inflight == 0);
                 }
                 Err(_) => {
                     // Engine shutting down: everything still queued is
                     // refused as Draining.
-                    if let Some(conn) = conns.get_mut(&pending.conn) {
-                        conn.push_frame(&Frame::RouteReply {
-                            req_id: pending.req_id,
-                            status: Status::Draining,
-                            tier: None,
-                            latency_ns: 0,
-                        });
-                        ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    }
-                    for (_tenant, p) in sched.drain_all() {
-                        if let Some(conn) = conns.get_mut(&p.conn) {
-                            conn.push_frame(&Frame::RouteReply {
-                                req_id: p.req_id,
-                                status: Status::Draining,
-                                tier: None,
-                                latency_ns: 0,
-                            });
-                            ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+                    for p in std::iter::once(pending)
+                        .chain(self.sched.drain_all().into_iter().map(|(_, p)| p))
+                    {
+                        if let Some(conn) = self.conns.get_mut(&p.conn) {
+                            conn.refuse(&self.ctx.counters, p.req_id, Status::Draining);
                         }
                     }
-                    break;
+                    return false;
                 }
             }
         }
+        false
+    }
 
-        // Poll in-flight tickets and encode replies.
-        for conn in conns.values_mut() {
-            let mut i = 0;
-            while i < conn.inflight.len() {
-                if let Some(outcome) = conn.inflight[i].ticket.try_result() {
-                    let done = conn.inflight.swap_remove(i);
-                    let (status, tier) = classify(&outcome.result);
-                    let latency_ns =
-                        u64::try_from(outcome.latency.as_nanos()).unwrap_or(u64::MAX);
-                    conn.push_frame(&Frame::RouteReply {
-                        req_id: done.req_id,
-                        status,
-                        tier,
-                        latency_ns,
-                    });
-                    ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
-                    progress = true;
-                } else {
-                    i += 1;
-                }
+    /// Hands each connection's pending replies to its writer, then
+    /// closes poisoned connections (after their error reply), EOF'd
+    /// ones with nothing left in flight, and cuts those whose writer
+    /// failed or fell [`OUTBOX_LIMIT`] behind.
+    fn flush_and_close(&mut self) {
+        let counters = &self.ctx.counters;
+        let mut gone = Vec::new();
+        for (id, conn) in &mut self.conns {
+            let cut = !conn.wbuf.is_empty() && !conn.post();
+            if cut || conn.poisoned || (conn.read_closed && conn.inflight == 0) {
+                gone.push((*id, cut));
             }
         }
-
-        // Flush write buffers.
-        for conn in conns.values_mut() {
-            while conn.wants_write() {
-                match conn.stream.write(&conn.wbuf[conn.woff..]) {
-                    Ok(0) => {
-                        conn.read_closed = true; // peer gone
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.woff += n;
-                        conn.last_activity = Instant::now();
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                }
-            }
-            if conn.woff > 0 && conn.woff == conn.wbuf.len() {
-                conn.wbuf.clear();
-                conn.woff = 0;
-            }
-        }
-
-        // Close: poisoned conns once flushed (or unflushable), EOF'd
-        // conns with nothing pending, and idle conns past the read
-        // timeout.
-        let now = Instant::now();
-        conns.retain(|_, conn| {
-            let flushed = !conn.wants_write();
-            if conn.poisoned && flushed {
-                ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if conn.read_closed && conn.inflight.is_empty() && flushed {
-                ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            if !stopping
-                && conn.inflight.is_empty()
-                && flushed
-                && now.duration_since(conn.last_activity) > ctx.config.read_timeout
-            {
-                ctx.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-                ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            true
-        });
-
-        // Drain exit: backlog refused/pumped, in-flight resolved (or
-        // the grace expired), replies flushed.
-        if let Some(started) = drain_started {
-            let inflight: usize = conns.values().map(|c| c.inflight.len()).sum();
-            let unflushed = conns.values().any(Conn::wants_write);
-            let grace_up = now.duration_since(started) > ctx.config.drain_grace;
-            if (sched.is_empty() && inflight == 0 && !unflushed) || grace_up {
-                for _ in conns.drain() {
-                    ctx.counters.closed.fetch_add(1, Ordering::Relaxed);
-                }
-                return;
-            }
-        }
-
-        if !progress {
-            // Nothing moved: yield the core to the engine workers
-            // rather than spinning the accept loop dry.
-            std::thread::sleep(Duration::from_micros(200));
+        for (id, cut) in gone {
+            counters.closed.fetch_add(1, Ordering::Relaxed);
+            // Detached: the threads end with the socket.
+            drop(self.conns.remove(&id).expect("listed above").close(cut));
         }
     }
 }
 
 /// Answers a protocol violation with one `ErrorReply` and poisons the
 /// connection (closed after the reply flushes).
-fn wire_error(ctx: &HandlerCtx, conn: &mut Conn, err: &WireError) {
-    ctx.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+fn wire_error(counters: &ServerCounters, conn: &mut Conn, err: &WireError) {
+    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
     conn.push_frame(&Frame::ErrorReply {
         req_id: 0,
         code: Status::BadRequest,
@@ -610,37 +913,19 @@ fn handle_frame(
     match frame {
         Frame::Route { req_id, tenant, deadline_ms, destinations } => {
             if stopping {
-                conn.push_frame(&Frame::RouteReply {
-                    req_id,
-                    status: Status::Draining,
-                    tier: None,
-                    latency_ns: 0,
-                });
-                ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+                conn.refuse(&ctx.counters, req_id, Status::Draining);
                 return;
             }
             let cost = u32::try_from(destinations.len()).unwrap_or(u32::MAX);
             let Ok(perm) = Permutation::from_destinations(destinations) else {
-                conn.push_frame(&Frame::RouteReply {
-                    req_id,
-                    status: Status::BadRequest,
-                    tier: None,
-                    latency_ns: 0,
-                });
-                ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+                conn.refuse(&ctx.counters, req_id, Status::BadRequest);
                 return;
             };
             let deadline = (deadline_ms > 0)
                 .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
             let pending = Pending { conn: id, req_id, deadline, perm };
             if let Err((_, refused)) = sched.enqueue(tenant, cost, pending) {
-                conn.push_frame(&Frame::RouteReply {
-                    req_id: refused.req_id,
-                    status: Status::QuotaExceeded,
-                    tier: None,
-                    latency_ns: 0,
-                });
-                ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+                conn.refuse(&ctx.counters, refused.req_id, Status::QuotaExceeded);
             }
         }
         Frame::Stats => {
@@ -650,6 +935,7 @@ fn handle_frame(
             if ctx.config.allow_drain {
                 conn.push_frame(&Frame::StatsReply { rows: stats_rows(&ctx.engine) });
                 ctx.stop.store(true, Ordering::Release);
+                wake_acceptor(ctx.addr);
             } else {
                 conn.push_frame(&Frame::ErrorReply {
                     req_id: 0,
@@ -662,7 +948,11 @@ fn handle_frame(
         // Server-to-client frames arriving at the server are protocol
         // violations.
         Frame::RouteReply { .. } | Frame::StatsReply { .. } | Frame::ErrorReply { .. } => {
-            wire_error(ctx, conn, &WireError::Malformed("client sent a server-only frame"));
+            wire_error(
+                &ctx.counters,
+                conn,
+                &WireError::Malformed("client sent a server-only frame"),
+            );
         }
     }
 }

@@ -51,6 +51,59 @@ fn recv_timeout_is_typed_and_preserves_the_partial_frame() {
 }
 
 #[test]
+fn recv_batch_returns_a_burst_at_once_and_bad_bytes_after_it() {
+    let (listener, addr) = raw_peer();
+    let mut client = Client::connect(&addr).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let (mut peer, _) = listener.accept().expect("accept");
+
+    // Three whole frames, half a fourth, in one write.
+    let frames: Vec<Frame> = (0..4)
+        .map(|i| Frame::RouteReply {
+            req_id: i,
+            status: Status::Ok,
+            tier: None,
+            latency_ns: 1,
+        })
+        .collect();
+    let mut burst = Vec::new();
+    for f in &frames {
+        f.encode(&mut burst);
+    }
+    let cut = burst.len() - 5;
+    peer.write_all(&burst[..cut]).expect("write burst");
+    let mut out = Vec::new();
+    client.recv_batch(&mut out).expect("one batch");
+    assert_eq!(out, frames[..3], "every complete frame, the partial one kept back");
+
+    // The rest of the fourth, then garbage: the good frame comes first,
+    // the wire error on the next call.
+    let mut bad = Frame::Stats.to_bytes();
+    bad[4] = 99; // unknown version
+    peer.write_all(&burst[cut..]).expect("write rest");
+    peer.write_all(&bad).expect("write garbage");
+    out.clear();
+    while out.is_empty() {
+        client.recv_batch(&mut out).expect("the fourth frame");
+    }
+    assert_eq!(out, frames[3..]);
+    assert!(matches!(client.recv_batch(&mut out), Err(RecvError::Wire(_))));
+}
+
+#[test]
+fn shutdown_wakes_a_reader_blocked_on_a_clone() {
+    let (listener, addr) = raw_peer();
+    let writer = Client::connect(&addr).expect("connect");
+    let _peer = listener.accept().expect("accept");
+    let mut reader = writer.try_clone().expect("clone");
+    let blocked = std::thread::spawn(move || reader.recv());
+    std::thread::sleep(Duration::from_millis(50));
+    writer.shutdown();
+    let woke = blocked.join().expect("reader thread");
+    assert!(matches!(woke, Err(RecvError::Closed | RecvError::Io(_))), "{woke:?}");
+}
+
+#[test]
 fn recv_reports_eof_as_closed() {
     let (listener, addr) = raw_peer();
     let mut client = Client::connect(&addr).expect("connect");

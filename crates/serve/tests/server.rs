@@ -327,3 +327,187 @@ fn drain_is_refused_without_allow_drain() {
     drop(client);
     server.shutdown(Instant::now() + Duration::from_secs(5));
 }
+
+#[test]
+fn a_client_that_stops_reading_stalls_no_one_else() {
+    // One handler and one engine worker: the flood and the steady
+    // tenant share every server thread but the per-connection reader
+    // and writer. The flood pipelines requests and never reads a reply,
+    // so its replies back up through both socket buffers into its
+    // outbox until the server cuts it off; the steady tenant's round
+    // trips must go on meanwhile.
+    let mut config = small_config();
+    config.engine.workers = 1;
+    config.engine.max_queue_depth = Some(4096);
+    config.read_timeout = Duration::from_secs(10);
+    let server = Server::start("127.0.0.1:0", config).expect("start");
+    let flood_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+    let flood = {
+        let addr = server.local_addr();
+        let done = std::sync::Arc::clone(&flood_done);
+        std::thread::spawn(move || {
+            use std::io::{ErrorKind, Write};
+            let mut stream = std::net::TcpStream::connect(addr).expect("connect flood");
+            stream.set_write_timeout(Some(Duration::from_millis(200))).unwrap();
+            let mut batch = Vec::new();
+            for i in 0..512u64 {
+                Frame::Route {
+                    req_id: i,
+                    tenant: 7,
+                    deadline_ms: 0,
+                    destinations: perm(1),
+                }
+                .encode(&mut batch);
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            // Whole batches only, so a timed-out write never tears a
+            // frame: the only way out before the deadline is the cut.
+            let mut cut = false;
+            'flood: while Instant::now() < deadline {
+                let mut off = 0;
+                while off < batch.len() {
+                    match stream.write(&batch[off..]) {
+                        Ok(0) => {
+                            cut = true;
+                            break 'flood;
+                        }
+                        Ok(n) => off += n,
+                        Err(e)
+                            if matches!(
+                                e.kind(),
+                                ErrorKind::WouldBlock | ErrorKind::TimedOut
+                            ) =>
+                        {
+                            if Instant::now() >= deadline {
+                                break 'flood;
+                            }
+                        }
+                        Err(_) => {
+                            cut = true;
+                            break 'flood;
+                        }
+                    }
+                }
+            }
+            done.store(true, Ordering::Release);
+            cut
+        })
+    };
+
+    let mut steady = Client::connect(server.local_addr()).expect("connect steady");
+    steady.set_read_timeout(Some(Duration::from_secs(3))).unwrap();
+    let mut worst = Duration::ZERO;
+    let mut trips = 0u64;
+    while !flood_done.load(Ordering::Acquire) {
+        let sent = Instant::now();
+        steady
+            .send(&Frame::Route {
+                req_id: trips,
+                tenant: 8,
+                deadline_ms: 0,
+                destinations: perm(3),
+            })
+            .expect("steady send");
+        match steady.recv() {
+            Ok(Frame::RouteReply { req_id, status: Status::Ok, .. }) => {
+                assert_eq!(req_id, trips);
+            }
+            other => panic!("steady trip {trips} after {:?}: {other:?}", sent.elapsed()),
+        }
+        worst = worst.max(sent.elapsed());
+        trips += 1;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(
+        flood.join().expect("flood thread"),
+        "the non-reading client was never cut off"
+    );
+    assert!(trips > 0);
+    assert!(worst < Duration::from_secs(1), "a steady round trip took {worst:?}");
+
+    // Whatever the flood got admitted still reaches a terminal state.
+    await_conservation(&mut steady, 7, Instant::now() + Duration::from_secs(15));
+    let row = await_conservation(&mut steady, 8, Instant::now() + Duration::from_secs(15));
+    assert_eq!(row.completed, trips);
+    drop(steady);
+    server.shutdown(Instant::now() + Duration::from_secs(5));
+}
+
+#[test]
+fn a_backlog_behind_another_handlers_flood_still_drains() {
+    // Two handlers share one engine whose queue holds two requests. The
+    // flood on handler 0 keeps that queue full, so handler 1's first
+    // pump meets QueueFull with none of its own requests in flight: no
+    // completion of its own will wake it, and only its retry timer
+    // gets the burst into the engine.
+    let mut config = small_config();
+    config.threads = 2;
+    config.engine.workers = 1;
+    config.engine.max_queue_depth = Some(2);
+    let server = Server::start("127.0.0.1:0", config).expect("start");
+
+    // Connections are dealt round-robin in accept order: make sure
+    // the flood's is accepted first.
+    let mut flood = Client::connect(server.local_addr()).expect("connect flood");
+    flood.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    flood.send(&Frame::Stats).unwrap();
+    assert!(matches!(flood.recv().unwrap(), Frame::StatsReply { .. }));
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let flooder = {
+        let stop = std::sync::Arc::clone(&stop);
+        std::thread::spawn(move || {
+            const WINDOW: u64 = 256;
+            let mut sent = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                let frames: Vec<Frame> = (sent..sent + WINDOW)
+                    .map(|i| Frame::Route {
+                        req_id: i,
+                        tenant: 1,
+                        deadline_ms: 0,
+                        destinations: perm((i % 7) as u32),
+                    })
+                    .collect();
+                flood.send_all(&frames).expect("flood");
+                for _ in 0..WINDOW {
+                    assert!(matches!(
+                        flood.recv().expect("flood reply"),
+                        Frame::RouteReply { .. }
+                    ));
+                }
+                sent += WINDOW;
+            }
+            flood
+        })
+    };
+    // Let the flood fill the engine queue before the burst arrives.
+    std::thread::sleep(Duration::from_millis(100));
+
+    const BURST: u64 = 100;
+    let mut burst = Client::connect(server.local_addr()).expect("connect burst");
+    burst.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let frames: Vec<Frame> = (0..BURST)
+        .map(|i| Frame::Route {
+            req_id: i,
+            tenant: 2,
+            deadline_ms: 0,
+            destinations: perm((i % 7) as u32),
+        })
+        .collect();
+    burst.send_all(&frames).expect("burst");
+    for _ in 0..BURST {
+        match burst.recv().expect("burst reply") {
+            Frame::RouteReply { status: Status::Ok, .. } => {}
+            other => panic!("burst got {other:?}"),
+        }
+    }
+    stop.store(true, Ordering::Release);
+    let mut flood = flooder.join().expect("flood thread");
+
+    let row2 = await_conservation(&mut burst, 2, Instant::now() + Duration::from_secs(15));
+    assert_eq!(row2.completed, BURST);
+    await_conservation(&mut flood, 1, Instant::now() + Duration::from_secs(15));
+    drop(flood);
+    drop(burst);
+    server.shutdown(Instant::now() + Duration::from_secs(5));
+}

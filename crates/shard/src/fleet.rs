@@ -182,6 +182,7 @@ pub fn run_fleet_soak(
         }
         on_round(round, &outcome);
         if !cfg.round_pause.is_zero() && round + 1 < cfg.rounds {
+            // analyze:allow(sleep-poll): the soak paces its rounds on purpose, so a kill lands between wire exchanges
             std::thread::sleep(cfg.round_pause);
         }
     }

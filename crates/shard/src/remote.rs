@@ -6,8 +6,9 @@
 //! a reply channel, so scatter never blocks on the network. The
 //! resilience ladder, from cheapest to most drastic:
 //!
-//! 1. **Pipelining** — units are sent as they arrive and matched to
-//!    replies by request id, so one slow unit never stalls the rest.
+//! 1. **Pipelining** — units are sent as they arrive (every unit queued
+//!    for an endpoint goes out in one write) and matched to replies by
+//!    request id, so one slow unit never stalls the rest.
 //! 2. **Timeouts** — connects are bounded by
 //!    [`RemoteConfig::connect_timeout`]; a unit with no reply after
 //!    [`RemoteConfig::request_timeout`] condemns its connection.
@@ -27,8 +28,29 @@
 //!    [`RemoteConfig::hedge`] is *also* sent on the spare; the first
 //!    reply wins and the loser is discarded by request-id matching.
 //!
-//! A separate prober thread heartbeats the primary with `Stats`
-//! frames and publishes the verdict as the per-shard health gauge.
+//! # Threads and where each one blocks
+//!
+//! * **I/O thread** (`benes-remote-io-*`) — a receive on one bounded
+//!   channel carrying `Event`s: units and drains from callers, frames
+//!   and closes from the readers, and stop. The receive times out at
+//!   the next timer the policy holds — a unit deadline, a request
+//!   timeout, a hedge delay, a reconnect backoff, or the heartbeat.
+//! * **reader** (`benes-remote-rd-*`, one per live endpoint
+//!   connection) — a blocking read. Every complete frame from one read
+//!   travels as one event tagged with the connection's generation, so
+//!   frames from a replaced connection are dropped.
+//!
+//! # Health
+//!
+//! The I/O thread heartbeats the primary connection with a `Stats`
+//! frame every [`RemoteConfig::probe_interval`]. The shard is healthy
+//! while that connection is up and its last heartbeat was answered
+//! within [`RemoteConfig::request_timeout`]; a closed connection turns
+//! the gauge red at once, an unanswered heartbeat condemns the
+//! connection. While the primary is down the I/O thread retries the
+//! connect on the heartbeat timer. Heartbeat answers are counted by the
+//! reader and never forwarded, so an idle shard's I/O thread wakes
+//! only for its own timer.
 //!
 //! Every unit reaches exactly one terminal state — completed, failed,
 //! shed, or canceled — so the coordinator's conservation invariant
@@ -36,7 +58,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,9 +67,13 @@ use benes_engine::workload::Rng64;
 use benes_engine::{Admission, Breaker, BreakerConfig, EngineError, Tier};
 use benes_perm::Permutation;
 use benes_serve::proto::{tier_from_code, Frame, Status};
-use benes_serve::{Client, RecvError};
+use benes_serve::Client;
 
 use crate::backend::{Backend, BackendDrain, BackendLedger, UnitReply, UnitTicket};
+
+/// Capacity of the I/O thread's event channel. A full channel blocks
+/// submitters and readers until the I/O thread catches up.
+const EVENT_QUEUE: usize = 256;
 
 /// Tuning knobs for one [`RemoteShard`].
 #[derive(Debug, Clone)]
@@ -77,8 +104,8 @@ pub struct RemoteConfig {
     /// When set, a unit unanswered by the primary for this long is
     /// also sent on the spare (tail-latency hedging).
     pub hedge: Option<Duration>,
-    /// How often the prober heartbeats the primary with a `Stats`
-    /// frame.
+    /// How often the I/O thread heartbeats the primary connection with
+    /// a `Stats` frame (and, while it is down, retries the connect).
     pub probe_interval: Duration,
 }
 
@@ -110,10 +137,10 @@ impl RemoteConfig {
     }
 }
 
-/// Monotonic transport counters shared between the I/O thread, the
-/// prober, and ledger snapshots. Increments are statement-position
-/// relaxed bumps read at quiescence — the same discipline as the
-/// engine's stats recorder.
+/// Monotonic transport counters shared between the I/O thread and
+/// ledger snapshots. Increments are statement-position relaxed bumps
+/// read at quiescence — the same discipline as the engine's stats
+/// recorder.
 #[derive(Debug, Default)]
 struct Shared {
     submitted: AtomicU64,
@@ -126,7 +153,6 @@ struct Shared {
     hedges: AtomicU64,
     reconnects: AtomicU64,
     healthy: AtomicBool,
-    stop: AtomicBool,
 }
 
 impl Shared {
@@ -146,45 +172,110 @@ impl Shared {
     }
 }
 
-/// A job for the I/O thread.
-enum Job {
-    Unit { perm: Permutation, deadline: Option<Instant>, tx: mpsc::Sender<UnitReply> },
-    Drain { deadline: Instant, tx: mpsc::Sender<BackendDrain> },
+/// A unit's reply channel, which cannot be forgotten: dropped without
+/// a reply (its event discarded with a closed channel, or the I/O
+/// thread gone), it books the unit canceled and tells the caller so.
+struct Reply {
+    tx: Option<SyncSender<UnitReply>>,
+    shared: Arc<Shared>,
+}
+
+impl Reply {
+    /// Books `reply`'s terminal state and delivers it.
+    fn send(mut self, reply: UnitReply) {
+        self.deliver(reply);
+    }
+
+    fn deliver(&mut self, reply: UnitReply) {
+        let Some(tx) = self.tx.take() else { return };
+        self.shared.account(&reply.result);
+        // analyze:allow(discarded-result): the caller may have dropped its ticket
+        let _ = tx.send(reply);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        self.deliver(UnitReply {
+            result: Err(EngineError::Canceled),
+            latency: Duration::ZERO,
+        });
+    }
+}
+
+/// Everything that can wake the I/O thread, on its one channel.
+enum Event {
+    /// A unit from [`Backend::submit`].
+    Unit {
+        /// The unit to route.
+        perm: Permutation,
+        /// Resolve it shed once this passes.
+        deadline: Option<Instant>,
+        /// Where its one terminal reply goes.
+        reply: Reply,
+    },
+    /// A drain from [`Backend::drain`].
+    Drain {
+        /// Give up waiting for the shard's ack at this instant.
+        deadline: Instant,
+        /// Where the drain report goes.
+        reply: SyncSender<BackendDrain>,
+    },
+    /// Every complete frame one read of endpoint `endpoint`'s
+    /// connection `generation` produced (heartbeat answers excluded).
+    Frames {
+        /// Primary (0) or spare (1).
+        endpoint: usize,
+        /// Which connection of that endpoint the frames came from.
+        generation: u64,
+        /// The frames, in wire order.
+        frames: Vec<Frame>,
+    },
+    /// Endpoint `endpoint`'s connection `generation` died: EOF, socket
+    /// error, or undecodable bytes.
+    Closed {
+        /// Primary (0) or spare (1).
+        endpoint: usize,
+        /// Which connection of that endpoint died.
+        generation: u64,
+    },
+    /// The shard handle was dropped: cancel everything and exit.
+    Stop,
 }
 
 /// One benes-serve process as a coordinator [`Backend`].
 #[derive(Debug)]
 pub struct RemoteShard {
     addr: String,
-    jobs: mpsc::Sender<Job>,
+    events: SyncSender<Event>,
     shared: Arc<Shared>,
     io: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
 }
 
 impl RemoteShard {
-    /// Spawns the I/O and prober threads for one remote shard. The
-    /// shard index seeds the jitter so a fleet's backoffs decorrelate
-    /// deterministically.
+    /// Spawns the I/O thread for one remote shard; it connects to the
+    /// primary at once. The shard index seeds the jitter so a fleet's
+    /// backoffs decorrelate deterministically.
+    ///
+    /// # Panics
+    ///
+    /// If the OS refuses to spawn the thread.
     #[must_use]
     pub fn new(config: RemoteConfig, shard: usize) -> Self {
         let shared = Arc::new(Shared::default());
-        // Optimistic until the first probe lands: a fleet that has not
-        // been probed yet should not report dead shards.
+        // Optimistic until the first heartbeat settles it: a fleet
+        // that has not been probed yet should not report dead shards.
         shared.healthy.store(true, Ordering::Release);
-        let (jobs_tx, jobs_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::sync_channel(EVENT_QUEUE);
         let addr = config.addr.clone();
         let io = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            std::thread::spawn(move || IoThread::new(config, shard, shared).run(&jobs_rx))
+            let io = IoThread::new(config, shard, Arc::clone(&shared), tx.clone());
+            std::thread::Builder::new()
+                .name(format!("benes-remote-io-{shard}"))
+                .spawn(move || io.run(rx))
+                .expect("spawn remote shard I/O thread")
         };
-        let prober = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            std::thread::spawn(move || probe_loop(&config, &shared))
-        };
-        Self { addr, jobs: jobs_tx, shared, io: Some(io), prober: Some(prober) }
+        Self { addr, events: tx, shared, io: Some(io) }
     }
 }
 
@@ -195,16 +286,14 @@ impl Backend for RemoteShard {
 
     fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
         Shared::bump(&self.shared.submitted);
-        let (tx, rx) = mpsc::channel();
-        match self.jobs.send(Job::Unit { perm, deadline, tx }) {
-            Ok(()) => UnitTicket::remote(rx),
-            Err(_) => {
-                // The I/O thread is gone (drained or torn down):
-                // terminal immediately, and still conserved.
-                Shared::bump(&self.shared.canceled);
-                UnitTicket::ready(Err(EngineError::Canceled), Duration::ZERO)
-            }
-        }
+        let (tx, rx) = mpsc::sync_channel(1);
+        let reply = Reply { tx: Some(tx), shared: Arc::clone(&self.shared) };
+        // With the I/O thread gone (drained or torn down) the send hands
+        // the event back, and dropping it resolves the unit canceled:
+        // terminal immediately, and still conserved.
+        // analyze:allow(discarded-result): a refused event cancels its unit on drop
+        let _ = self.events.send(Event::Unit { perm, deadline, reply });
+        UnitTicket::remote(rx)
     }
 
     fn ledger(&self) -> BackendLedger {
@@ -225,8 +314,8 @@ impl Backend for RemoteShard {
     }
 
     fn drain(&self, deadline: Instant) -> BackendDrain {
-        let (tx, rx) = mpsc::channel();
-        if self.jobs.send(Job::Drain { deadline, tx }).is_err() {
+        let (reply, rx) = mpsc::sync_channel(1);
+        if self.events.send(Event::Drain { deadline, reply }).is_err() {
             // Already drained or torn down: nothing in flight.
             return BackendDrain { canceled: 0, timed_out: false, unreachable: false };
         }
@@ -247,49 +336,56 @@ impl Backend for RemoteShard {
 
 impl Drop for RemoteShard {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // analyze:allow(discarded-result): an I/O thread that already exited needs no stop
+        let _ = self.events.send(Event::Stop);
         if let Some(io) = self.io.take() {
             // analyze:allow(discarded-result): a panicked I/O thread leaves nothing to join
             let _ = io.join();
         }
-        if let Some(prober) = self.prober.take() {
-            // analyze:allow(discarded-result): a panicked prober leaves nothing to join
-            let _ = prober.join();
-        }
     }
 }
 
-/// Heartbeats the primary with `Stats` frames and publishes the
-/// verdict. A fresh connection per probe means the heartbeat also
-/// exercises connectability — exactly what failover cares about.
-fn probe_loop(config: &RemoteConfig, shared: &Shared) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let verdict = probe_once(config);
-        shared.healthy.store(verdict, Ordering::Release);
-        // Sleep in small slices so teardown never waits a full
-        // interval.
-        let until = Instant::now() + config.probe_interval;
-        while Instant::now() < until {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
+/// What one connection's reader shares with the I/O thread.
+#[derive(Debug, Default)]
+struct Link {
+    /// Heartbeat answers (`StatsReply` frames) read so far.
+    pongs: AtomicU64,
+    /// Forward `StatsReply` frames as events too (a drain waits for
+    /// its ack).
+    forward_stats: AtomicBool,
+}
+
+/// One endpoint connection's reader: blocks in `read`, counts
+/// heartbeat answers, forwards everything else.
+fn reader_loop(
+    endpoint: usize,
+    generation: u64,
+    mut wire: Client,
+    link: &Link,
+    tx: &SyncSender<Event>,
+) {
+    let mut frames = Vec::new();
+    loop {
+        if wire.recv_batch(&mut frames).is_err() {
+            // analyze:allow(discarded-result): an exited I/O thread needs no close report
+            let _ = tx.send(Event::Closed { endpoint, generation });
+            return;
+        }
+        frames.retain(|frame| {
+            if !matches!(frame, Frame::StatsReply { .. }) {
+                return true;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            link.pongs.fetch_add(1, Ordering::AcqRel);
+            link.forward_stats.load(Ordering::Acquire)
+        });
+        if frames.is_empty() {
+            continue;
+        }
+        let frames = std::mem::take(&mut frames);
+        if tx.send(Event::Frames { endpoint, generation, frames }).is_err() {
+            return;
         }
     }
-}
-
-fn probe_once(config: &RemoteConfig) -> bool {
-    let Ok(mut client) = Client::connect_timeout(&config.addr, config.connect_timeout)
-    else {
-        return false;
-    };
-    if client.set_read_timeout(Some(config.request_timeout)).is_err() {
-        return false;
-    }
-    if client.send(&Frame::Stats).is_err() {
-        return false;
-    }
-    matches!(client.recv(), Ok(Frame::StatsReply { .. }))
 }
 
 /// Endpoint index: primary first, spare second.
@@ -299,7 +395,13 @@ const SPARE: usize = 1;
 /// One endpoint's connection + pacing state.
 struct Endpoint {
     addr: Option<String>,
+    /// The write side of the live connection (its reader holds a
+    /// clone).
     conn: Option<Client>,
+    /// Generation of the live connection; bumped on every connect.
+    generation: u64,
+    link: Arc<Link>,
+    reader: Option<JoinHandle<()>>,
     breaker: Breaker,
     /// The next breaker verdict to report carries the probe flag.
     probe_pending: bool,
@@ -323,7 +425,7 @@ impl Endpoint {
 struct Pending {
     perm: Permutation,
     deadline: Option<Instant>,
-    reply: mpsc::Sender<UnitReply>,
+    reply: Reply,
     started: Instant,
     /// Transport attempts left on the current owner endpoint.
     attempts_left: u32,
@@ -338,27 +440,67 @@ struct Pending {
     fallback: Option<UnitReply>,
 }
 
+/// Whether `u` still waits on the primary alone and may be hedged.
+fn hedge_candidate(u: &Pending) -> bool {
+    !u.hedged && u.owner == PRIMARY && u.req[PRIMARY].is_some() && u.req[SPARE].is_none()
+}
+
+/// A drain waiting for the primary's ack.
+struct Draining {
+    deadline: Instant,
+    reply: SyncSender<BackendDrain>,
+    /// The ack is the heartbeat-answer count reaching this.
+    ack_at: u64,
+}
+
+/// The primary's heartbeat state.
+struct Heartbeat {
+    /// When the next heartbeat (or, while disconnected, connect) is due.
+    next: Instant,
+    /// Heartbeats sent on the current primary connection.
+    pings: u64,
+    /// When the last heartbeat went out (`None` before the first on a
+    /// connection).
+    sent: Option<Instant>,
+}
+
 struct IoThread {
     cfg: RemoteConfig,
+    shard: usize,
     shared: Arc<Shared>,
+    /// For the readers this thread spawns.
+    tx: SyncSender<Event>,
     endpoints: [Endpoint; 2],
     units: HashMap<u64, Pending>,
     by_req: HashMap<u64, u64>,
     next_unit: u64,
     next_req: u64,
+    heartbeat: Heartbeat,
+    draining: Option<Draining>,
+    /// Readers of replaced connections, joined at exit.
+    retired: Vec<JoinHandle<()>>,
 }
 
 impl IoThread {
-    fn new(cfg: RemoteConfig, shard: usize, shared: Arc<Shared>) -> Self {
+    fn new(
+        cfg: RemoteConfig,
+        shard: usize,
+        shared: Arc<Shared>,
+        tx: SyncSender<Event>,
+    ) -> Self {
+        let now = Instant::now();
         let endpoint = |addr: Option<String>, index: usize| {
             let order = u32::try_from(shard * 2 + index).unwrap_or(u32::MAX);
             Endpoint {
                 addr,
                 conn: None,
+                generation: 0,
+                link: Arc::default(),
+                reader: None,
                 breaker: Breaker::new(cfg.breaker.clone(), order),
                 probe_pending: false,
                 connect_streak: 0,
-                not_before: Instant::now(),
+                not_before: now,
                 jitter: Rng64::new(
                     cfg.jitter_seed ^ (shard as u64) ^ ((index as u64) << 32),
                 ),
@@ -370,97 +512,224 @@ impl IoThread {
             [endpoint(Some(cfg.addr.clone()), PRIMARY), endpoint(cfg.spare.clone(), SPARE)];
         Self {
             cfg,
+            shard,
             shared,
+            tx,
             endpoints,
             units: HashMap::new(),
             by_req: HashMap::new(),
             next_unit: 0,
             next_req: 0,
+            // Due at once: the first pass connects to the primary.
+            heartbeat: Heartbeat { next: now, pings: 0, sent: None },
+            draining: None,
+            retired: Vec::new(),
         }
     }
 
-    fn run(mut self, jobs: &mpsc::Receiver<Job>) {
-        loop {
-            if self.shared.stop.load(Ordering::Acquire) {
-                self.cancel_all();
-                return;
-            }
-            match self.ingest(jobs) {
-                Ingest::Continue => {}
-                Ingest::Drained | Ingest::Disconnected => {
-                    self.cancel_all();
-                    return;
+    fn run(mut self, rx: Receiver<Event>) {
+        'serve: loop {
+            let now = Instant::now();
+            let first =
+                match rx.recv_timeout(self.next_wake().saturating_duration_since(now)) {
+                    Ok(event) => Some(event),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                };
+            for event in first.into_iter().chain(std::iter::from_fn(|| rx.try_recv().ok()))
+            {
+                if !self.handle(event) {
+                    break 'serve;
                 }
+            }
+            let now = Instant::now();
+            if let Some(drain) = &self.draining {
+                if now >= drain.deadline {
+                    self.finish_drain(true, false);
+                    break;
+                }
+                continue;
+            }
+            self.scan_time(now);
+            let overdue = self
+                .unanswered()
+                .is_some_and(|sent| now >= sent + self.cfg.request_timeout);
+            if overdue || now >= self.heartbeat.next {
+                self.beat(now);
             }
             for e in [PRIMARY, SPARE] {
                 self.pump_sends(e);
             }
-            for e in [PRIMARY, SPARE] {
-                self.pump_recvs(e);
+        }
+        self.cancel_all();
+        let mut readers = std::mem::take(&mut self.retired);
+        for e in [PRIMARY, SPARE] {
+            if let Some(conn) = self.endpoints[e].conn.take() {
+                conn.shutdown();
             }
-            self.scan_time();
-            // Units queued but nothing on the wire means every viable
-            // endpoint is inside its reconnect backoff: sleep a tick
-            // instead of spinning on the gate.
-            if !self.units.is_empty() && self.endpoints.iter().all(|ep| ep.inflight == 0) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            readers.extend(self.endpoints[e].reader.take());
+        }
+        // Readers blocked on a full channel wake with an error once no
+        // one can receive.
+        drop(rx);
+        for r in readers {
+            // analyze:allow(discarded-result): a panicked reader leaves nothing to join
+            let _ = r.join();
         }
     }
 
-    /// Pulls jobs from the channel; blocks briefly when fully idle so
-    /// the loop does not spin.
-    fn ingest(&mut self, jobs: &mpsc::Receiver<Job>) -> Ingest {
-        let idle = self.units.is_empty();
-        let first = if idle {
-            match jobs.recv_timeout(Duration::from_millis(10)) {
-                Ok(job) => Some(job),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Ingest::Disconnected,
-            }
-        } else {
-            None
-        };
-        let mut take = |job: Job| -> Option<Ingest> {
-            match job {
-                Job::Unit { perm, deadline, tx } => {
-                    self.admit_unit(perm, deadline, tx);
-                    None
+    /// Applies one event. `false` means the thread should exit.
+    fn handle(&mut self, event: Event) -> bool {
+        match event {
+            Event::Unit { perm, deadline, reply } => {
+                if self.draining.is_some() {
+                    reply.send(UnitReply {
+                        result: Err(EngineError::Canceled),
+                        latency: Duration::ZERO,
+                    });
+                } else {
+                    self.admit_unit(perm, deadline, reply);
                 }
-                Job::Drain { deadline, tx } => {
-                    self.drain(deadline, &tx);
-                    Some(Ingest::Drained)
+                true
+            }
+            Event::Drain { deadline, reply } => self.start_drain(deadline, reply),
+            Event::Frames { endpoint, generation, frames } => {
+                if generation != self.endpoints[endpoint].generation
+                    || self.endpoints[endpoint].conn.is_none()
+                {
+                    return true; // a replaced connection's leftovers
                 }
-            }
-        };
-        if let Some(job) = first {
-            if let Some(outcome) = take(job) {
-                return outcome;
-            }
-        }
-        loop {
-            match jobs.try_recv() {
-                Ok(job) => {
-                    if let Some(outcome) = take(job) {
-                        return outcome;
+                for frame in frames {
+                    match frame {
+                        Frame::RouteReply { req_id, status, tier, .. } => {
+                            self.route_reply(endpoint, req_id, status, tier);
+                        }
+                        Frame::StatsReply { .. } => {
+                            let acked = self.draining.as_ref().is_some_and(|d| {
+                                endpoint == PRIMARY
+                                    && self.endpoints[PRIMARY]
+                                        .link
+                                        .pongs
+                                        .load(Ordering::Acquire)
+                                        >= d.ack_at
+                            });
+                            if acked {
+                                self.finish_drain(false, false);
+                                return false;
+                            }
+                        }
+                        _ => {} // error frames: not unit-scoped
                     }
                 }
-                Err(mpsc::TryRecvError::Empty) => return Ingest::Continue,
-                Err(mpsc::TryRecvError::Disconnected) => return Ingest::Disconnected,
+                true
+            }
+            Event::Closed { endpoint, generation } => {
+                if generation != self.endpoints[endpoint].generation
+                    || self.endpoints[endpoint].conn.is_none()
+                {
+                    return true;
+                }
+                if self.draining.is_some() && endpoint == PRIMARY {
+                    self.finish_drain(false, true);
+                    return false;
+                }
+                let busy = self.endpoints[endpoint].inflight > 0
+                    || (endpoint == PRIMARY && self.unanswered().is_some());
+                if busy {
+                    self.endpoint_failed(endpoint, Instant::now());
+                } else {
+                    // An idle connection closed (the server reaped it,
+                    // or went away between requests): nothing was lost,
+                    // so reconnect on demand without charging anyone.
+                    self.disconnect(endpoint);
+                }
+                true
+            }
+            Event::Stop => false,
+        }
+    }
+
+    /// The earliest instant a timer in the policy falls due.
+    fn next_wake(&self) -> Instant {
+        if let Some(drain) = &self.draining {
+            return drain.deadline;
+        }
+        let mut wake = self.heartbeat.next;
+        if let Some(sent) = self.unanswered() {
+            wake = wake.min(sent + self.cfg.request_timeout);
+        }
+        for ep in &self.endpoints {
+            if ep.conn.is_none() && !ep.sendq.is_empty() {
+                wake = wake.min(ep.not_before);
             }
         }
+        // Mirrors `scan_time`: every timer listed here is consumed
+        // there when it falls due.
+        let hedge = self.cfg.hedge.filter(|_| self.endpoints[SPARE].exists());
+        for u in self.units.values() {
+            if let Some(dl) = u.deadline {
+                wake = wake.min(dl);
+            }
+            let Some(at) = u.sent_at else { continue };
+            for e in [PRIMARY, SPARE] {
+                if u.req[e].is_some() && self.endpoints[e].conn.is_some() {
+                    wake = wake.min(at + self.cfg.request_timeout);
+                }
+            }
+            if let Some(hedge) = hedge {
+                if hedge_candidate(u) {
+                    wake = wake.min(at + hedge);
+                }
+            }
+        }
+        wake
+    }
+
+    /// When the last heartbeat went out, while it is unanswered. The
+    /// reader counts answers without waking this thread, so this is
+    /// read, not told.
+    fn unanswered(&self) -> Option<Instant> {
+        let pongs = self.endpoints[PRIMARY].link.pongs.load(Ordering::Acquire);
+        self.heartbeat.sent.filter(|_| pongs < self.heartbeat.pings)
+    }
+
+    /// The heartbeat timer: connect the primary if it is down, judge
+    /// the last heartbeat, send the next.
+    fn beat(&mut self, now: Instant) {
+        self.heartbeat.next = now + self.cfg.probe_interval;
+        if self.endpoints[PRIMARY].conn.is_none()
+            && (now < self.endpoints[PRIMARY].not_before || !self.connect(PRIMARY, now))
+        {
+            self.shared.healthy.store(false, Ordering::Release);
+            return;
+        }
+        if let Some(sent) = self.unanswered() {
+            if now.saturating_duration_since(sent) >= self.cfg.request_timeout {
+                // A silent connection is a dead connection.
+                self.shared.healthy.store(false, Ordering::Release);
+                self.endpoint_failed(PRIMARY, now);
+            }
+            return;
+        }
+        if self.heartbeat.sent.is_some() {
+            // The last heartbeat on this connection was answered.
+            self.shared.healthy.store(true, Ordering::Release);
+        }
+        let conn = self.endpoints[PRIMARY].conn.as_mut().expect("connected above");
+        if conn.send(&Frame::Stats).is_err() {
+            self.shared.healthy.store(false, Ordering::Release);
+            self.endpoint_failed(PRIMARY, now);
+            return;
+        }
+        self.heartbeat.pings += 1;
+        self.heartbeat.sent = Some(now);
     }
 
     /// Places a fresh unit on an endpoint, applying the breaker's
     /// admission verdict: an open primary fails over immediately, and
     /// with nowhere to go the unit sheds the way an engine breaker
     /// sheds — typed, instant, conserved.
-    fn admit_unit(
-        &mut self,
-        perm: Permutation,
-        deadline: Option<Instant>,
-        reply: mpsc::Sender<UnitReply>,
-    ) {
+    fn admit_unit(&mut self, perm: Permutation, deadline: Option<Instant>, reply: Reply) {
         let id = self.next_unit;
         self.next_unit += 1;
         let now = Instant::now();
@@ -494,9 +763,7 @@ impl IoThread {
                         result: Err(EngineError::BreakerOpen),
                         latency: now.saturating_duration_since(unit.started),
                     };
-                    self.shared.account(&reply.result);
-                    // analyze:allow(discarded-result): the caller may have dropped its ticket
-                    let _ = unit.reply.send(reply);
+                    unit.reply.send(reply);
                 }
             }
         }
@@ -515,8 +782,8 @@ impl IoThread {
         }
     }
 
-    /// Sends every queued unit on endpoint `e` that the connection and
-    /// pacing allow.
+    /// Sends every unit queued on endpoint `e`, in one write, once the
+    /// connection and pacing allow.
     fn pump_sends(&mut self, e: usize) {
         if self.endpoints[e].sendq.is_empty() {
             return;
@@ -527,6 +794,7 @@ impl IoThread {
         {
             return;
         }
+        let mut frames = Vec::with_capacity(self.endpoints[e].sendq.len());
         while let Some(id) = self.endpoints[e].sendq.pop_front() {
             let Some(unit) = self.units.get_mut(&id) else { continue };
             if let Some(dl) = unit.deadline {
@@ -545,58 +813,41 @@ impl IoThread {
                     u32::try_from(ms).unwrap_or(u32::MAX).max(1)
                 })
                 .unwrap_or(0);
-            let frame = Frame::Route {
+            frames.push(Frame::Route {
                 req_id,
                 tenant: self.cfg.tenant,
                 deadline_ms,
                 destinations: unit.perm.destinations().to_vec(),
-            };
+            });
             unit.req[e] = Some(req_id);
             if unit.owner == e {
                 unit.sent_at = Some(now);
             }
             self.by_req.insert(req_id, id);
             self.endpoints[e].inflight += 1;
-            let conn = self.endpoints[e].conn.as_mut().expect("connected above");
-            if conn.send(&frame).is_err() {
-                self.endpoint_failed(e, now);
-                return;
-            }
+        }
+        if frames.is_empty() {
+            return;
+        }
+        let conn = self.endpoints[e].conn.as_mut().expect("connected above");
+        if conn.send_all(&frames).is_err() {
+            self.endpoint_failed(e, now);
         }
     }
 
-    /// Drains every reply currently available on endpoint `e`.
-    fn pump_recvs(&mut self, e: usize) {
-        if self.endpoints[e].inflight == 0 {
-            return;
+    /// One unit reply off endpoint `e`'s live connection.
+    fn route_reply(&mut self, e: usize, req_id: u64, status: Status, tier: Option<u8>) {
+        if self.endpoints[e].probe_pending {
+            self.endpoints[e].probe_pending = false;
+            // analyze:allow(discarded-result): re-close edge is implicit in state()
+            let _ = self.endpoints[e].breaker.on_success(true);
+        } else {
+            // analyze:allow(discarded-result): non-probe successes cannot re-close
+            let _ = self.endpoints[e].breaker.on_success(false);
         }
-        loop {
-            let Some(conn) = self.endpoints[e].conn.as_mut() else { return };
-            // analyze:allow(discarded-result): a failing setsockopt surfaces as a recv error
-            let _ = conn.set_read_timeout(Some(Duration::from_millis(1)));
-            match conn.recv() {
-                Ok(Frame::RouteReply { req_id, status, tier, .. }) => {
-                    if self.endpoints[e].probe_pending {
-                        self.endpoints[e].probe_pending = false;
-                        // analyze:allow(discarded-result): re-close edge is implicit in state()
-                        let _ = self.endpoints[e].breaker.on_success(true);
-                    } else {
-                        // analyze:allow(discarded-result): non-probe successes cannot re-close
-                        let _ = self.endpoints[e].breaker.on_success(false);
-                    }
-                    self.endpoints[e].connect_streak = 0;
-                    self.endpoints[e].inflight =
-                        self.endpoints[e].inflight.saturating_sub(1);
-                    self.reply_arrived(e, req_id, status, tier);
-                }
-                Ok(_) => {} // stats or error frames: not unit-scoped
-                Err(RecvError::Timeout) => return,
-                Err(_) => {
-                    self.endpoint_failed(e, Instant::now());
-                    return;
-                }
-            }
-        }
+        self.endpoints[e].connect_streak = 0;
+        self.endpoints[e].inflight = self.endpoints[e].inflight.saturating_sub(1);
+        self.reply_arrived(e, req_id, status, tier);
     }
 
     /// Routes one wire reply to its unit (stale request ids — hedge
@@ -653,26 +904,63 @@ impl IoThread {
         self.resolve(id, result);
     }
 
-    /// Establishes endpoint `e`'s connection, reporting the verdict to
-    /// the breaker and pacing the next attempt on failure.
+    /// Establishes endpoint `e`'s connection and its reader, reporting
+    /// the verdict to the breaker and pacing the next attempt on
+    /// failure.
     fn connect(&mut self, e: usize, now: Instant) -> bool {
         let Some(addr) = self.endpoints[e].addr.clone() else { return false };
-        match Client::connect_timeout(&addr, self.cfg.connect_timeout) {
-            Ok(conn) => {
-                // Streak > 0 means a previous connection (or connect
-                // attempt) failed: this one is a *re*connect.
-                if self.endpoints[e].connect_streak > 0 {
-                    Shared::bump(&self.shared.reconnects);
-                }
-                self.endpoints[e].conn = Some(conn);
-                self.endpoints[e].connect_streak = 0;
-                self.endpoints[e].inflight = 0;
-                true
-            }
-            Err(_) => {
-                self.endpoint_failed(e, now);
-                false
-            }
+        let installed = Client::connect_timeout(&addr, self.cfg.connect_timeout)
+            .and_then(|conn| self.install(e, conn));
+        if installed.is_err() {
+            self.endpoint_failed(e, now);
+            return false;
+        }
+        // Streak > 0 means a previous connection (or connect attempt)
+        // failed: this one is a *re*connect.
+        if self.endpoints[e].connect_streak > 0 {
+            Shared::bump(&self.shared.reconnects);
+        }
+        self.endpoints[e].connect_streak = 0;
+        true
+    }
+
+    /// Makes `conn` endpoint `e`'s live connection under a fresh
+    /// generation and starts its reader.
+    fn install(&mut self, e: usize, conn: Client) -> std::io::Result<()> {
+        let wire = conn.try_clone()?;
+        let generation = self.endpoints[e].generation + 1;
+        let link = Arc::new(Link::default());
+        let reader = {
+            let (link, tx) = (Arc::clone(&link), self.tx.clone());
+            std::thread::Builder::new()
+                .name(format!("benes-remote-rd-{}.{e}", self.shard))
+                .spawn(move || reader_loop(e, generation, wire, &link, &tx))?
+        };
+        self.disconnect(e);
+        let ep = &mut self.endpoints[e];
+        ep.conn = Some(conn);
+        ep.generation = generation;
+        ep.link = link;
+        ep.reader = Some(reader);
+        ep.inflight = 0;
+        if e == PRIMARY {
+            // A fresh connection is healthy once it answers: beat now.
+            self.heartbeat = Heartbeat { next: Instant::now(), pings: 0, sent: None };
+        }
+        Ok(())
+    }
+
+    /// Closes endpoint `e`'s connection (if any) and retires its reader.
+    fn disconnect(&mut self, e: usize) {
+        let ep = &mut self.endpoints[e];
+        ep.inflight = 0;
+        let Some(conn) = ep.conn.take() else { return };
+        conn.shutdown();
+        self.retired.retain(|r| !r.is_finished());
+        self.retired.extend(ep.reader.take());
+        if e == PRIMARY {
+            self.shared.healthy.store(false, Ordering::Release);
+            self.heartbeat.sent = None;
         }
     }
 
@@ -680,8 +968,7 @@ impl IoThread {
     /// advance the breaker, pace the next connect, and charge every
     /// unit that was riding this endpoint one attempt.
     fn endpoint_failed(&mut self, e: usize, now: Instant) {
-        self.endpoints[e].conn = None;
-        self.endpoints[e].inflight = 0;
+        self.disconnect(e);
         let probe = std::mem::take(&mut self.endpoints[e].probe_pending);
         // analyze:allow(discarded-result): the open edge is observable via state()
         let _ = self.endpoints[e].breaker.on_failure(probe, now);
@@ -748,8 +1035,7 @@ impl IoThread {
     }
 
     /// Deadline, request-timeout and hedge scans.
-    fn scan_time(&mut self) {
-        let now = Instant::now();
+    fn scan_time(&mut self, now: Instant) {
         // Local deadlines: a unit whose deadline passed resolves shed,
         // no matter what the wire is doing.
         let expired: Vec<u64> = self
@@ -783,23 +1069,22 @@ impl IoThread {
             .units
             .iter()
             .filter(|(_, u)| {
-                !u.hedged
-                    && u.owner == PRIMARY
-                    && u.req[PRIMARY].is_some()
-                    && u.req[SPARE].is_none()
+                hedge_candidate(u)
                     && u.sent_at
                         .is_some_and(|at| now.saturating_duration_since(at) >= hedge)
             })
             .map(|(id, _)| *id)
             .collect();
         for id in candidates {
-            if self.admit_on(SPARE, now).is_none() {
-                break;
-            }
-            Shared::bump(&self.shared.hedges);
+            // One hedge chance per unit: a spare whose breaker sheds it
+            // now is not retried on every later pass.
+            let admitted = self.admit_on(SPARE, now).is_some();
             let unit = self.units.get_mut(&id).expect("candidate is pending");
             unit.hedged = true;
-            self.endpoints[SPARE].sendq.push_back(id);
+            if admitted {
+                Shared::bump(&self.shared.hedges);
+                self.endpoints[SPARE].sendq.push_back(id);
+            }
         }
     }
 
@@ -820,10 +1105,7 @@ impl IoThread {
             (Err(_), Some(parked)) => parked.result,
             _ => result,
         };
-        let reply = UnitReply { result, latency: unit.started.elapsed() };
-        self.shared.account(&reply.result);
-        // analyze:allow(discarded-result): the caller may have dropped its ticket
-        let _ = unit.reply.send(reply);
+        unit.reply.send(UnitReply { result, latency: unit.started.elapsed() });
     }
 
     /// Terminal cancel of everything pending (teardown path).
@@ -834,67 +1116,51 @@ impl IoThread {
         }
     }
 
-    /// Fleet drain: best-effort `Drain` frame to the primary, wait for
-    /// its `StatsReply` ack, then cancel everything still pending.
-    fn drain(&mut self, deadline: Instant, tx: &mpsc::Sender<BackendDrain>) {
-        let mut unreachable = false;
-        let mut timed_out = false;
-        let now = Instant::now();
+    /// Fleet drain, first half: a best-effort `Drain` frame to the
+    /// primary (one bounded connect attempt if it is down). `false`
+    /// means the drain already finished and the thread should exit.
+    fn start_drain(&mut self, deadline: Instant, reply: SyncSender<BackendDrain>) -> bool {
+        let ack_at = self.heartbeat.pings + 1;
+        self.draining = Some(Draining { deadline, reply, ack_at });
         if self.endpoints[PRIMARY].conn.is_none() {
             // One bounded connect attempt — a dead shard must not hang
             // the fleet drain.
-            if let Some(addr) = self.endpoints[PRIMARY].addr.clone() {
-                match Client::connect_timeout(&addr, self.cfg.connect_timeout) {
-                    Ok(conn) => self.endpoints[PRIMARY].conn = Some(conn),
-                    Err(_) => unreachable = true,
-                }
+            let connected = self.endpoints[PRIMARY].addr.clone().is_some_and(|addr| {
+                Client::connect_timeout(&addr, self.cfg.connect_timeout)
+                    .and_then(|conn| self.install(PRIMARY, conn))
+                    .is_ok()
+            });
+            if !connected {
+                self.finish_drain(false, true);
+                return false;
             }
-            // Keep `now` honest even though connect_timeout bounds it.
-            timed_out = Instant::now() > deadline && !unreachable;
-        }
-        if let Some(conn) = self.endpoints[PRIMARY].conn.as_mut() {
-            if conn.send(&Frame::Drain).is_err() {
-                unreachable = true;
-            } else {
-                // Wait for the StatsReply ack, discarding in-flight
-                // RouteReplies (their units cancel below either way).
-                loop {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    if budget.is_zero() {
-                        timed_out = true;
-                        break;
-                    }
-                    // analyze:allow(discarded-result): a failing setsockopt surfaces as a recv error
-                    let _ =
-                        conn.set_read_timeout(Some(budget.min(Duration::from_millis(50))));
-                    match conn.recv() {
-                        Ok(Frame::StatsReply { .. }) => break,
-                        Ok(_) => {}
-                        Err(RecvError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                timed_out = true;
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            unreachable = true;
-                            break;
-                        }
-                    }
-                }
+            // Keep `timed_out` honest even though connect_timeout
+            // bounds the attempt.
+            if Instant::now() > deadline {
+                self.finish_drain(true, false);
+                return false;
+            }
+            if let Some(drain) = &mut self.draining {
+                drain.ack_at = 1;
             }
         }
+        self.endpoints[PRIMARY].link.forward_stats.store(true, Ordering::Release);
+        let conn = self.endpoints[PRIMARY].conn.as_mut().expect("connected above");
+        if conn.send(&Frame::Drain).is_err() {
+            self.finish_drain(false, true);
+            return false;
+        }
+        true
+    }
+
+    /// Fleet drain, second half: the ack arrived, the deadline passed,
+    /// or the primary went away. Cancels everything still pending and
+    /// reports.
+    fn finish_drain(&mut self, timed_out: bool, unreachable: bool) {
+        let Some(drain) = self.draining.take() else { return };
         let canceled = u64::try_from(self.units.len()).unwrap_or(u64::MAX);
         self.cancel_all();
         // analyze:allow(discarded-result): the drain caller may have timed out and gone
-        let _ = tx.send(BackendDrain { canceled, timed_out, unreachable });
-        let _ = now;
+        let _ = drain.reply.send(BackendDrain { canceled, timed_out, unreachable });
     }
-}
-
-/// Why [`IoThread::ingest`] returned.
-enum Ingest {
-    Continue,
-    Drained,
-    Disconnected,
 }

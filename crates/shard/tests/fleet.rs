@@ -172,7 +172,7 @@ fn killed_shard_degrades_without_contamination() {
     assert!(report.fleet.retries() > 0, "{}", report.fleet.report());
     assert!(report.fleet.conserves_requests());
 
-    // The prober must have noticed the corpse.
+    // The heartbeat must have noticed the corpse.
     let deadline = Instant::now() + Duration::from_secs(3);
     while coord.backend(1).healthy() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -288,4 +288,65 @@ fn fleet_drain_returns_even_with_a_dead_shard() {
 
     drop(coord);
     kill(alive);
+}
+
+#[test]
+fn health_gauge_follows_the_primary_across_a_restart() {
+    let server = spawn_server();
+    let addr = server.local_addr().to_string();
+    let cfg = remote_cfg(addr.clone());
+    let red_within = cfg.probe_interval + cfg.request_timeout;
+    let shard = RemoteShard::new(cfg, 0);
+    let unit = || random_permutation(&mut Rng64::new(11), 1 << 5);
+    assert!(shard.submit(unit(), None).wait().result.is_ok());
+    assert!(shard.healthy());
+
+    // The primary goes away: red within one heartbeat plus its timeout.
+    kill(server);
+    let killed = Instant::now();
+    while shard.healthy() && killed.elapsed() < red_within {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(!shard.healthy(), "gauge still green {:?} after the kill", killed.elapsed());
+
+    // A new server on the same port: the heartbeat timer reconnects and
+    // the gauge goes green again, with no unit to trigger it.
+    let config = ServeConfig {
+        threads: 1,
+        engine: EngineConfig { workers: 1, ..EngineConfig::default() },
+        ..ServeConfig::default()
+    };
+    let revived = Server::start(&addr, config).expect("rebind the same port");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !shard.healthy() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(shard.healthy(), "gauge never went green after the restart");
+    assert!(shard.submit(unit(), None).wait().result.is_ok());
+    assert!(shard.ledger().conserves_requests(), "{:?}", shard.ledger());
+
+    drop(shard);
+    kill(revived);
+}
+
+#[test]
+fn unanswered_heartbeat_turns_the_gauge_red() {
+    // A primary that accepts connections but never answers a frame.
+    let mute = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let cfg = RemoteConfig {
+        request_timeout: Duration::from_millis(300),
+        ..remote_cfg(mute.local_addr().expect("addr").to_string())
+    };
+    let red_within = cfg.probe_interval + cfg.request_timeout;
+    let shard = RemoteShard::new(cfg, 0);
+    let (conn, _) = mute.accept().expect("the shard connects at once");
+    let connected = Instant::now();
+    // Allow one heartbeat interval for the first probe to go out.
+    let deadline = connected + red_within + Duration::from_millis(100);
+    while shard.healthy() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(!shard.healthy(), "gauge still green {:?} after connect", connected.elapsed());
+    drop(shard);
+    drop(conn);
 }
