@@ -15,6 +15,7 @@
 
 use benes_analyze::model::queue::Protocol;
 use benes_engine::model_bridge::BridgeQueue;
+use benes_engine::Ledger;
 use benes_perm::Permutation;
 use proptest::prelude::*;
 
@@ -49,10 +50,7 @@ struct Mirror {
     max_depth: Option<usize>,
     nonce: u64,
     draining: bool,
-    submitted: u64,
-    rejected: u64,
-    completed: u64,
-    canceled: u64,
+    ledger: Ledger,
 }
 
 impl Mirror {
@@ -62,10 +60,7 @@ impl Mirror {
             max_depth,
             nonce: 0,
             draining: false,
-            submitted: 0,
-            rejected: 0,
-            completed: 0,
-            canceled: 0,
+            ledger: Ledger::default(),
         }
     }
 
@@ -78,18 +73,14 @@ impl Mirror {
     /// gate-park branch is its blocking analogue); otherwise reserve,
     /// scatter by fingerprint ⊕ nonce, push.
     fn admit(&mut self, fingerprint: u64) -> bool {
-        if self.draining {
-            self.rejected += 1;
-            return false;
-        }
-        if self.max_depth.is_some_and(|max| self.depth() >= max) {
-            self.rejected += 1;
+        if self.draining || self.max_depth.is_some_and(|max| self.depth() >= max) {
+            self.ledger.rejected += 1;
             return false;
         }
         let shard = BridgeQueue::scatter_shard(fingerprint, self.nonce, self.shards.len());
         self.nonce += 1;
         self.shards[shard] += 1;
-        self.submitted += 1;
+        self.ledger.submitted += 1;
         true
     }
 
@@ -99,7 +90,7 @@ impl Mirror {
         match Protocol::scan_take(&self.shards, batch, worker) {
             Some((shard, taken)) => {
                 self.shards[shard] -= taken;
-                self.completed += u64::from(taken);
+                self.ledger.completed += u64::from(taken);
                 usize::from(taken)
             }
             None => 0,
@@ -110,7 +101,7 @@ impl Mirror {
     fn drain(&mut self) -> usize {
         self.draining = true;
         let stranded = self.depth();
-        self.canceled += stranded as u64;
+        self.ledger.canceled += stranded as u64;
         self.shards.iter_mut().for_each(|s| *s = 0);
         stranded
     }
@@ -155,16 +146,11 @@ fn run_schedule(shard_count: usize, max_depth: Option<usize>, ops: &[Op]) {
     assert!(!real.admit(perm.clone()));
     assert!(!mirror.admit(perm.fingerprint()));
 
-    let stats = real.stats();
-    assert_eq!(stats.submitted, mirror.submitted, "submitted diverged");
-    assert_eq!(stats.rejected, mirror.rejected, "rejected diverged");
-    assert_eq!(stats.completed, mirror.completed, "completed diverged");
-    assert_eq!(stats.canceled, mirror.canceled, "canceled diverged");
-    assert!(stats.conserves_requests(), "real queue broke conservation: {stats:?}");
-    assert_eq!(
-        mirror.completed + mirror.canceled,
-        mirror.submitted,
-        "mirror broke conservation"
+    assert_eq!(real.stats().ledger(), mirror.ledger, "ledgers diverged");
+    assert!(
+        mirror.ledger.conserves_requests(),
+        "mirror broke conservation: {:?}",
+        mirror.ledger
     );
 }
 

@@ -215,18 +215,19 @@ fn run_fleet(args: &Args) {
             .per_shard()
             .iter()
             .enumerate()
-            .map(|(i, (_, l))| {
+            .map(|(i, (_, b))| {
+                let l = b.requests;
                 format!(
                     "{{\"shard\":{i},\"kind\":\"{}\",\"submitted\":{},\"completed\":{},\
                      \"failed\":{},\"shed\":{},\"canceled\":{},\"healthy\":{},\
                      \"conserved\":{}}}",
-                    l.kind,
+                    b.kind,
                     l.submitted,
                     l.completed,
                     l.failed,
                     l.shed,
                     l.canceled,
-                    l.healthy,
+                    b.healthy,
                     l.conserves_requests(),
                 )
             })

@@ -26,6 +26,7 @@
 
 use benes_perm::Permutation;
 
+use crate::faults::{self_route_with_faults, FaultKind, FaultSet};
 use crate::network::{Benes, SwitchState};
 
 /// A single-stuck-switch hypothesis.
@@ -40,7 +41,8 @@ pub struct StuckSwitch {
 }
 
 /// Simulates a self-route of `perm` with one switch stuck at a fixed
-/// state (every other switch self-sets normally).
+/// state (every other switch self-sets normally): the one-fault case of
+/// [`self_route_with_faults`].
 ///
 /// # Panics
 ///
@@ -52,18 +54,13 @@ pub fn self_route_with_fault(
     perm: &Permutation,
     fault: StuckSwitch,
 ) -> Vec<u32> {
-    assert_eq!(perm.len(), net.terminal_count(), "permutation length must be N");
-    assert!(fault.stage < net.stage_count(), "fault stage out of range");
-    assert!(fault.switch < net.switches_per_stage(), "fault row out of range");
-    let tags: Vec<u32> = perm.destinations().to_vec();
-    let (outputs, _) = net.propagate(tags, |s, i, upper, _| {
-        if s == fault.stage && i == fault.switch {
-            fault.stuck_at
-        } else {
-            SwitchState::from_bit(benes_bits::bit(u64::from(*upper), net.control_bit(s)))
-        }
-    });
-    outputs
+    let kind = match fault.stuck_at {
+        SwitchState::Straight => FaultKind::StuckStraight,
+        SwitchState::Cross => FaultKind::StuckCross,
+    };
+    let mut faults = FaultSet::new(net.n());
+    faults.insert(fault.stage, fault.switch, kind).expect("fault location out of range");
+    self_route_with_faults(net, perm, &faults).into_parts().0
 }
 
 /// Returns every single-stuck-switch hypothesis consistent with an

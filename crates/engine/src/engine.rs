@@ -38,30 +38,30 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use benes_core::faults::{FaultError, FaultKind, FaultSet};
-use benes_obs::FlightRecorder;
+use benes_obs::{FlightRecorder, Terminal};
 use benes_perm::Permutation;
 
 use crate::breaker::{Breaker, BreakerConfig, BreakerState};
 use crate::cache::PlanCache;
 use crate::chaos::{ChaosConfig, ChaosState};
 use crate::flightrec::RouteAttempt;
-use crate::plan::{Fallback, PlanError};
+use crate::plan::{Fallback, PlanError, Tier};
 use crate::queue::{Block, SubmissionQueue};
 use crate::stats::{EngineStats, Recorder};
 use crate::worker::{cancel_job, worker_loop};
 
 pub use crate::queue::{Completion, DrainReport, RequestOutcome, SubmitError, Ticket};
 
-/// Per-request submission options for [`Engine::submit_opts`] /
-/// [`Engine::try_submit_to`]: everything the wire service needs to
-/// attach to a request beyond the permutation itself.
+/// Per-request submission options for [`Engine::try_submit_to`]:
+/// everything the wire service needs to attach to a request beyond the
+/// permutation itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SubmitOpts {
     /// Shed the request if a worker dequeues it at or after this
     /// instant (see [`Engine::submit_with_deadline`]).
     pub deadline: Option<Instant>,
     /// Tag the request with a tenant namespace: its terminal state
-    /// lands in the per-tenant ledger ([`crate::stats::TenantStats`])
+    /// lands in the per-tenant ledger ([`crate::EngineStats::tenants`])
     /// and the flight record carries the tenant id.
     pub tenant: Option<u64>,
 }
@@ -187,6 +187,20 @@ impl std::error::Error for EngineError {}
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> Self {
         Self::Plan(e)
+    }
+}
+
+/// The ledger state a request's outcome books as: a served tier is
+/// completed, deadline and breaker sheds are shed, drain or teardown is
+/// canceled, and every other error is failed. The engine's workers and
+/// every shard backend book through this one mapping.
+#[must_use]
+pub fn terminal(result: &Result<Tier, EngineError>) -> Terminal {
+    match result {
+        Ok(_) => Terminal::Completed,
+        Err(EngineError::DeadlineExceeded | EngineError::BreakerOpen) => Terminal::Shed,
+        Err(EngineError::Canceled) => Terminal::Canceled,
+        Err(_) => Terminal::Failed,
     }
 }
 
@@ -375,26 +389,6 @@ impl Engine {
             // Only `ShuttingDown` can escape a forever-blocking
             // enqueue; honour the infallible signature by handing back
             // a pre-canceled ticket.
-            Err(_) => Ticket::resolved(RequestOutcome {
-                result: Err(EngineError::Canceled),
-                latency: Duration::ZERO,
-            }),
-        }
-    }
-
-    /// Blocking admission carrying full [`SubmitOpts`] (deadline +
-    /// tenant tag). Blocks for queue space like [`Engine::submit`]; on
-    /// a draining engine the returned ticket is already resolved with
-    /// [`EngineError::Canceled`].
-    pub fn submit_opts(&self, perm: Permutation, opts: SubmitOpts) -> Ticket {
-        match self.shared.sub.admit(
-            &self.shared.recorder,
-            perm,
-            opts.deadline,
-            opts.tenant,
-            Block::Forever,
-        ) {
-            Ok(ticket) => ticket,
             Err(_) => Ticket::resolved(RequestOutcome {
                 result: Err(EngineError::Canceled),
                 latency: Duration::ZERO,

@@ -88,13 +88,14 @@ mod worker;
 pub mod workload;
 
 pub use benes_core::faults::{FaultError, FaultKind, FaultSet};
+pub use benes_obs::{Ledger, Terminal};
 pub use breaker::{Admission, Breaker, BreakerConfig, BreakerState};
 pub use cache::PlanCache;
 pub use chaos::{run_soak, ChaosConfig, ChaosEvent, ChaosSchedule, SoakConfig, SoakReport};
 pub use engine::{
-    Completion, DrainReport, Engine, EngineConfig, EngineError, RequestOutcome,
+    terminal, Completion, DrainReport, Engine, EngineConfig, EngineError, RequestOutcome,
     SubmitError, SubmitOpts, Ticket,
 };
 pub use flightrec::{LadderStep, PhaseNanos, RouteAttempt};
 pub use plan::{Fallback, Plan, PlanError, Tier};
-pub use stats::{EngineStats, TenantStats};
+pub use stats::EngineStats;

@@ -15,6 +15,7 @@
 
 use std::time::Instant;
 
+use benes_obs::Terminal;
 use benes_perm::Permutation;
 
 use crate::queue::{mix64, Block, SubmissionQueue};
@@ -58,7 +59,7 @@ impl BridgeQueue {
         match self.queue.try_take(&self.recorder, batch, worker) {
             Some(jobs) => {
                 for _ in &jobs {
-                    self.recorder.note_completed();
+                    self.recorder.note_terminal(None, Terminal::Completed);
                 }
                 jobs.len()
             }
@@ -85,7 +86,7 @@ impl BridgeQueue {
     pub fn drain(&self) -> usize {
         let (stranded, _) = self.queue.shut_down(Some(Instant::now()));
         for _ in &stranded {
-            self.recorder.note_canceled();
+            self.recorder.note_terminal(None, Terminal::Canceled);
         }
         stranded.len()
     }

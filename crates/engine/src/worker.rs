@@ -22,7 +22,6 @@ use crate::engine::{EngineError, Shared};
 use crate::flightrec::{LadderStep, RouteAttempt};
 use crate::plan::{execute, plan, required_order, Plan, PlanError, Tier};
 use crate::queue::{Job, RequestOutcome};
-use crate::stats::{LatencyPath, TenantTerminal};
 
 pub(crate) fn worker_loop(shared: &Shared, worker: usize) {
     // Per-worker network memo: `B(n)` is immutable wiring, cheap to keep
@@ -183,35 +182,7 @@ fn finish_job(
     mut attempt: RouteAttempt,
     result: Result<Tier, EngineError>,
 ) {
-    let path = match &result {
-        Ok(tier) => {
-            shared.recorder.note_completed();
-            shared.recorder.note_tenant_terminal(job.tenant, TenantTerminal::Completed);
-            LatencyPath::Tier(*tier)
-        }
-        Err(EngineError::DeadlineExceeded) => {
-            shared.recorder.note_shed_deadline();
-            shared.recorder.note_tenant_terminal(job.tenant, TenantTerminal::Shed);
-            LatencyPath::Shed
-        }
-        Err(EngineError::BreakerOpen) => {
-            shared.recorder.note_shed_breaker();
-            shared.recorder.note_tenant_terminal(job.tenant, TenantTerminal::Shed);
-            LatencyPath::Shed
-        }
-        Err(EngineError::Canceled) => {
-            shared.recorder.note_canceled();
-            shared.recorder.note_tenant_terminal(job.tenant, TenantTerminal::Canceled);
-            // Cancellations share the shed histogram: both measure how
-            // long a request sat queued before the engine gave up on it.
-            LatencyPath::Shed
-        }
-        Err(_) => {
-            shared.recorder.note_failed();
-            shared.recorder.note_tenant_terminal(job.tenant, TenantTerminal::Failed);
-            LatencyPath::Failed
-        }
-    };
+    let path = shared.recorder.note_outcome(job.tenant, &result);
     let latency = job.submitted_at.elapsed();
     let latency_ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
     shared.recorder.note_latency_ns(latency_ns, path);

@@ -20,7 +20,9 @@
 //!   timing, and the complete per-stage `RouteTrace` for failures).
 //!
 //! The [`expo`] module turns any of it into Prometheus text or JSON,
-//! with parsers so the exposition round-trips in tests.
+//! with parsers so the exposition round-trips in tests. The [`ledger`]
+//! module is the one home of the request-conservation rule every
+//! layer's ledger books through.
 //!
 //! This crate is deliberately dependency-free and domain-agnostic: it
 //! knows nothing about permutations, so every later crate (engine,
@@ -33,7 +35,9 @@
 pub mod expo;
 pub mod flight;
 pub mod hist;
+pub mod ledger;
 
 pub use expo::{parse_json, parse_prometheus, Exposition, MetricKind, ParseError, Sample};
 pub use flight::FlightRecorder;
 pub use hist::{bucket_bounds, Histogram, HistogramSnapshot};
+pub use ledger::{Ledger, LedgerCell, Terminal};

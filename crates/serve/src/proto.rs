@@ -28,6 +28,7 @@
 //! | 6    | `ErrorReply` | server → client  | req id u64 (0 = not request-scoped), code u8, message len u16 + UTF-8 bytes |
 
 use benes_engine::Tier;
+use benes_obs::Ledger;
 
 /// The protocol version this build speaks. A frame with any other
 /// version byte decodes to [`WireError::UnknownVersion`].
@@ -130,8 +131,8 @@ pub fn tier_from_code(code: u8) -> Option<Tier> {
     }
 }
 
-/// One tenant's ledger row in a [`Frame::StatsReply`], mirroring
-/// `benes_engine::TenantStats`.
+/// One tenant's ledger row in a [`Frame::StatsReply`]: the wire form
+/// of a `(tenant, Ledger)` pair from [`benes_engine::EngineStats::tenants`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantRow {
     /// The tenant namespace id.
@@ -151,10 +152,37 @@ pub struct TenantRow {
 }
 
 impl TenantRow {
-    /// The per-tenant conservation invariant (exact at quiescence).
+    /// The row's counts as a [`Ledger`].
+    #[must_use]
+    pub fn ledger(&self) -> Ledger {
+        Ledger {
+            submitted: self.submitted,
+            completed: self.completed,
+            failed: self.failed,
+            shed: self.shed,
+            canceled: self.canceled,
+            rejected: self.rejected,
+        }
+    }
+
+    /// [`Ledger::conserves_requests`] on the row (exact at quiescence).
     #[must_use]
     pub fn conserves_requests(&self) -> bool {
-        self.completed + self.failed + self.shed + self.canceled == self.submitted
+        self.ledger().conserves_requests()
+    }
+}
+
+impl From<(u64, Ledger)> for TenantRow {
+    fn from((tenant, l): (u64, Ledger)) -> Self {
+        Self {
+            tenant,
+            submitted: l.submitted,
+            completed: l.completed,
+            failed: l.failed,
+            shed: l.shed,
+            canceled: l.canceled,
+            rejected: l.rejected,
+        }
     }
 }
 
@@ -329,15 +357,9 @@ impl Frame {
                 let n = u32::try_from(rows.len()).unwrap_or(u32::MAX);
                 out.extend_from_slice(&n.to_le_bytes());
                 for r in rows {
-                    for v in [
-                        r.tenant,
-                        r.submitted,
-                        r.completed,
-                        r.failed,
-                        r.shed,
-                        r.canceled,
-                        r.rejected,
-                    ] {
+                    out.extend_from_slice(&r.tenant.to_le_bytes());
+                    // The six counts in `Ledger::states` order, as tabled above.
+                    for (_, v) in r.ledger().states() {
                         out.extend_from_slice(&v.to_le_bytes());
                     }
                 }

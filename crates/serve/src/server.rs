@@ -582,20 +582,7 @@ fn classify(result: &Result<Tier, EngineError>) -> (Status, Option<u8>) {
 
 /// The per-tenant ledger rows for a StatsReply, from a live snapshot.
 fn stats_rows(engine: &Engine) -> Vec<TenantRow> {
-    engine
-        .stats()
-        .tenants
-        .iter()
-        .map(|(tenant, t)| TenantRow {
-            tenant: *tenant,
-            submitted: t.submitted,
-            completed: t.completed,
-            failed: t.failed,
-            shed: t.shed,
-            canceled: t.canceled,
-            rejected: t.rejected,
-        })
-        .collect()
+    engine.stats().tenants.into_iter().map(TenantRow::from).collect()
 }
 
 /// Everything one handler thread holds a handle to.

@@ -538,7 +538,7 @@ mod tests {
         }
         let stats = coord.stats();
         assert!(stats.conserves_requests());
-        assert_eq!(stats.failed(), 0);
+        assert_eq!(stats.ledger().failed, 0);
     }
 
     #[test]

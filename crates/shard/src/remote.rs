@@ -64,7 +64,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use benes_engine::workload::Rng64;
-use benes_engine::{Admission, Breaker, BreakerConfig, EngineError, Tier};
+use benes_engine::{terminal, Admission, Breaker, BreakerConfig, EngineError, Tier};
+use benes_obs::LedgerCell;
 use benes_perm::Permutation;
 use benes_serve::proto::{tier_from_code, Frame, Status};
 use benes_serve::Client;
@@ -137,17 +138,13 @@ impl RemoteConfig {
     }
 }
 
-/// Monotonic transport counters shared between the I/O thread and
-/// ledger snapshots. Increments are statement-position relaxed bumps
-/// read at quiescence — the same discipline as the engine's stats
-/// recorder.
+/// The unit ledger and transport counters shared between the I/O
+/// thread and ledger snapshots. The ledger is a [`LedgerCell`]; the
+/// transport counters are statement-position relaxed bumps read at
+/// quiescence.
 #[derive(Debug, Default)]
 struct Shared {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    canceled: AtomicU64,
+    requests: LedgerCell,
     retries: AtomicU64,
     failovers: AtomicU64,
     hedges: AtomicU64,
@@ -158,17 +155,6 @@ struct Shared {
 impl Shared {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn account(&self, result: &Result<Tier, EngineError>) {
-        match result {
-            Ok(_) => Self::bump(&self.completed),
-            Err(EngineError::DeadlineExceeded | EngineError::BreakerOpen) => {
-                Self::bump(&self.shed);
-            }
-            Err(EngineError::Canceled) => Self::bump(&self.canceled),
-            Err(_) => Self::bump(&self.failed),
-        }
     }
 }
 
@@ -188,7 +174,7 @@ impl Reply {
 
     fn deliver(&mut self, reply: UnitReply) {
         let Some(tx) = self.tx.take() else { return };
-        self.shared.account(&reply.result);
+        self.shared.requests.finish(terminal(&reply.result));
         // analyze:allow(discarded-result): the caller may have dropped its ticket
         let _ = tx.send(reply);
     }
@@ -285,7 +271,7 @@ impl Backend for RemoteShard {
     }
 
     fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
-        Shared::bump(&self.shared.submitted);
+        self.shared.requests.admit();
         let (tx, rx) = mpsc::sync_channel(1);
         let reply = Reply { tx: Some(tx), shared: Arc::clone(&self.shared) };
         // With the I/O thread gone (drained or torn down) the send hands
@@ -300,11 +286,7 @@ impl Backend for RemoteShard {
         let s = &self.shared;
         BackendLedger {
             kind: "remote",
-            submitted: s.submitted.load(Ordering::Relaxed),
-            completed: s.completed.load(Ordering::Relaxed),
-            failed: s.failed.load(Ordering::Relaxed),
-            shed: s.shed.load(Ordering::Relaxed),
-            canceled: s.canceled.load(Ordering::Relaxed),
+            requests: s.requests.snapshot(),
             retries: s.retries.load(Ordering::Relaxed),
             failovers: s.failovers.load(Ordering::Relaxed),
             hedges: s.hedges.load(Ordering::Relaxed),

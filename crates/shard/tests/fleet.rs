@@ -84,7 +84,7 @@ fn remote_fleet_routes_and_verifies() {
     for (i, (desc, ledger)) in fleet.per_shard().iter().enumerate() {
         assert_eq!(ledger.kind, "remote");
         assert!(desc.contains("remote"), "shard {i} desc: {desc}");
-        assert!(ledger.completed > 0, "shard {i} never served a unit");
+        assert!(ledger.requests.completed > 0, "shard {i} never served a unit");
     }
     drop(coord);
     for s in servers {
@@ -246,7 +246,7 @@ fn hedging_races_a_slow_primary_against_the_spare() {
     }
     let ledger = shard.ledger();
     assert!(ledger.hedges > 0, "no hedge fired: {ledger:?}");
-    assert!(ledger.conserves_requests(), "{ledger:?}");
+    assert!(ledger.requests.conserves_requests(), "{ledger:?}");
 
     drop(shard);
     kill(primary);
@@ -323,7 +323,7 @@ fn health_gauge_follows_the_primary_across_a_restart() {
     }
     assert!(shard.healthy(), "gauge never went green after the restart");
     assert!(shard.submit(unit(), None).wait().result.is_ok());
-    assert!(shard.ledger().conserves_requests(), "{:?}", shard.ledger());
+    assert!(shard.ledger().requests.conserves_requests(), "{:?}", shard.ledger());
 
     drop(shard);
     kill(revived);

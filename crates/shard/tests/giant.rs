@@ -44,7 +44,7 @@ fn two_to_the_twenty_routes_across_four_shards_bitwise() {
 
     // Fleet ledger: 3072 requests admitted, all completed, conserved.
     let stats = coord.stats();
-    assert_eq!(stats.submitted(), 3072);
-    assert_eq!(stats.completed(), 3072);
+    assert_eq!(stats.ledger().submitted, 3072);
+    assert_eq!(stats.ledger().completed, 3072);
     assert!(stats.conserves_requests());
 }

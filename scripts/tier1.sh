@@ -10,6 +10,7 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 sh scripts/analyze.sh
 sh scripts/race.sh
 BENCH_REQUESTS=200 BENCH_OUT=target/BENCH_ENGINE.json sh scripts/bench.sh
