@@ -54,7 +54,7 @@ impl FCertificate {
     /// so verification succeeding proves `d ∈ F(n)`.
     #[must_use]
     pub fn verify(&self, d: &Permutation) -> bool {
-        d.len() == self.settings.stage(0).len() * 2
+        d.len() == benes_core::topology::terminal_count(self.settings.n())
             && check_settings(&self.settings, d) == SettingsVerdict::Realizes
             && stage_bit_deviations(&self.settings, d).is_empty()
     }

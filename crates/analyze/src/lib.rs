@@ -65,4 +65,6 @@ pub use plancheck::{
     SettingsVerdict, StageBitDeviation,
 };
 pub use report::{render_human, render_json_lines, Finding, Pillar, Severity};
-pub use wordproof::{prove_all, prove_word_kernel, WordCertificate, WordDivergence};
+pub use wordproof::{
+    prove_all, prove_word_kernel, WordCertificate, WordDivergence, WordKernel,
+};

@@ -42,6 +42,14 @@ pub enum SymVar {
         /// 0 for `a`, 1 for `b`.
         which: u8,
     },
+    /// The commanded state bit of a switch under an external assignment
+    /// (1 = cross).
+    Control {
+        /// Stage of the switch.
+        stage: u8,
+        /// Switch index within the stage.
+        switch: u16,
+    },
 }
 
 const FILL: SymVar = SymVar::Data { flat: 0, bit: 0 };
@@ -349,7 +357,7 @@ mod tests {
         for bits in 0..8u8 {
             let assign = |var: SymVar| match var {
                 SymVar::Data { flat, .. } => (bits >> flat) & 1 == 1,
-                SymVar::Fault { .. } => false,
+                SymVar::Fault { .. } | SymVar::Control { .. } => false,
             };
             let expect =
                 if bits & 1 == 1 { (bits >> 1) & 1 == 1 } else { (bits >> 2) & 1 == 1 };
@@ -387,7 +395,7 @@ mod tests {
         for bits in 0..64u8 {
             let assign = |var: SymVar| match var {
                 SymVar::Data { flat, .. } => (bits >> flat) & 1 == 1,
-                SymVar::Fault { .. } => false,
+                SymVar::Fault { .. } | SymVar::Control { .. } => false,
             };
             assert_eq!(parity.eval(assign), bits.count_ones() % 2 == 1);
         }

@@ -6,9 +6,10 @@
 //! proves a fact about the *kernels themselves*: `core/word.rs`'s
 //! bit-sliced `route` computes, stage for stage, the same function as the
 //! scalar `propagate` walk in `core/network.rs`/`core/faults.rs`, for all
-//! orders `n ≤ 8`, both the plain and the omega-bit variants, with the
-//! full `((cw & !stuck) | stuck_cross) ^ dead` fault overlay kept
-//! symbolic per switch.
+//! orders `n ≤ 8`, for the plain and the omega-bit self-routing variants
+//! and for the replay of commanded control columns (`word::replay`, the
+//! Settings tier), with the full `((cw & !stuck) | stuck_cross) ^ dead`
+//! fault overlay kept symbolic per switch.
 //!
 //! # Method: stage-cut combinational equivalence
 //!
@@ -19,30 +20,37 @@
 //!
 //! * the **word side** transcribes `word::route`'s column step literally:
 //!   cross-mask read from plane `δ(s)` under `delta_mask`/word-parity
-//!   selection, symbolic fault overlay at flattened upper positions, and
+//!   selection (or, for commanded columns, one symbolic control variable
+//!   per switch at the flattened position `topology::flat_port` gives
+//!   it, which is where `SwitchSettings` stores its bit), symbolic fault
+//!   overlay at flattened upper positions, and
 //!   the `t = (x ^ (x >> d)) & m; x ^ t ^ (t << d)` delta-swap shape
 //!   (= `benes_bits::delta_swap_spec`, pinned to the shipped primitive by
 //!   `benes-bits`' own tests) or the cross-word pair XOR-swap for
 //!   `δ(s) ≥ 6`;
 //! * the **scalar side** transcribes `propagate`: per switch, commanded
 //!   state from the upper tag's control bit (forced straight in the omega
-//!   prefix), `FaultKind::effective` as a mux tree over the same fault
-//!   bits, then a conditional exchange of the paired tags.
+//!   prefix; the switch's own control variable under `route_with`),
+//!   `FaultKind::effective` as a mux tree over the same fault bits, then
+//!   a conditional exchange of the paired tags.
 //!
 //! The two sides are compared bit-for-bit at the stage output through the
 //! physical→flattened correspondence `p2f`, whose structure (stage `s`
 //! pairs flattened positions differing in bit `δ(s)`, upper = bit clear;
 //! all links compose to the identity) is itself re-verified here from
-//! `Benes::link` — the proof does not *assume* the flattening claim, it
-//! checks it. Per-stage equality of the two transition functions
-//! composes inductively into end-to-end equality, and because each
-//! compared formula depends on at most 5 variables, [`crate::sym`]'s
-//! canonical truth tables decide each equivalence exactly.
+//! `Benes::link`, and so is the closed-form `topology::flat_port` the
+//! word kernel and `SwitchSettings` use in its place — the proof does
+//! not *assume* the flattening claim, it checks it. Per-stage equality
+//! of the two transition functions composes inductively into end-to-end
+//! equality, and because each compared formula depends on at most 5
+//! variables, [`crate::sym`]'s canonical truth tables decide each
+//! equivalence exactly.
 //!
 //! # What is and is not covered
 //!
 //! Covered: every tag assignment (a superset of permutations — the planes
-//! are unconstrained), every fault configuration of every switch
+//! are unconstrained), every commanded switch assignment, every fault
+//! configuration of every switch
 //! (healthy, stuck-straight, stuck-cross, dead — the two symbolic fault
 //! bits enumerate exactly these four), both kernels' forced-straight
 //! omega prefix, and the fault-even-in-forced-stages behaviour. The
@@ -61,13 +69,41 @@ use benes_core::topology;
 use crate::report::{Finding, Pillar};
 use crate::sym::{Sym, SymVar};
 
+/// The word-kernel variant a proof covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordKernel {
+    /// `word::self_route`: columns from the Fig. 3 tag rule.
+    SelfRoute,
+    /// `word::self_route_omega`: the tag rule with stages `0..n−1` forced
+    /// straight.
+    OmegaBit,
+    /// `word::replay`: the commanded control columns of a
+    /// `SwitchSettings`, against `Benes::route_with`.
+    Commanded,
+}
+
+impl WordKernel {
+    /// Every variant, in proof order.
+    pub const ALL: [WordKernel; 3] = [Self::SelfRoute, Self::OmegaBit, Self::Commanded];
+
+    /// A short stable name for reports.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::SelfRoute => "self-route",
+            Self::OmegaBit => "omega-bit",
+            Self::Commanded => "commanded-columns",
+        }
+    }
+}
+
 /// A successful certification of one kernel variant at one order.
 #[derive(Debug, Clone)]
 pub struct WordCertificate {
     /// Network order.
     pub n: u32,
-    /// `true` for the omega-bit kernel.
-    pub omega: bool,
+    /// The kernel variant proven.
+    pub kernel: WordKernel,
     /// Stages walked (`2n − 1`).
     pub stages: usize,
     /// Per-bit equivalence checks decided (each over all assignments of
@@ -80,22 +116,12 @@ pub struct WordCertificate {
 pub struct WordDivergence {
     /// Network order.
     pub n: u32,
-    /// `true` for the omega-bit kernel.
-    pub omega: bool,
+    /// The kernel variant that diverged.
+    pub kernel: WordKernel,
     /// Stage at which the formulas differ.
     pub stage: usize,
     /// What differs, with a distinguishing assignment when applicable.
     pub detail: String,
-}
-
-impl WordDivergence {
-    fn kernel(&self) -> &'static str {
-        if self.omega {
-            "omega"
-        } else {
-            "plain"
-        }
-    }
 }
 
 /// One symbolic bit plane: `words` symbolic 64-bit words.
@@ -113,6 +139,10 @@ fn advance(p2f: &[usize], link: &[u32]) -> Vec<usize> {
         next[link[p] as usize] = f;
     }
     next
+}
+
+fn control_bit(stage: usize, switch: usize) -> Sym {
+    Sym::var(SymVar::Control { stage: stage as u8, switch: switch as u16 })
 }
 
 fn fault_bits(stage: usize, switch: usize) -> (Sym, Sym) {
@@ -157,12 +187,12 @@ fn sym_delta_swap(x: &[Sym], m: &[Sym], shift: usize) -> Vec<Sym> {
 }
 
 /// One symbolic stage of `word::route` over fresh cut variables:
-/// `planes[b][w][i]` of the stage output, faults symbolic.
-fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane> {
+/// `planes[b][w][i]` of the stage output, controls and faults symbolic.
+fn word_stage(n: u32, stage: usize, kernel: WordKernel) -> Vec<SymPlane> {
     let size = 1usize << n;
     let words = word_count(size);
     let c = topology::control_bit(n, stage);
-    let forced = omega && stage < n as usize - 1;
+    let forced = kernel == WordKernel::OmegaBit && stage < n as usize - 1;
 
     let mut planes: Vec<SymPlane> = (0..n)
         .map(|b| {
@@ -183,9 +213,16 @@ fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane>
         })
         .collect();
 
-    // Commanded cross mask from plane δ(s), exactly as `route` reads it.
+    // Commanded cross mask: the settings' column, one control variable
+    // per switch at its `flat_port` position, or plane δ(s), exactly as
+    // `route` reads it.
     let mut cross: SymPlane = vec![vec![Sym::falsehood(); 64]; words];
-    if !forced {
+    if kernel == WordKernel::Commanded {
+        for i in 0..size / 2 {
+            let u = topology::flat_port(n, stage, 2 * i);
+            cross[u >> 6][u & 63] = control_bit(stage, i);
+        }
+    } else if !forced {
         if c < 6 {
             let m = benes_bits::delta_mask(c);
             for w in 0..words {
@@ -205,9 +242,9 @@ fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane>
     }
 
     // Symbolic fault overlay at flattened upper positions (the symbolic
-    // form of `stage_fault_masks` + the overlay line in `route`).
+    // form of `fault_masks` + the overlay line in `route`).
     for i in 0..size / 2 {
-        let u = p2f[2 * i];
+        let u = topology::flat_port(n, stage, 2 * i);
         let (w, bit) = (u >> 6, u & 63);
         let (a, b) = fault_bits(stage, i);
         cross[w][bit] = word_overlay(&cross[w][bit], &a, &b);
@@ -244,15 +281,19 @@ fn word_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<SymPlane>
 /// `out[port][bit]` over the same cut variables, reading the tag at
 /// physical port `p` as the cut variables of flattened position
 /// `p2f[p]`.
-fn scalar_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<Vec<Sym>> {
+fn scalar_stage(n: u32, stage: usize, kernel: WordKernel, p2f: &[usize]) -> Vec<Vec<Sym>> {
     let size = 1usize << n;
     let c = topology::control_bit(n, stage) as usize;
-    let forced = omega && stage < n as usize - 1;
+    let forced = kernel == WordKernel::OmegaBit && stage < n as usize - 1;
     let tag =
         |p: usize, b: usize| Sym::var(SymVar::Data { flat: p2f[p] as u16, bit: b as u8 });
     let mut out = vec![vec![Sym::falsehood(); n as usize]; size];
     for i in 0..size / 2 {
-        let commanded = if forced { Sym::falsehood() } else { tag(2 * i, c) };
+        let commanded = match kernel {
+            WordKernel::Commanded => control_bit(stage, i),
+            _ if forced => Sym::falsehood(),
+            _ => tag(2 * i, c),
+        };
         let (a, b) = fault_bits(stage, i);
         let cross = scalar_effective(&commanded, &a, &b);
         for bit in 0..n as usize {
@@ -265,8 +306,8 @@ fn scalar_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<Vec<Sym
     out
 }
 
-/// Proves `word::route(n, ·, omega, ·) ≡` scalar `propagate` for one
-/// order and variant, or returns the first divergence with a witness.
+/// Proves `word::route` ≡ scalar `propagate` for one order and kernel
+/// variant, or returns the first divergence with a witness.
 ///
 /// # Errors
 ///
@@ -276,36 +317,50 @@ fn scalar_stage(n: u32, stage: usize, omega: bool, p2f: &[usize]) -> Vec<Vec<Sym
 /// # Panics
 ///
 /// Panics if `n` is outside `1..=8` (the exhaustive-proof range).
-pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDivergence> {
+pub fn prove_word_kernel(
+    n: u32,
+    kernel: WordKernel,
+) -> Result<WordCertificate, WordDivergence> {
     assert!((1..=8).contains(&n), "the symbolic proof range is n in 1..=8");
     let net = Benes::new(n);
     let size = 1usize << n;
     let stages = 2 * n as usize - 1;
     let mut p2f: Vec<usize> = (0..size).collect();
     let mut checks = 0usize;
+    let diverge =
+        |stage: usize, detail: String| WordDivergence { n, kernel, stage, detail };
 
     for s in 0..stages {
         let c = topology::control_bit(n, s);
         // Structural claim first: stage s pairs flattened coordinates
-        // differing in exactly bit δ(s), physical upper = bit clear.
+        // differing in exactly bit δ(s), physical upper = bit clear, and
+        // the closed-form map is the link-derived one.
         for i in 0..size / 2 {
             let u = p2f[2 * i];
             if u >> c & 1 != 0 || p2f[2 * i + 1] != u | (1 << c) {
-                return Err(WordDivergence {
-                    n,
-                    omega,
-                    stage: s,
-                    detail: format!(
+                return Err(diverge(
+                    s,
+                    format!(
                         "flattening violated at switch {i}: ports map to {} / {}, expected bit-{c} pair",
                         p2f[2 * i],
                         p2f[2 * i + 1]
                     ),
-                });
+                ));
             }
         }
+        if let Some(p) = (0..size).find(|&p| topology::flat_port(n, s, p) != p2f[p]) {
+            return Err(diverge(
+                s,
+                format!(
+                    "closed-form map sends port {p} to {}, the links to {}",
+                    topology::flat_port(n, s, p),
+                    p2f[p]
+                ),
+            ));
+        }
 
-        let word_out = word_stage(n, s, omega, &p2f);
-        let scalar_out = scalar_stage(n, s, omega, &p2f);
+        let word_out = word_stage(n, s, kernel);
+        let scalar_out = scalar_stage(n, s, kernel, &p2f);
         for p in 0..size {
             let flat = p2f[p];
             let (w, i) = (flat >> 6, flat & 63);
@@ -323,14 +378,12 @@ pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDiv
                                 .join(", ")
                         })
                         .unwrap_or_else(|| "supports differ".to_string());
-                    return Err(WordDivergence {
-                        n,
-                        omega,
-                        stage: s,
-                        detail: format!(
+                    return Err(diverge(
+                        s,
+                        format!(
                             "port {p} (flattened {flat}) bit {b}: word computes {wf}, scalar computes {sf}; distinguishing assignment: {witness}"
                         ),
-                    });
+                    ));
                 }
             }
         }
@@ -342,31 +395,29 @@ pub fn prove_word_kernel(n: u32, omega: bool) -> Result<WordCertificate, WordDiv
     // The links must compose to the identity, so the final flattened
     // coordinates are the physical output terminals.
     if p2f != (0..size).collect::<Vec<_>>() {
-        return Err(WordDivergence {
-            n,
-            omega,
-            stage: stages - 1,
-            detail: "links do not compose to the identity".to_string(),
-        });
+        return Err(diverge(
+            stages - 1,
+            "links do not compose to the identity".to_string(),
+        ));
     }
 
-    Ok(WordCertificate { n, omega, stages, checks })
+    Ok(WordCertificate { n, kernel, stages, checks })
 }
 
-/// Runs the full proof matrix (`n = 1..=max_n`, plain and omega),
+/// Runs the full proof matrix (`n = 1..=max_n`, every [`WordKernel`]),
 /// returning findings for any divergence plus the certificates earned.
 #[must_use]
 pub fn prove_all(max_n: u32) -> (Vec<Finding>, Vec<WordCertificate>) {
     let mut findings = Vec::new();
     let mut certs = Vec::new();
     for n in 1..=max_n {
-        for omega in [false, true] {
-            match prove_word_kernel(n, omega) {
+        for kernel in WordKernel::ALL {
+            match prove_word_kernel(n, kernel) {
                 Ok(cert) => certs.push(cert),
                 Err(div) => findings.push(Finding::error(
                     Pillar::Model,
                     "word-scalar-divergence",
-                    format!("B({n}) {} kernel stage {}", div.kernel(), div.stage),
+                    format!("B({n}) {} kernel stage {}", kernel.name(), div.stage),
                     0,
                     div.detail,
                 )),
@@ -380,7 +431,7 @@ pub fn prove_all(max_n: u32) -> (Vec<Finding>, Vec<WordCertificate>) {
 mod tests {
     use super::*;
     use benes_core::faults::{self, FaultKind, FaultSet};
-    use benes_core::word;
+    use benes_core::{waksman, word, SwitchState};
     use benes_perm::Permutation;
 
     /// The tentpole acceptance check: word ≡ scalar for every n ≤ 8,
@@ -394,10 +445,12 @@ mod tests {
             "kernel divergence: {}",
             findings.iter().map(ToString::to_string).collect::<Vec<_>>().join("\n")
         );
-        assert_eq!(certs.len(), 16);
-        // B(8): 15 stages × 256 positions × 8 bits each way.
-        let b8 = certs.iter().find(|c| c.n == 8 && !c.omega).unwrap();
-        assert_eq!(b8.checks, 15 * 256 * 8);
+        assert_eq!(certs.len(), 24);
+        // B(8): 15 stages × 256 positions × 8 bits each way, per kernel.
+        for kernel in WordKernel::ALL {
+            let b8 = certs.iter().find(|c| c.n == 8 && c.kernel == kernel).unwrap();
+            assert_eq!(b8.checks, 15 * 256 * 8, "{}", kernel.name());
+        }
     }
 
     /// The fault-encoding lemma in isolation: the word overlay formula
@@ -432,10 +485,19 @@ mod tests {
     /// (the proof itself settled that).
     #[test]
     fn symbolic_transcription_replays_the_real_kernel() {
-        for (n, omega) in [(3u32, false), (3, true), (7, false), (8, true)] {
+        use WordKernel::{Commanded, OmegaBit, SelfRoute};
+        for (n, kernel) in [
+            (3u32, SelfRoute),
+            (3, OmegaBit),
+            (3, Commanded),
+            (7, SelfRoute),
+            (8, OmegaBit),
+            (8, Commanded),
+        ] {
             let net = Benes::new(n);
             let size = 1usize << n;
             let d = lcg_perm(n, 0xd1f7 ^ u64::from(n));
+            let settings = waksman::setup(&lcg_perm(n, 0x5e77)).unwrap();
             let mut fs = FaultSet::new(n);
             fs.insert(0, 0, FaultKind::Dead).unwrap();
             fs.insert(1, size / 4, FaultKind::StuckCross).unwrap();
@@ -443,14 +505,15 @@ mod tests {
 
             // Concrete planes in flattened coordinates, as `pack` lays
             // them out: bit b of the tag at position p.
-            let dests = d.destinations();
-            let mut tags: Vec<u32> = dests.to_vec();
-            let mut p2f: Vec<usize> = (0..size).collect();
+            let mut tags: Vec<u32> = d.destinations().to_vec();
             let stages = 2 * n as usize - 1;
             for s in 0..stages {
-                let word_out = word_stage(n, s, omega, &p2f);
+                let word_out = word_stage(n, s, kernel);
                 let assign = |v: SymVar| match v {
                     SymVar::Data { flat, bit } => (tags[flat as usize] >> bit) & 1 == 1,
+                    SymVar::Control { stage, switch } => {
+                        settings.get(stage as usize, switch as usize) == SwitchState::Cross
+                    }
                     SymVar::Fault { stage, switch, which } => {
                         let kind = fs.get(stage as usize, switch as usize);
                         let (a, b) = match kind {
@@ -476,23 +539,25 @@ mod tests {
                     }
                 }
                 tags = next;
-                if s + 1 < stages {
-                    p2f = advance(&p2f, net.link(s));
-                }
             }
 
-            let real = if omega {
-                word::self_route_omega_with_faults(&net, &d, &fs).unwrap()
-            } else {
-                word::self_route_with_faults(&net, &d, &fs).unwrap()
+            let (real, scalar) = match kernel {
+                SelfRoute => (
+                    word::self_route_with_faults(&net, &d, &fs).unwrap().outputs(),
+                    faults::self_route_with_faults(&net, &d, &fs).outputs().to_vec(),
+                ),
+                OmegaBit => (
+                    word::self_route_omega_with_faults(&net, &d, &fs).unwrap().outputs(),
+                    faults::self_route_omega_with_faults(&net, &d, &fs).outputs().to_vec(),
+                ),
+                Commanded => (
+                    word::replay_with_faults(&settings, &d, &fs).unwrap().outputs(),
+                    faults::route_with_faults(&net, &settings, &fs, d.destinations())
+                        .unwrap(),
+                ),
             };
-            assert_eq!(tags, real.outputs(), "B({n}) omega={omega}");
-            let scalar = if omega {
-                faults::self_route_omega_with_faults(&net, &d, &fs)
-            } else {
-                faults::self_route_with_faults(&net, &d, &fs)
-            };
-            assert_eq!(tags, scalar.outputs(), "B({n}) omega={omega} scalar");
+            assert_eq!(tags, real, "B({n}) {}", kernel.name());
+            assert_eq!(tags, scalar, "B({n}) {} scalar", kernel.name());
         }
     }
 

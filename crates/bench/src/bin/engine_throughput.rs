@@ -33,7 +33,9 @@
 //! unbounded-queue grid — and latency quantiles). Existing fields keep
 //! their names; each run also carries `mode`, the queue-wait /
 //! service-time quantiles, and (additively) `offered_rps` — the open
-//! model's target arrival rate, `0` for closed runs.
+//! model's target arrival rate, `0` for closed runs. A top-level `host`
+//! block (core count, build profile, git revision and dirtiness) records
+//! what the numbers ran on, shaped like `BENCH_SERVE.json`'s.
 //!
 //! `--assert-scaling` fails the process unless closed-loop throughput
 //! at n = 8 with 8 workers beats 1 worker by the given factor (closed
@@ -47,6 +49,7 @@ use benes_engine::workload::mixed_workload;
 use benes_engine::{Engine, EngineConfig, EngineStats};
 use benes_perm::Permutation;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -169,23 +172,30 @@ fn scaling_factor(spec: &str) -> f64 {
 /// Closed-loop driver: `clients` threads round-robin over the shared
 /// workload index, each submitting one request and waiting for its
 /// outcome before taking the next, bounding in-flight requests at
-/// `clients`.
+/// `clients`. The clock starts once every client thread is running:
+/// spawning `2·workers` threads is not service, and in a short run it
+/// would weigh on the many-worker cells alone.
 fn run_closed(engine: &Engine, stream: &[Permutation], clients: usize) -> Duration {
     let next = AtomicUsize::new(0);
-    let start = Instant::now();
-    std::thread::scope(|s| {
+    let ready = Barrier::new(clients + 1);
+    let start = std::thread::scope(|s| {
         for _ in 0..clients {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(perm) = stream.get(i) else { break };
-                let outcome = engine.submit(perm.clone()).wait();
-                assert!(
-                    outcome.is_ok(),
-                    "closed-loop request failed: {:?}",
-                    outcome.result
-                );
+            s.spawn(|| {
+                ready.wait();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(perm) = stream.get(i) else { break };
+                    let outcome = engine.submit(perm.clone()).wait();
+                    assert!(
+                        outcome.is_ok(),
+                        "closed-loop request failed: {:?}",
+                        outcome.result
+                    );
+                }
             });
         }
+        ready.wait();
+        Instant::now()
     });
     start.elapsed()
 }
@@ -323,7 +333,8 @@ fn main() {
         let body: Vec<String> = runs.iter().map(Run::to_json).collect();
         let doc = format!(
             "{{\"experiment\":\"EXP-ENGINE\",\"requests\":{requests},\"seed\":{seed},\
-             \"runs\":[{}]}}\n",
+             \"host\":{},\"runs\":[{}]}}\n",
+            benes_bench::host_json(),
             body.join(",")
         );
         std::fs::write(&path, doc).expect("write --json output");

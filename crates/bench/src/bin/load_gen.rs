@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use benes_bench::host_json;
 use benes_engine::workload::mixed_workload;
 use benes_obs::hist::Histogram;
 use benes_serve::{Client, Frame, Status, TenantRow};
@@ -121,30 +122,6 @@ fn parse_args() -> Args {
         assert!(parsed.order >= 2, "--fleet needs --order >= 2 (block decomposition)");
     }
     parsed
-}
-
-/// What the numbers ran on: core count, build profile, and the git
-/// revision of the working tree plus whether it had uncommitted
-/// changes (`null` outside a git checkout).
-fn host_json() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
-    let rev =
-        git(&["rev-parse", "HEAD"]).map_or_else(|| "null".into(), |r| format!("\"{r}\""));
-    let dirty = git(&["status", "--porcelain"])
-        .map_or_else(|| "null".into(), |s| (!s.is_empty()).to_string());
-    format!(
-        "{{\"available_parallelism\":{cores},\"profile\":\"{profile}\",\"git_rev\":{rev},\
-         \"git_dirty\":{dirty}}}"
-    )
 }
 
 /// EXP-FLEET: scatter `requests` rounds of random `2^order`

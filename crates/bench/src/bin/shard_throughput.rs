@@ -10,8 +10,9 @@
 //! Usage: `shard_throughput [--max-n N] [--json PATH]`
 //!
 //! `--json` writes `BENCH_SHARD.json` with a stable schema
-//! (`experiment`, `seed`, `max_n`, `runs[]` with per-run `n`, `shards`,
-//! `units`, phase walls, throughput, and per-unit latency quantiles).
+//! (`experiment`, `seed`, `max_n`, a `host` block shaped like
+//! `BENCH_SERVE.json`'s, `runs[]` with per-run `n`, `shards`, `units`,
+//! phase walls, throughput, and per-unit latency quantiles).
 
 use std::time::Instant;
 
@@ -142,7 +143,8 @@ fn main() {
         let body: Vec<String> = runs.iter().map(Run::to_json).collect();
         let doc = format!(
             "{{\"experiment\":\"EXP-SHARD\",\"seed\":{seed},\"max_n\":{max_n},\
-             \"runs\":[{}]}}\n",
+             \"host\":{},\"runs\":[{}]}}\n",
+            benes_bench::host_json(),
             body.join(",")
         );
         std::fs::write(&path, doc).expect("write --json output");

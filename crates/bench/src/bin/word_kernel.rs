@@ -9,14 +9,24 @@
 //! outcome is checked against the scalar oracle's success verdict, so
 //! the numbers can't come from a kernel that routes wrong.
 //!
+//! The Settings tier gets its own table: arbitrary random permutations
+//! are set up by `waksman::setup` and executed either by the scalar
+//! circuit walk (`Benes::realized_permutation`) or by the word kernel
+//! replaying the settings' control columns (`word::replay`), which is
+//! how the engine serves a Waksman plan. Every word replay is
+//! cross-checked against the scalar walk before timing.
+//!
 //! Usage: `word_kernel [--perms N] [--assert-speedup FACTOR]`
 //!
 //! `--assert-speedup` fails the process unless the word kernel beats
 //! the scalar kernel by the given factor at `n = 8` (the engine
-//! benchmark's largest order).
+//! benchmark's largest order). The Settings table always fails the
+//! process unless set-up plus word execution beats set-up plus scalar
+//! execution by [`SETTINGS_SPEEDUP_AT_6`] at `n = 6` (the fleet's unit
+//! order).
 
-use benes_bench::{random_f_member, Table};
-use benes_core::Benes;
+use benes_bench::{random_f_member, random_permutation, Table};
+use benes_core::{waksman, word, Benes};
 use benes_perm::Permutation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,6 +65,86 @@ fn time_over(
     let start = Instant::now();
     let ok = stream.iter().filter(|d| route(d)).count();
     (start.elapsed().as_secs_f64(), ok)
+}
+
+/// Required Settings-tier speed-up (set-up + execute) at `n = 6`.
+const SETTINGS_SPEEDUP_AT_6: f64 = 2.0;
+
+/// The Settings table: Waksman set-up followed by scalar or word
+/// execution, on arbitrary random permutations. Returns the speed-up at
+/// `n = 6`.
+fn settings_table(perms: usize, rng: &mut StdRng) -> f64 {
+    let mut table = Table::new(vec![
+        "n",
+        "N",
+        "perms",
+        "set-up us",
+        "scalar exec us",
+        "word exec us",
+        "scalar plans/s",
+        "word plans/s",
+        "speed-up",
+    ]);
+    let mut speedup_at_6 = 0.0f64;
+    for n in 4u32..=10 {
+        let net = Benes::new(n);
+        let stream: Vec<Permutation> =
+            (0..perms).map(|_| random_permutation(rng, 1 << n)).collect();
+        let plans: Vec<_> = stream.iter().map(|d| waksman::setup(d).unwrap()).collect();
+
+        // Cross-check first (untimed): every replay succeeds on its own
+        // permutation, with the scalar walk's arrivals, and a replay for
+        // the wrong permutation fails exactly when the walk says it must.
+        for (i, (d, s)) in stream.iter().zip(&plans).enumerate() {
+            let fast = word::replay(s, d).unwrap();
+            assert!(fast.is_success(), "word replay missed its permutation at n = {n}");
+            assert_eq!(fast.outputs(), net.route_with(s, d.destinations()).unwrap());
+            let other = &stream[(i + 1) % stream.len()];
+            assert_eq!(
+                word::replay(s, other).unwrap().is_success(),
+                net.realized_permutation(s).unwrap() == *other,
+                "word/scalar replay disagreement at n = {n}"
+            );
+        }
+
+        let (setup_s, _) = time_over(&stream, |d| waksman::setup(d).is_ok());
+        let mut pairs = stream.iter().zip(&plans);
+        let (scalar_exec_s, _) = time_over(&stream, |_| {
+            let (d, s) = pairs.next().unwrap();
+            net.realized_permutation(s).unwrap() == *d
+        });
+        let mut pairs = stream.iter().zip(&plans);
+        let (word_exec_s, _) = time_over(&stream, |_| {
+            let (d, s) = pairs.next().unwrap();
+            word::replay(s, d).unwrap().is_success()
+        });
+        let (scalar_s, scalar_ok) = time_over(&stream, |d| {
+            net.realized_permutation(&waksman::setup(d).unwrap()).unwrap() == *d
+        });
+        let (word_s, word_ok) = time_over(&stream, |d| {
+            word::replay(&waksman::setup(d).unwrap(), d).unwrap().is_success()
+        });
+        assert_eq!((scalar_ok, word_ok), (perms, perms));
+
+        let speedup = scalar_s / word_s;
+        if n == 6 {
+            speedup_at_6 = speedup;
+        }
+        let us = |secs: f64| format!("{:.2}", secs * 1e6 / perms as f64);
+        table.row(vec![
+            n.to_string(),
+            (1u64 << n).to_string(),
+            perms.to_string(),
+            us(setup_s),
+            us(scalar_exec_s),
+            us(word_exec_s),
+            format!("{:.0}", perms as f64 / scalar_s),
+            format!("{:.0}", perms as f64 / word_s),
+            format!("{speedup:.1}x"),
+        ]);
+    }
+    println!("{}", table.render());
+    speedup_at_6
 }
 
 fn main() {
@@ -121,6 +211,25 @@ fn main() {
          operation (delta-swaps below word width, word-pair swaps above), so its\n\
          advantage grows with N — the scalar kernel touches every tag at every\n\
          stage, the word kernel touches N/64 words per bit-plane."
+    );
+
+    println!(
+        "\n== EXP-WORD: Settings tier, Waksman set-up + scalar vs word execution ==\n"
+    );
+    let settings_speedup = settings_table(perms, &mut rng);
+    println!(
+        "observation: set-up emits the control columns the word kernel applies,\n\
+         so a Settings plan executes as 2n-1 masked delta-swaps per bit-plane;\n\
+         the scalar walk moves every record through every switch and link."
+    );
+    assert!(
+        settings_speedup >= SETTINGS_SPEEDUP_AT_6,
+        "Settings-tier speed-up regressed at n = 6: {settings_speedup:.1}x < \
+         required {SETTINGS_SPEEDUP_AT_6:.1}x"
+    );
+    println!(
+        "\nsettings speed-up check: {settings_speedup:.1}x at n = 6 (required >= \
+         {SETTINGS_SPEEDUP_AT_6:.1}x)"
     );
 
     if let Some(factor) = assert_speedup {

@@ -12,6 +12,31 @@ use benes_perm::bpc::{Bpc, SignedBit};
 use benes_perm::Permutation;
 use rand::Rng;
 
+/// What the numbers ran on: core count, build profile, and the git
+/// revision of the working tree plus whether it had uncommitted
+/// changes (`null` outside a git checkout).
+#[must_use]
+pub fn host_json() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let rev =
+        git(&["rev-parse", "HEAD"]).map_or_else(|| "null".into(), |r| format!("\"{r}\""));
+    let dirty = git(&["status", "--porcelain"])
+        .map_or_else(|| "null".into(), |s| (!s.is_empty()).to_string());
+    format!(
+        "{{\"available_parallelism\":{cores},\"profile\":\"{profile}\",\"git_rev\":{rev},\
+         \"git_dirty\":{dirty}}}"
+    )
+}
+
 /// A uniformly random permutation of `0..len` (Fisher–Yates).
 ///
 /// # Panics

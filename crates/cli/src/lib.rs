@@ -808,14 +808,15 @@ fn analyze_word(args: &[String]) -> Result<String, CliError> {
         out.push_str(&format!(
             "proven: B({}) {} kernel ≡ scalar oracle — {} stages, {} per-bit checks\n",
             c.n,
-            if c.omega { "omega-bit" } else { "self-route" },
+            c.kernel.name(),
             c.stages,
             c.checks
         ));
     }
     out.push_str(&format!(
-        "word-parallel ≡ scalar for all n <= {max_n}, healthy and faulty \
-         (symbolic fault variables), {total} checks, zero sampled inputs\n"
+        "word-parallel ≡ scalar for all n <= {max_n}, tag-routed and commanded, \
+         healthy and faulty (symbolic control and fault variables), {total} checks, \
+         zero sampled inputs\n"
     ));
     Ok(out)
 }
@@ -1870,6 +1871,7 @@ mod extension_tests {
         assert!(out.contains("word-kernel equivalence proof: certified"), "{out}");
         assert!(out.contains("B(3) self-route kernel"), "{out}");
         assert!(out.contains("B(3) omega-bit kernel"), "{out}");
+        assert!(out.contains("B(3) commanded-columns kernel"), "{out}");
         assert!(out.contains("zero sampled inputs"), "{out}");
         assert!(run_str("analyze word 9").is_err());
         assert!(run_str("analyze word 0").is_err());

@@ -38,7 +38,7 @@ use benes_perm::Permutation;
 use crate::network::{Benes, NetworkError, SwitchSettings, SwitchState};
 use crate::selfroute::SelfRouteOutcome;
 use crate::topology;
-use crate::waksman::SetupError;
+use crate::waksman::{bit, span, uppers, Looper, SetupError};
 
 /// The failure mode of one switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -262,9 +262,7 @@ impl FaultSet {
     /// non-trivially consulted — a dead switch agrees with nothing.
     #[must_use]
     pub fn agrees_with(&self, settings: &SwitchSettings) -> bool {
-        self.faults.iter().all(|(&(stage, switch), &kind)| {
-            kind.stuck_state() == Some(settings.get(stage, switch))
-        })
+        self.disagreements(settings).is_empty()
     }
 
     /// Itemizes [`Self::agrees_with`]: every fault whose forced state
@@ -541,9 +539,9 @@ pub fn setup_avoiding(
         return Err(FaultSetupError::Unavoidable);
     }
     let mut settings = SwitchSettings::all_straight(n);
-    let dest: Vec<u32> = d.destinations().to_vec();
+    let mut looper = Looper::new(n, d);
     let mut budget = SEARCH_BUDGET;
-    if solve(&dest, n, 0, 0, &mut settings, faults, &mut budget) {
+    if solve(&mut looper, 0, 0, &mut settings, faults, &mut budget) {
         debug_assert!(faults.agrees_with(&settings));
         debug_assert_eq!(
             Benes::new(n).realized_permutation(&faults.apply_to(&settings)).unwrap(),
@@ -554,15 +552,6 @@ pub fn setup_avoiding(
     } else {
         Err(FaultSetupError::Unavoidable)
     }
-}
-
-/// One constraint loop of the looping decomposition, recorded under
-/// seeding 0; seeding 1 flips every side in the loop.
-struct Loop {
-    /// `(input_index, side_under_seed_0)` members.
-    inputs: Vec<(usize, u8)>,
-    /// `(output_index, side_under_seed_0)` members.
-    outputs: Vec<(usize, u8)>,
 }
 
 /// Whether the half-open switch rectangle of the `B(m)` block based at
@@ -576,122 +565,81 @@ fn block_has_fault(faults: &FaultSet, m: u32, stage_base: usize, row_base: usize
     })
 }
 
-/// Recursively assigns the switches of the `B(m)` block at
-/// `(stage_base, row_base)` so it realizes `perm` while agreeing with
-/// every stuck switch inside the block. Returns `false` when no
-/// agreeing assignment exists (or the budget ran out).
+/// Recursively assigns the switches of the depth-`k` block of residue `r`
+/// (see [`Looper`]) so it realizes the block's part of `looper.dest`
+/// while agreeing with every stuck switch inside the block. Returns
+/// `false` when no agreeing assignment exists (or the budget ran out).
 fn solve(
-    perm: &[u32],
-    m: u32,
-    stage_base: usize,
-    row_base: usize,
+    looper: &mut Looper,
+    k: u32,
+    r: usize,
     settings: &mut SwitchSettings,
     faults: &FaultSet,
     budget: &mut usize,
 ) -> bool {
-    let len = perm.len();
-    debug_assert_eq!(len, 1 << m);
     if *budget == 0 {
         return false;
     }
     *budget -= 1;
+    let n = faults.n();
+    let m = n - k;
+    let stage_base = k as usize;
+    // The block's first physical row: its index at depth k is r reversed.
+    let row_base = topology::reverse_low_bits(r, k) << (m - 1);
 
     if m == 1 {
-        let required =
-            if perm[0] == 0 { SwitchState::Straight } else { SwitchState::Cross };
-        if let Some(kind) = faults.get(stage_base, row_base) {
-            if kind.stuck_state() != Some(required) {
-                return false;
-            }
-        }
-        settings.set(stage_base, row_base, required);
-        return true;
+        let cross = looper.dest[r] as usize != r;
+        let required = SwitchState::from_bit(u64::from(cross));
+        let fault = faults.get(stage_base, row_base);
+        settings.put_at(stage_base, r, cross);
+        return fault.is_none_or(|kind| kind.stuck_state() == Some(required));
     }
 
     // Fault-free blocks never fail: the classical greedy set-up applies.
     if !block_has_fault(faults, m, stage_base, row_base) {
-        crate::waksman::setup_recursive(perm, m, stage_base, row_base, settings);
+        looper.greedy(k, r, settings);
         return true;
     }
 
-    // Trace the constraint loops once (under seeding 0).
-    let mut inv = vec![0u32; len];
-    for (i, &o) in perm.iter().enumerate() {
-        inv[o as usize] = i as u32; // analyze:allow(truncating-cast): i < 2^MAX_N terminals
-    }
-    let mut in_side: Vec<Option<u8>> = vec![None; len];
-    let mut out_side: Vec<Option<u8>> = vec![None; len];
-    let mut loops: Vec<Loop> = Vec::new();
-    let mut loop_of_in_switch = vec![usize::MAX; len / 2];
-    let mut loop_of_out_switch = vec![usize::MAX; len / 2];
-
-    for seed in 0..len {
-        if in_side[seed].is_some() {
+    // Trace the constraint loops once (under seeding 0), remembering the
+    // block's destinations so every seeding attempt starts from them.
+    let saved: Vec<u32> = span(n, k, r).map(|f| looper.dest[f]).collect();
+    looper.index(k, r);
+    let half = 1usize << (m - 1);
+    let last_stage = 2 * n as usize - 2 - stage_base;
+    // Each loop's steps as `Looper::trace` reports them under seeding 0;
+    // seeding 1 flips both switches of every step.
+    let mut loops: Vec<Vec<(usize, bool, usize, bool)>> = Vec::new();
+    // Per local switch i (upper position (2i << k) | r): its owning loop
+    // and its state under seeding 0, first and last stage.
+    let mut in_switch = vec![(usize::MAX, false); half];
+    let mut out_switch = vec![(usize::MAX, false); half];
+    for seed in uppers(n, k, r, k) {
+        if bit(&looper.done, seed) {
             continue;
         }
         let id = loops.len();
-        let mut lp = Loop { inputs: Vec::new(), outputs: Vec::new() };
-        let mut x = seed;
-        in_side[x] = Some(0);
-        lp.inputs.push((x, 0));
-        loop_of_in_switch[x / 2] = id;
-        loop {
-            let o = perm[x] as usize;
-            let side = in_side[x].expect("assigned");
-            out_side[o] = Some(side);
-            lp.outputs.push((o, side));
-            loop_of_out_switch[o / 2] = id;
-            let op = o ^ 1;
-            let other = 1 - side;
-            if out_side[op].is_some() {
-                break;
-            }
-            out_side[op] = Some(other);
-            lp.outputs.push((op, other));
-            let xp = inv[op] as usize;
-            in_side[xp] = Some(other);
-            lp.inputs.push((xp, other));
-            loop_of_in_switch[xp / 2] = id;
-            let xq = xp ^ 1;
-            let next = 1 - other;
-            if in_side[xq].is_some() {
-                break;
-            }
-            in_side[xq] = Some(next);
-            lp.inputs.push((xq, next));
-            x = xq;
-        }
-        loops.push(lp);
+        let mut steps = Vec::new();
+        looper.trace(k, seed, |x, cross_in, o, cross_out| {
+            in_switch[x >> (k + 1)] = (id, cross_in);
+            out_switch[o >> (k + 1)] = (id, cross_out);
+            steps.push((x, cross_in, o, cross_out));
+        });
+        loops.push(steps);
     }
 
-    let half = len / 2;
-    let stages = 2 * m as usize - 1;
-    let last_stage = stage_base + stages - 1;
-
     // Per-loop allowed seedings, pruned by the stuck switches of this
-    // block's outer stages. A first-stage switch i is straight iff its
-    // upper input 2i routes up; under seeding s of the loop owning it,
-    // that side is `side_0 XOR s`.
+    // block's outer stages: under seeding s a switch crosses iff its
+    // seeding-0 state XOR s does.
     let mut allowed: Vec<[bool; 2]> = vec![[true, true]; loops.len()];
     for i in 0..half {
-        for (stage, loop_id, base_side) in [
-            (stage_base, loop_of_in_switch[i], in_side[2 * i].expect("covered")),
-            (last_stage, loop_of_out_switch[i], out_side[2 * i].expect("covered")),
-        ] {
+        for (stage, (loop_id, base_cross)) in
+            [(stage_base, in_switch[i]), (last_stage, out_switch[i])]
+        {
             if let Some(kind) = faults.get(stage, row_base + i) {
                 let stuck = kind.stuck_state().expect("dead sets rejected up front");
-                // Under seeding s the switch state is straight iff
-                // base_side ^ s == 0.
-                for s in 0..2u8 {
-                    let state = if base_side ^ s == 0 {
-                        SwitchState::Straight
-                    } else {
-                        SwitchState::Cross
-                    };
-                    if state != stuck {
-                        allowed[loop_id][s as usize] = false;
-                    }
-                }
+                allowed[loop_id]
+                    [usize::from(base_cross == (stuck == SwitchState::Cross))] = false;
             }
         }
     }
@@ -707,24 +655,18 @@ fn solve(
     let lower_fault = block_has_fault(faults, m - 1, stage_base + 1, row_base + half / 2);
     let deep_fault = upper_fault || lower_fault;
 
-    let mut seeding = vec![0u8; loops.len()];
-    for (i, a) in allowed.iter().enumerate() {
-        seeding[i] = if a[0] { 0 } else { 1 };
-    }
-
+    let mut seeding: Vec<bool> = allowed.iter().map(|a| !a[0]).collect();
     let branch: Vec<usize> = (0..loops.len())
         .filter(|&i| allowed[i][0] && allowed[i][1] && deep_fault)
         .collect();
 
     // Depth-first over the branching loops' seedings.
-    let mut choice = vec![0u8; branch.len()];
+    let mut choice = vec![false; branch.len()];
     loop {
         for (bi, &li) in branch.iter().enumerate() {
             seeding[li] = choice[bi];
         }
-        if try_seeding(
-            perm, m, stage_base, row_base, settings, faults, budget, &loops, &seeding,
-        ) {
+        if try_seeding(looper, k, r, &saved, settings, faults, budget, &loops, &seeding) {
             return true;
         }
         if *budget == 0 {
@@ -736,83 +678,48 @@ fn solve(
             if bi == branch.len() {
                 return false;
             }
-            if choice[bi] == 0 {
-                choice[bi] = 1;
+            if !choice[bi] {
+                choice[bi] = true;
                 break;
             }
-            choice[bi] = 0;
+            choice[bi] = false;
             bi += 1;
         }
     }
 }
 
-/// Applies one complete seeding vector: fixes this block's outer stages,
-/// derives the induced sub-permutations, and recurses into both
-/// children. Returns `false` (leaving `settings` dirty for the caller to
-/// overwrite on the next attempt) if either child fails.
+/// Applies one complete seeding vector: fixes the block's outer stages,
+/// restores the block's destinations and splits them into the two
+/// sub-networks, and recurses into both. Returns `false` (leaving
+/// `settings` dirty for the caller to overwrite on the next attempt) if
+/// either child fails.
+#[allow(clippy::too_many_arguments)]
 fn try_seeding(
-    perm: &[u32],
-    m: u32,
-    stage_base: usize,
-    row_base: usize,
+    looper: &mut Looper,
+    k: u32,
+    r: usize,
+    saved: &[u32],
     settings: &mut SwitchSettings,
     faults: &FaultSet,
     budget: &mut usize,
-    loops: &[Loop],
-    seeding: &[u8],
+    loops: &[Vec<(usize, bool, usize, bool)>],
+    seeding: &[bool],
 ) -> bool {
-    let len = perm.len();
-    let half = len / 2;
-    let stages = 2 * m as usize - 1;
-
-    // Realize the chosen sides.
-    let mut in_side = vec![0u8; len];
-    let mut out_side = vec![0u8; len];
-    for (id, lp) in loops.iter().enumerate() {
-        for &(x, s0) in &lp.inputs {
-            in_side[x] = s0 ^ seeding[id];
-        }
-        for &(o, s0) in &lp.outputs {
-            out_side[o] = s0 ^ seeding[id];
+    let n = faults.n();
+    let last_stage = 2 * n as usize - 2 - k as usize;
+    for (steps, &flip) in loops.iter().zip(seeding) {
+        for &(x, cross_in, o, cross_out) in steps {
+            settings.put_at(k as usize, x, cross_in ^ flip);
+            settings.put_at(last_stage, o, cross_out ^ flip);
         }
     }
-
-    let mut upper = vec![0u32; half];
-    let mut lower = vec![0u32; half];
-    for i in 0..half {
-        let up_in = if in_side[2 * i] == 0 { 2 * i } else { 2 * i + 1 };
-        let state = if up_in == 2 * i { SwitchState::Straight } else { SwitchState::Cross };
-        debug_assert!(
-            faults
-                .get(stage_base, row_base + i)
-                .is_none_or(|k| k.stuck_state() == Some(state)),
-            "constrained seeding must agree with first-stage faults"
-        );
-        settings.set(stage_base, row_base + i, state);
-        upper[i] = perm[up_in] >> 1;
-        lower[i] = perm[up_in ^ 1] >> 1;
-
-        let state =
-            if out_side[2 * i] == 0 { SwitchState::Straight } else { SwitchState::Cross };
-        debug_assert!(
-            faults
-                .get(stage_base + stages - 1, row_base + i)
-                .is_none_or(|k| k.stuck_state() == Some(state)),
-            "constrained seeding must agree with last-stage faults"
-        );
-        settings.set(stage_base + stages - 1, row_base + i, state);
+    for (f, &dest) in span(n, k, r).zip(saved) {
+        looper.dest[f] = dest;
     }
-
-    solve(&upper, m - 1, stage_base + 1, row_base, settings, faults, budget)
-        && solve(
-            &lower,
-            m - 1,
-            stage_base + 1,
-            row_base + half / 2,
-            settings,
-            faults,
-            budget,
-        )
+    looper.split(k, k, r, settings.column(k as usize));
+    let d = 1usize << k;
+    solve(looper, k + 1, r, settings, faults, budget)
+        && solve(looper, k + 1, r | d, settings, faults, budget)
 }
 
 #[cfg(test)]

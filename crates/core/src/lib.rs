@@ -12,17 +12,19 @@
 //!   `2·log N − 1` stages of `N/2` binary switches and the inter-stage
 //!   wiring, plus the per-stage *control bit* assignment of Fig. 3.
 //! * [`network`] — the circuit model: [`network::Benes`] (immutable
-//!   topology) and [`network::SwitchSettings`] (a full
-//!   switch-state assignment), with externally-set routing
+//!   topology) and [`network::SwitchSettings`] (a full switch-state
+//!   assignment, stored as one bit-packed control column per stage),
+//!   with externally-set routing
 //!   ([`Benes::route_with`](network::Benes::route_with)).
 //! * [`selfroute`] — the paper's self-routing scheme (Fig. 3): each switch
 //!   in stage `b` / stage `2n−2−b` sets itself from bit `b` of its upper
 //!   input's destination tag, plus the "omega bit" variant that forces
 //!   stages `0..n−1` straight to realize all of `Ω(n)`. This scalar walk is
 //!   the reference oracle; the hot path lives in [`word`].
-//! * [`word`] — the same kernels in word-parallel (bit-sliced) form: whole
-//!   switch columns as `u64` masks applied with delta-swaps, an order of
-//!   magnitude faster than the switch-at-a-time walk.
+//! * [`word`] — the same kernels, and the replay of external settings, in
+//!   word-parallel (bit-sliced) form: whole switch columns as `u64` masks
+//!   applied with delta-swaps, an order of magnitude faster than the
+//!   switch-at-a-time walk.
 //! * [`class_f`] — membership in `F(n)`: the Theorem 1 recursion and an
 //!   independent check by direct simulation.
 //! * [`census`] — exact `|F(n)|` via a transfer-matrix product formula
@@ -38,8 +40,9 @@
 //!   (the paper's reference \[7\] complexity class), with parallel-round
 //!   accounting to quantify the set-up bottleneck self-routing removes.
 //! * [`waksman`] — the classical `O(N log N)` looping set-up algorithm
-//!   (Waksman / Opferman–Tsao-Wu, the paper's reference \[10\]); with
-//!   external set-up the network realizes **all** `N!` permutations.
+//!   (Waksman / Opferman–Tsao-Wu, the paper's reference \[10\]), emitting
+//!   the control columns directly; with external set-up the network
+//!   realizes **all** `N!` permutations.
 //! * [`pipeline`] — the §IV pipelined mode: registers between stages, one
 //!   new vector per clock after a `2n−1`-clock fill latency.
 //! * [`trace`] — full per-link route traces (reproducing Figs. 4 and 5).

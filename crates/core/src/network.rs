@@ -71,8 +71,17 @@ impl fmt::Display for SwitchState {
     }
 }
 
-/// A complete switch-state assignment for a `B(n)` network: one
-/// [`SwitchState`] per switch in each of the `2n − 1` stages.
+/// A complete switch-state assignment for a `B(n)` network, stored as
+/// the `2n − 1` bit-packed control columns the word kernel applies.
+///
+/// Column `s` is `⌈N/64⌉` words in flattened coordinates (see
+/// [`crate::word`] and [`topology::flat_port`]): bit `u` is set iff the
+/// switch whose upper input sits at flattened position `u` crosses. Only
+/// upper positions (bit [`topology::control_bit`]`(n, s)` clear) are ever
+/// set, so each column is exactly the cross mask of one delta-swap.
+/// [`SwitchSettings::get`] and [`SwitchSettings::set`] address physical
+/// switches through the closed-form port map; [`SwitchSettings::to_bits`]
+/// and the serde form keep the physical stage-major order.
 ///
 /// # Examples
 ///
@@ -87,7 +96,7 @@ impl fmt::Display for SwitchState {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SwitchSettings {
     n: u32,
-    stages: Vec<Vec<SwitchState>>,
+    columns: Vec<u64>,
 }
 
 impl SwitchSettings {
@@ -98,18 +107,39 @@ impl SwitchSettings {
     /// Panics if `n` is out of range (see [`topology::MAX_N`]).
     #[must_use]
     pub fn all_straight(n: u32) -> Self {
-        topology::validate_n(n);
-        let stages = vec![
-            vec![SwitchState::Straight; topology::switches_per_stage(n)];
-            topology::stage_count(n)
-        ];
-        Self { n, stages }
+        let words = topology::terminal_count(n).div_ceil(64);
+        Self { n, columns: vec![0; topology::stage_count(n) * words] }
     }
 
     /// The network order `n` these settings belong to.
     #[must_use]
     pub fn n(&self) -> u32 {
         self.n
+    }
+
+    /// Words per control column, `⌈N/64⌉`.
+    fn words(&self) -> usize {
+        (1usize << self.n).div_ceil(64)
+    }
+
+    /// The flattened upper position of physical switch `switch` at
+    /// `stage`.
+    fn upper(&self, stage: usize, switch: usize) -> usize {
+        let stages = 2 * self.n as usize - 1;
+        assert!(
+            stage < stages && switch < 1 << (self.n - 1),
+            "switch ({stage}, {switch}) does not exist in B({})",
+            self.n
+        );
+        // analyze:allow(truncating-cast): stage < 2n − 1 ≤ 47
+        let t = stage.min(stages - 1 - stage) as u32;
+        topology::flatten(self.n, t, 2 * switch)
+    }
+
+    /// Sets the switch with upper input at flattened position `pos` of
+    /// `stage`.
+    pub(crate) fn put_at(&mut self, stage: usize, pos: usize, cross: bool) {
+        crate::waksman::put(self.column_mut(stage), pos, cross);
     }
 
     /// The state of switch `switch` in stage `stage`.
@@ -119,7 +149,8 @@ impl SwitchSettings {
     /// Panics if either index is out of range.
     #[must_use]
     pub fn get(&self, stage: usize, switch: usize) -> SwitchState {
-        self.stages[stage][switch]
+        let pos = self.upper(stage, switch);
+        SwitchState::from_bit(u64::from(crate::waksman::bit(self.column(stage), pos)))
     }
 
     /// Sets the state of switch `switch` in stage `stage`.
@@ -128,7 +159,8 @@ impl SwitchSettings {
     ///
     /// Panics if either index is out of range.
     pub fn set(&mut self, stage: usize, switch: usize, state: SwitchState) {
-        self.stages[stage][switch] = state;
+        let pos = self.upper(stage, switch);
+        self.put_at(stage, pos, state == SwitchState::Cross);
     }
 
     /// The states of one stage, top to bottom.
@@ -137,30 +169,56 @@ impl SwitchSettings {
     ///
     /// Panics if `stage` is out of range.
     #[must_use]
-    pub fn stage(&self, stage: usize) -> &[SwitchState] {
-        &self.stages[stage]
+    pub fn stage(&self, stage: usize) -> Vec<SwitchState> {
+        (0..topology::switches_per_stage(self.n)).map(|i| self.get(stage, i)).collect()
+    }
+
+    /// The control column of `stage`: `⌈N/64⌉` words, bit `u` set iff the
+    /// switch with upper input at flattened position `u` crosses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` is out of range.
+    #[must_use]
+    pub fn column(&self, stage: usize) -> &[u64] {
+        let words = self.words();
+        &self.columns[stage * words..(stage + 1) * words]
+    }
+
+    /// Mutable access to the control column of `stage`.
+    pub(crate) fn column_mut(&mut self, stage: usize) -> &mut [u64] {
+        let words = self.words();
+        &mut self.columns[stage * words..(stage + 1) * words]
+    }
+
+    /// The control columns of stages `k` and `2n − 2 − k`, for `k < n − 1`.
+    pub(crate) fn outer_columns_mut(&mut self, k: usize) -> (&mut [u64], &mut [u64]) {
+        let words = self.words();
+        let (head, tail) = self.columns.split_at_mut((2 * self.n as usize - 2 - k) * words);
+        (&mut head[k * words..(k + 1) * words], &mut tail[..words])
     }
 
     /// The number of stages (`2n − 1`).
     #[must_use]
     pub fn stage_count(&self) -> usize {
-        self.stages.len()
+        topology::stage_count(self.n)
     }
 
     /// The number of switches currently in the cross state.
     #[must_use]
     pub fn cross_count(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|st| st.iter().filter(|&&s| s == SwitchState::Cross).count())
-            .sum()
+        self.columns.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The state bits of every switch, stage-major — the `N·log N − N/2`
-    /// bits an SIMD set-up computation would return (§I of the paper).
+    /// The state bits of every switch, physical stage-major — the
+    /// `N·log N − N/2` bits an SIMD set-up computation would return (§I
+    /// of the paper).
     #[must_use]
     pub fn to_bits(&self) -> Vec<u64> {
-        self.stages.iter().flat_map(|st| st.iter().map(|s| s.as_bit())).collect()
+        (0..self.stage_count())
+            .flat_map(|s| self.stage(s))
+            .map(SwitchState::as_bit)
+            .collect()
     }
 }
 
@@ -363,6 +421,7 @@ impl Benes {
         let mut settings = SwitchSettings::all_straight(self.n);
         let mut cur: Vec<Option<T>> = inputs.into_iter().map(Some).collect();
         for s in 0..stages {
+            let t = self.control_bit(s);
             let mut out: Vec<Option<T>> = (0..cur.len()).map(|_| None).collect();
             for i in 0..cur.len() / 2 {
                 let state = {
@@ -370,7 +429,11 @@ impl Benes {
                     let b = cur[2 * i + 1].as_ref().expect("port filled");
                     decide(s, i, a, b)
                 };
-                settings.set(s, i, state);
+                settings.put_at(
+                    s,
+                    topology::flatten(self.n, t, 2 * i),
+                    state == SwitchState::Cross,
+                );
                 let a = cur[2 * i].take().expect("port filled");
                 let b = cur[2 * i + 1].take().expect("port filled");
                 match state {
@@ -411,12 +474,12 @@ impl Benes {
     /// network realizes under it: input `i` emerges at output
     /// `realized[i]`.
     ///
-    /// This is the **settings-replay** entry point for plan caches and
-    /// other serving layers: a [`SwitchSettings`] computed once (by
-    /// [`crate::waksman::setup`], a self-routing pass, or deserialization)
-    /// can be re-applied in a single `O(N log N)` transit with **zero**
-    /// set-up work, and this method states exactly which permutation that
-    /// replay performs.
+    /// A [`SwitchSettings`] computed once (by [`crate::waksman::setup`], a
+    /// self-routing pass, or deserialization) can be re-applied with
+    /// **zero** set-up work; this scalar walk states exactly which
+    /// permutation that replay performs. Serving layers check a replay on
+    /// the word kernel instead ([`crate::word::replay`]); this walk is its
+    /// oracle.
     ///
     /// # Errors
     ///
@@ -485,29 +548,20 @@ impl serde::Serialize for SwitchSettings {
 impl<'de> serde::Deserialize<'de> for SwitchSettings {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         use serde::de::Error;
-        let (n, bits) = <(u32, Vec<u64>)>::deserialize(deserializer)?;
+        let (n, states) = <(u32, Vec<SwitchState>)>::deserialize(deserializer)?;
         if n == 0 || n > crate::topology::MAX_N {
             return Err(D::Error::custom(format!("network order {n} out of range")));
         }
         let expected = crate::topology::switch_count(n);
-        if bits.len() != expected {
+        if states.len() != expected {
             return Err(D::Error::custom(format!(
                 "expected {expected} switch bits for B({n}), got {}",
-                bits.len()
+                states.len()
             )));
         }
         let mut settings = SwitchSettings::all_straight(n);
         let per = crate::topology::switches_per_stage(n);
-        for (idx, bit) in bits.into_iter().enumerate() {
-            let state = match bit {
-                0 => SwitchState::Straight,
-                1 => SwitchState::Cross,
-                other => {
-                    return Err(D::Error::custom(format!(
-                        "switch state must be 0 or 1 (got {other})"
-                    )))
-                }
-            };
+        for (idx, state) in states.into_iter().enumerate() {
             settings.set(idx / per, idx % per, state);
         }
         Ok(settings)
@@ -541,6 +595,44 @@ mod tests {
         assert_eq!(s.stage(0).len(), 4);
         assert_eq!(s.cross_count(), 0);
         assert_eq!(s.to_bits().len(), 20);
+    }
+
+    /// Every physical switch owns its own control bit: crossing switches
+    /// one at a time raises the cross count one at a time, each reads
+    /// back, and `to_bits` reports it at its stage-major index.
+    #[test]
+    fn get_set_round_trip_over_every_switch() {
+        for n in 1..=8u32 {
+            let per = topology::switches_per_stage(n);
+            let mut s = SwitchSettings::all_straight(n);
+            for stage in 0..s.stage_count() {
+                for i in 0..per {
+                    assert_eq!(
+                        s.get(stage, i),
+                        SwitchState::Straight,
+                        "B({n}) ({stage},{i})"
+                    );
+                    s.set(stage, i, SwitchState::Cross);
+                    assert_eq!(s.get(stage, i), SwitchState::Cross, "B({n}) ({stage},{i})");
+                    assert_eq!(
+                        s.cross_count(),
+                        stage * per + i + 1,
+                        "B({n}) ({stage},{i})"
+                    );
+                    if n <= 5 {
+                        let bits = s.to_bits();
+                        assert!(bits[..=stage * per + i].iter().all(|&b| b == 1));
+                        assert!(bits[stage * per + i + 1..].iter().all(|&b| b == 0));
+                    }
+                }
+            }
+            for stage in 0..s.stage_count() {
+                for i in 0..per {
+                    s.set(stage, i, SwitchState::Straight);
+                }
+            }
+            assert_eq!(s, SwitchSettings::all_straight(n), "B({n})");
+        }
     }
 
     #[test]

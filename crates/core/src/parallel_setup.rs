@@ -27,9 +27,11 @@
 
 use benes_perm::Permutation;
 
-use crate::network::{SwitchSettings, SwitchState};
+use crate::network::SwitchSettings;
+#[cfg(test)]
+use crate::network::SwitchState;
 use crate::topology;
-use crate::waksman::SetupError;
+use crate::waksman::{uppers, Looper, SetupError};
 
 /// Parallel-cost accounting for one set-up run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,119 +67,58 @@ pub fn setup_parallel(
     if n > topology::MAX_N {
         return Err(SetupError::TooLarge { n });
     }
+    let size = d.len();
+    let last = 2 * n as usize - 2;
     let mut settings = SwitchSettings::all_straight(n);
     let mut cost = ParallelCost::default();
-    // All sub-problems of one level are processed "in parallel": the
-    // model charges the maximum rounds of any sub-problem at that level,
-    // which is the rounds of the full-width pointer jump.
-    let mut problems: Vec<(Vec<u32>, usize, usize)> =
-        vec![(d.destinations().to_vec(), 0usize, 0usize)];
-    let mut m = n;
-    while m >= 1 {
-        cost.levels += 1;
-        if m == 1 {
-            for (perm, stage_base, row_base) in &problems {
-                let state =
-                    if perm[0] == 0 { SwitchState::Straight } else { SwitchState::Cross };
-                settings.set(*stage_base, *row_base, state);
+    // All sub-problems of one level sit side by side in the looper's
+    // flattened positions and are processed "in parallel": the model
+    // charges the rounds of one block's pointer jump.
+    let mut looper = Looper::new(n, d);
+    looper.index(0, 0);
+    for k in 0..n - 1 {
+        let pair = 1usize << k;
+        let (dest, src) = (&looper.dest, &looper.src);
+        // succ(x) = src[dest[x] ^ pair] ^ pair: x's output's partner forces
+        // an input whose partner continues. One step preserves the side,
+        // so each succ-cycle is one colour, paired with the cycle of its
+        // partners; comparing cycle leaders (minima) picks each pair's
+        // sides. (One parallel round computes succ in every PE.)
+        let mut next: Vec<usize> =
+            (0..size).map(|x| src[dest[x] as usize ^ pair] as usize ^ pair).collect();
+        let mut rounds = 1u64;
+        // Pointer jumping: leader[x] = minimum position on x's succ-cycle,
+        // in ⌈log₂ 2^(n−k)⌉ doubling rounds (each one parallel CIC step).
+        let mut leader: Vec<usize> = (0..size).collect();
+        let mut hops = 1usize;
+        while hops < size >> k {
+            let (snapshot_leader, snapshot_next) = (leader.clone(), next.clone());
+            for x in 0..size {
+                let nx = snapshot_next[x];
+                leader[x] = snapshot_leader[x].min(snapshot_leader[nx]);
+                next[x] = snapshot_next[nx];
             }
-            // Setting a switch from a local register: one parallel step.
-            cost.rounds += 1;
-            break;
+            rounds += 1;
+            hops *= 2;
         }
-        let mut next_problems = Vec::with_capacity(problems.len() * 2);
-        let mut level_rounds = 0u64;
-        for (perm, stage_base, row_base) in &problems {
-            let (upper, lower, rounds) =
-                split_level(perm, m, *stage_base, *row_base, &mut settings);
-            level_rounds = level_rounds.max(rounds);
-            let half_rows = 1usize << (m - 2);
-            next_problems.push((upper, stage_base + 1, *row_base));
-            next_problems.push((lower, stage_base + 1, row_base + half_rows));
+        // x goes down iff its cycle leader loses to its partner's; each
+        // block's smallest input leads its cycle and goes up, keeping the
+        // Waksman-removable switches straight. (One round to read the
+        // partner's leader, one for every switch to act locally.)
+        let down = |x: usize| leader[x] > leader[x ^ pair];
+        for f in uppers(n, 0, 0, k) {
+            settings.put_at(k as usize, f, down(f));
+            settings.put_at(last - k as usize, f, down(src[f] as usize));
         }
-        cost.rounds += level_rounds;
-        problems = next_problems;
-        m -= 1;
+        cost.rounds += rounds + 2;
+        cost.levels += 1;
+        looper.split(k, 0, 0, settings.column(k as usize));
     }
+    // Setting each B(1) switch from a local register: one parallel step.
+    looper.last_level(0, 0, &mut settings);
+    cost.rounds += 1;
+    cost.levels += 1;
     Ok((settings, cost))
-}
-
-/// One recursion level, parallel style: build the constraint-loop
-/// successor function, 2-colour it by pointer jumping, set the outer
-/// stages, emit the half-size permutations. Returns the parallel rounds
-/// charged.
-fn split_level(
-    perm: &[u32],
-    m: u32,
-    stage_base: usize,
-    row_base: usize,
-    settings: &mut SwitchSettings,
-) -> (Vec<u32>, Vec<u32>, u64) {
-    let len = perm.len();
-    let mut inv = vec![0u32; len];
-    for (i, &o) in perm.iter().enumerate() {
-        inv[o as usize] = i as u32;
-    }
-
-    // Constraint-structure successor on the INPUT side: from input x, its
-    // output's partner forces an input, whose partner continues:
-    // succ(x) = inv[perm[x] ^ 1] ^ 1. Following one step preserves the
-    // side (two alternations cancel), so the side is CONSTANT on each
-    // succ-cycle; the input-pair constraint `side(x^1) = 1 − side(x)`
-    // pairs each cycle with a distinct partner cycle (they can never
-    // coincide — that would make the constraints unsatisfiable,
-    // contradicting rearrangeability). Picking the side of each cycle
-    // pair by comparing cycle leaders (minima) satisfies everything.
-    // (One parallel round computes succ in every PE.)
-    let succ = |x: usize| -> usize { (inv[(perm[x] ^ 1) as usize] ^ 1) as usize };
-    let mut next: Vec<usize> = (0..len).map(succ).collect();
-    let mut rounds = 1u64;
-
-    // Pointer jumping: leader[x] = minimum index on x's succ-cycle, in
-    // ⌈log₂ len⌉ doubling rounds (each one parallel CIC step).
-    let mut leader: Vec<usize> = (0..len).collect();
-    let mut hops = 1usize;
-    while hops < len {
-        let snapshot_leader = leader.clone();
-        let snapshot_next = next.clone();
-        for x in 0..len {
-            let nx = snapshot_next[x];
-            leader[x] = snapshot_leader[x].min(snapshot_leader[nx]);
-            next[x] = snapshot_next[nx];
-        }
-        rounds += 1;
-        hops *= 2;
-    }
-    // side[x] = 0 (upper) iff x's cycle leader beats its partner's.
-    // Input 0's cycle always holds the global minimum, so side[0] = 0 —
-    // which also keeps the Waksman-removable switches straight.
-    // (One more parallel round: each PE reads its partner's leader.)
-    rounds += 1;
-    let side: Vec<u8> = (0..len).map(|x| u8::from(leader[x] > leader[x ^ 1])).collect();
-
-    // Outer stages + induced sub-permutations (one more parallel round:
-    // every switch/PE acts locally).
-    rounds += 1;
-    let half = len / 2;
-    let mut upper = vec![0u32; half];
-    let mut lower = vec![0u32; half];
-    for i in 0..half {
-        let up_in = if side[2 * i] == 0 { 2 * i } else { 2 * i + 1 };
-        let state = if up_in == 2 * i { SwitchState::Straight } else { SwitchState::Cross };
-        settings.set(stage_base, row_base + i, state);
-        upper[i] = perm[up_in] >> 1;
-        lower[i] = perm[up_in ^ 1] >> 1;
-    }
-    let stages = 2 * m as usize - 1;
-    for j in 0..half {
-        // Output side: output 2j is fed by the upper subnetwork iff the
-        // input mapped to it went up.
-        let feeder = inv[2 * j] as usize;
-        let state =
-            if side[feeder] == 0 { SwitchState::Straight } else { SwitchState::Cross };
-        settings.set(stage_base + stages - 1, row_base + j, state);
-    }
-    (upper, lower, rounds)
 }
 
 #[cfg(test)]

@@ -119,6 +119,49 @@ pub fn control_bit(n: u32, stage: usize) -> u32 {
     (stage.min(stages - 1 - stage)) as u32 // analyze:allow(truncating-cast): stage < 2n−1 ≤ 47
 }
 
+/// The low `bits` bits of `x`, in reverse order (`x < 2^bits`).
+#[inline]
+pub(crate) fn reverse_low_bits(x: usize, bits: u32) -> usize {
+    x.reverse_bits().checked_shr(usize::BITS - bits).unwrap_or(0)
+}
+
+/// The flattened (butterfly) position of physical port `port` at
+/// `stage`: where the element on that port sits once the network is
+/// conjugated by the composed [`build_links`] permutations (see
+/// [`crate::word`]).
+///
+/// The opening links are unshuffles of ever shorter low-bit fields, and
+/// the closing links undo them in mirror order, so with `t =`
+/// [`control_bit`]`(n, stage)` the map is closed-form: the low `n − t`
+/// port bits move up by `t`, and the high `t` bits (the port's block at
+/// recursion depth `t`) land reversed in the low `t` bits. Switch `i`'s
+/// upper port `2i` therefore always has bit `t` clear, and its lower
+/// port sits at the same position with bit `t` set.
+///
+/// # Panics
+///
+/// Panics if `n` or `stage` is out of range.
+///
+/// # Examples
+///
+/// ```
+/// use benes_core::topology::flat_port;
+/// // B(3): stage 0 is the identity; the middle stage reverses all bits.
+/// assert_eq!(flat_port(3, 0, 6), 6);
+/// assert_eq!(flat_port(3, 2, 0b110), 0b011);
+/// ```
+#[must_use]
+pub fn flat_port(n: u32, stage: usize, port: usize) -> usize {
+    flatten(n, control_bit(n, stage), port)
+}
+
+/// [`flat_port`] for a stage with control bit `t`, unchecked.
+#[inline]
+pub(crate) fn flatten(n: u32, t: u32, port: usize) -> usize {
+    let low = n - t;
+    ((port & ((1 << low) - 1)) << t) | reverse_low_bits(port >> low, t)
+}
+
 /// Builds the inter-stage wiring of `B(n)` by the recursion of Fig. 1.
 ///
 /// The result has `2n − 2` entries; entry `s` maps each output port `p` of
@@ -226,6 +269,36 @@ mod tests {
                     seen[q as usize] = true;
                 }
             }
+        }
+    }
+
+    /// The closed-form map equals the physical→flattened map obtained by
+    /// walking the links, and it pairs every switch's ports on bit
+    /// `control_bit(s)` with the upper port on the clear side. The
+    /// opening and closing links compose to the identity, so the last
+    /// stage's flattened positions are the physical output terminals.
+    #[test]
+    fn flat_port_matches_the_composed_links() {
+        for n in 1..=10u32 {
+            let size = terminal_count(n);
+            let links = build_links(n);
+            let mut p2f: Vec<usize> = (0..size).collect();
+            for s in 0..stage_count(n) {
+                let c = control_bit(n, s);
+                for (port, &f) in p2f.iter().enumerate() {
+                    assert_eq!(flat_port(n, s, port), f, "B({n}) stage {s} port {port}");
+                    assert_eq!(f >> c & 1, port & 1, "B({n}) stage {s} port {port}");
+                    assert_eq!(f ^ p2f[port ^ 1], 1 << c, "B({n}) stage {s} port {port}");
+                }
+                if let Some(link) = links.get(s) {
+                    let mut next = vec![0usize; size];
+                    for (p, &q) in link.iter().enumerate() {
+                        next[q as usize] = p2f[p];
+                    }
+                    p2f = next;
+                }
+            }
+            assert!(p2f.iter().enumerate().all(|(p, &f)| p == f), "B({n})");
         }
     }
 

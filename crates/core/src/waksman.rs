@@ -37,7 +37,9 @@ use std::fmt;
 
 use benes_perm::Permutation;
 
-use crate::network::{SwitchSettings, SwitchState};
+use crate::network::SwitchSettings;
+#[cfg(test)]
+use crate::network::SwitchState;
 use crate::topology;
 
 /// Error produced by [`setup`].
@@ -77,7 +79,7 @@ impl std::error::Error for SetupError {}
 /// `B(n)` — the paper's baseline `O(N log N)` set-up.
 ///
 /// The returned settings route input `i` to output `d[i]` via
-/// [`crate::network::Benes::route_with`].
+/// [`crate::network::Benes::route_with`] or [`crate::word::replay`].
 ///
 /// # Errors
 ///
@@ -93,102 +95,153 @@ pub fn setup(d: &Permutation) -> Result<SwitchSettings, SetupError> {
         return Err(SetupError::TooLarge { n });
     }
     let mut settings = SwitchSettings::all_straight(n);
-    let dest: Vec<u32> = d.destinations().to_vec();
-    setup_recursive(&dest, n, 0, 0, &mut settings);
+    Looper::new(n, d).greedy(0, 0, &mut settings);
     Ok(settings)
 }
 
-/// Sets the switches of the `B(m)` sub-network whose first stage is
-/// `stage_base` and whose switch rows start at `row_base`, so that it
-/// realizes `perm` (a permutation of `0..2^m`). Shared with the
-/// fault-avoiding set-up of [`crate::faults`], which uses it for
-/// fault-free sub-blocks.
-pub(crate) fn setup_recursive(
-    perm: &[u32],
-    m: u32,
-    stage_base: usize,
-    row_base: usize,
-    settings: &mut SwitchSettings,
-) {
-    let len = perm.len();
-    debug_assert_eq!(len, 1 << m);
-    if m == 1 {
-        let state = if perm[0] == 0 { SwitchState::Straight } else { SwitchState::Cross };
-        settings.set(stage_base, row_base, state);
-        return;
-    }
+/// The looping step over flattened positions, in the style of
+/// SNIPPETS.md snippet 1 (`benes_step`): each recursion depth is one pass
+/// over a flat array, and the induced sub-permutations stay in place.
+///
+/// At depth `k` (pairing bit `d = 2^k`) the block of residue `r < 2^k`
+/// owns the positions `(j << k) | r`; its local switch `i` has its upper
+/// input at `(2i << k) | r`, which is exactly where
+/// [`SwitchSettings`]' control columns keep the bit of that switch in
+/// stages `k` and `2n − 2 − k`. A block's two sub-networks are the blocks
+/// of residues `r` and `r | d` at depth `k + 1`. Scratch is allocated once
+/// per set-up; [`crate::faults::setup_avoiding`] drives the same step block
+/// by block.
+pub(crate) struct Looper {
+    n: u32,
+    /// `dest[f]`: the output position the element at input position `f`
+    /// must reach within its block at the current depth.
+    pub(crate) dest: Vec<u32>,
+    /// The inverse of `dest` over the positions last indexed.
+    pub(crate) src: Vec<u32>,
+    /// Input pairs, by upper position, whose sub-networks are assigned at
+    /// the current depth.
+    pub(crate) done: Vec<u64>,
+}
 
-    // inverse permutation: which input feeds each output.
-    let mut inv = vec![0u32; len];
-    for (i, &o) in perm.iter().enumerate() {
-        inv[o as usize] = i as u32; // analyze:allow(truncating-cast): i < 2^MAX_N terminals
-    }
+/// The positions of the depth-`k0` block of residue `r0` in `B(n)`,
+/// ascending.
+pub(crate) fn span(n: u32, k0: u32, r0: usize) -> impl Iterator<Item = usize> {
+    (0..1usize << (n - k0)).map(move |j| (j << k0) | r0)
+}
 
-    // side assignment: 0 = upper subnetwork, 1 = lower.
-    let mut in_side: Vec<Option<u8>> = vec![None; len];
-    let mut out_side: Vec<Option<u8>> = vec![None; len];
+/// The upper positions of depth `k` within the depth-`k0` block `r0`
+/// (`k ≥ k0`): its positions with bit `k` clear, ascending.
+pub(crate) fn uppers(n: u32, k0: u32, r0: usize, k: u32) -> impl Iterator<Item = usize> {
+    let low = (1usize << (k - k0)) - 1;
+    (0..1usize << (n - k0 - 1)).map(move |j| ((((j & !low) << 1) | (j & low)) << k0) | r0)
+}
 
-    for seed in 0..len {
-        if in_side[seed].is_some() {
-            continue;
+/// Whether bit `pos` of a control column is set.
+pub(crate) fn bit(column: &[u64], pos: usize) -> bool {
+    (column[pos >> 6] >> (pos & 63)) & 1 == 1
+}
+
+/// Sets bit `pos` of a control column to `cross`.
+pub(crate) fn put(column: &mut [u64], pos: usize, cross: bool) {
+    let word = &mut column[pos >> 6];
+    *word = (*word & !(1 << (pos & 63))) | (u64::from(cross) << (pos & 63));
+}
+
+impl Looper {
+    pub(crate) fn new(n: u32, d: &Permutation) -> Self {
+        let size = d.len();
+        Self {
+            n,
+            dest: d.destinations().to_vec(),
+            src: vec![0; size],
+            done: vec![0; size.div_ceil(64)],
         }
-        // Seed a new constraint loop: send this input through the upper
-        // subnetwork, then alternate around the loop until it closes.
+    }
+
+    /// Inverts `dest` and clears `done` over the depth-`k0` block `r0`.
+    pub(crate) fn index(&mut self, k0: u32, r0: usize) {
+        for f in span(self.n, k0, r0) {
+            self.src[self.dest[f] as usize] = f as u32; // analyze:allow(truncating-cast): f < 2^MAX_N
+            put(&mut self.done, f, false);
+        }
+    }
+
+    /// Walks the constraint loop seeded at the unassigned upper input
+    /// `seed`, which goes to the upper sub-network. Every step assigns one
+    /// more input pair and one more output pair of the depth-`k` block and
+    /// reports them as `emit(in_pos, in_cross, out_pos, out_cross)`: the
+    /// upper positions of the first- and last-stage switches and whether
+    /// each crosses.
+    pub(crate) fn trace(
+        &mut self,
+        k: u32,
+        seed: usize,
+        mut emit: impl FnMut(usize, bool, usize, bool),
+    ) {
+        let d = 1usize << k;
         let mut x = seed;
-        in_side[x] = Some(0);
+        put(&mut self.done, x, true);
         loop {
-            // Input x's side forces its output's side…
-            let o = perm[x] as usize;
-            out_side[o] = in_side[x];
-            // …which forces the partner output to the other side…
-            let op = o ^ 1;
-            let other = 1 - out_side[o].expect("just assigned");
-            if out_side[op].is_some() {
-                debug_assert_eq!(out_side[op], Some(other), "loop inconsistency");
+            // x goes up, so its output o is fed from above and o's partner
+            // from below, by xp; xp's partner then goes up. The loop
+            // closes when xp's pair is the seed's.
+            let o = self.dest[x] as usize;
+            let xp = self.src[o ^ d] as usize;
+            emit(xp & !d, xp & d == 0, o & !d, o & d != 0);
+            if xp & !d == seed {
                 break;
             }
-            out_side[op] = Some(other);
-            // …which forces the input feeding it…
-            let xp = inv[op] as usize;
-            in_side[xp] = Some(other);
-            // …which forces the partner input to the other side.
-            let xq = xp ^ 1;
-            let next = 1 - other;
-            if in_side[xq].is_some() {
-                debug_assert_eq!(in_side[xq], Some(next), "loop inconsistency");
-                break;
-            }
-            in_side[xq] = Some(next);
-            x = xq;
+            put(&mut self.done, xp & !d, true);
+            x = xp ^ d;
         }
     }
 
-    let half = len / 2;
-    let stages = 2 * m as usize - 1;
-
-    // Outer stages + induced sub-permutations.
-    let mut upper = vec![0u32; half];
-    let mut lower = vec![0u32; half];
-    for i in 0..half {
-        // First stage: straight iff the upper input (2i) goes up.
-        let up_in = if in_side[2 * i] == Some(0) { 2 * i } else { 2 * i + 1 };
-        let state = if up_in == 2 * i { SwitchState::Straight } else { SwitchState::Cross };
-        settings.set(stage_base, row_base + i, state);
-        upper[i] = perm[up_in] >> 1;
-        lower[i] = perm[up_in ^ 1] >> 1;
-
-        // Last stage: straight iff output 2i is fed by the upper
-        // subnetwork.
-        let state = if out_side[2 * i] == Some(0) {
-            SwitchState::Straight
-        } else {
-            SwitchState::Cross
-        };
-        settings.set(stage_base + stages - 1, row_base + i, state);
+    /// Applies stage `k`'s control column over the depth-`k0` block `r0`:
+    /// every element moves to the sub-network its switch sends it to, and
+    /// its destination becomes a position of that sub-network. Leaves the
+    /// block indexed for depth `k + 1`.
+    pub(crate) fn split(&mut self, k: u32, k0: u32, r0: usize, column: &[u64]) {
+        let d = 1u32 << k;
+        for f in uppers(self.n, k0, r0, k) {
+            let g = f | d as usize;
+            // Branch-free conditional swap: the column bit is a coin flip.
+            let t =
+                (self.dest[f] ^ self.dest[g]) & u32::from(bit(column, f)).wrapping_neg();
+            let (a, b) = ((self.dest[f] ^ t) & !d, (self.dest[g] ^ t) | d);
+            (self.dest[f], self.dest[g]) = (a, b);
+            self.src[a as usize] = f as u32; // analyze:allow(truncating-cast): f < 2^MAX_N
+            self.src[b as usize] = g as u32; // analyze:allow(truncating-cast): g < 2^MAX_N
+            put(&mut self.done, f, false);
+        }
     }
 
-    setup_recursive(&upper, m - 1, stage_base + 1, row_base, settings);
-    setup_recursive(&lower, m - 1, stage_base + 1, row_base + half / 2, settings);
+    /// The classical set-up of the depth-`k0` block `r0` and everything
+    /// below it: every loop seeded from its smallest input, sent up.
+    pub(crate) fn greedy(&mut self, k0: u32, r0: usize, settings: &mut SwitchSettings) {
+        let n = self.n;
+        self.index(k0, r0);
+        for k in k0..n - 1 {
+            let (first, last) = settings.outer_columns_mut(k as usize);
+            for seed in uppers(n, k0, r0, k) {
+                if !bit(&self.done, seed) {
+                    self.trace(k, seed, |x, cross_in, o, cross_out| {
+                        put(first, x, cross_in);
+                        put(last, o, cross_out);
+                    });
+                }
+            }
+            self.split(k, k0, r0, first);
+        }
+        self.last_level(k0, r0, settings);
+    }
+
+    /// Depth `n − 1` under the depth-`k0` block `r0`: each block is one
+    /// switch, crossed iff its two elements must trade places.
+    pub(crate) fn last_level(&self, k0: u32, r0: usize, settings: &mut SwitchSettings) {
+        for f in uppers(self.n, k0, r0, self.n - 1) {
+            settings.put_at(self.n as usize - 1, f, self.dest[f] as usize != f);
+        }
+    }
 }
 
 /// The switches Waksman's *reduced* network `A(n)` removes: switch 0 of

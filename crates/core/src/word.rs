@@ -1,43 +1,41 @@
-//! Word-parallel (bit-sliced) self-routing kernels.
+//! Word-parallel (bit-sliced) routing kernels: self-routing and the
+//! replay of external settings.
 //!
-//! The scalar kernels in [`crate::selfroute`] walk the network one switch at
-//! a time: per stage, per switch, extract the upper tag's control bit,
-//! branch, and move two tags. This module computes **whole switch columns at
-//! once** as `u64` masks, in the style of SNIPPETS.md snippet 1's
-//! `benes_step`: settings become mask words, and applying a column is a
-//! handful of shifts/XORs per destination-bit plane instead of `N/2`
-//! branches.
+//! The scalar kernels in [`crate::selfroute`] and [`Benes::route_with`]
+//! walk the network one switch at a time. This module applies **whole
+//! switch columns at once** as `u64` masks, in the style of SNIPPETS.md
+//! snippet 1's `benes_step`: a column is a handful of shifts/XORs per
+//! destination-bit plane instead of `N/2` branches.
 //!
 //! # Flattened coordinates
 //!
-//! The trick that makes this cheap is a change of coordinates. Conjugating
-//! the network by the composed inter-stage links "flattens" it into a
-//! butterfly: tracking each stage-0 input position forward through the links
-//! alone (ignoring switches), stage `s` always pairs flattened positions
-//! that differ in exactly bit `δ(s) = control_bit(s) = min(s, 2n−2−s)`, with
-//! the physical **upper** input of each switch sitting at the flattened
-//! position whose bit `δ(s)` is *clear*. Moreover the composition of **all**
-//! links is the identity (the closing links mirror-invert the opening ones),
-//! so after the last column the flattened positions *are* the physical
-//! output terminals. Consequently the kernel needs **no link permutations at
-//! all** — just one masked delta-swap per stage per bit plane. The
-//! `flattened_pairing_is_control_bit` test verifies this structural claim
-//! against [`Benes::link`] for every order up to `B(8)`.
+//! Conjugating the network by the composed inter-stage links "flattens"
+//! it into a butterfly: tracked through the links alone, stage `s` pairs
+//! flattened positions that differ in exactly bit `δ(s) = control_bit(s) =
+//! min(s, 2n−2−s)`, the physical **upper** input of each switch at the
+//! position with bit `δ(s)` *clear* ([`topology::flat_port`] gives the map
+//! in closed form). All links compose to the identity, so after the last
+//! column the flattened positions *are* the physical output terminals, and
+//! the kernel needs **no link permutations at all** — one masked delta-swap
+//! per stage per bit plane. The `flat_port_matches_the_composed_links`
+//! test checks this against [`Benes::link`] up to `B(10)`.
 //!
 //! # Representation
 //!
 //! A routing state is `n` **bit planes** of `N = 2^n` bits each, packed into
 //! `W = max(1, N/64)` words per plane: bit `p` of plane `b` holds bit `b` of
 //! the destination tag currently at flattened position `p`. Stage `s` with
-//! pairing distance `d = 2^{δ(s)}` then reads its whole cross-mask from
-//! plane `δ(s)` (the upper input's control bit, for every switch at once),
-//! overlays any stuck/dead fault masks, and applies the column with
-//! [`benes_bits::delta_swap`] (intra-word for `d < 64`, word-pair XOR
-//! otherwise).
+//! pairing distance `d = 2^{δ(s)}` takes its cross-mask either from plane
+//! `δ(s)` (self-routing: the upper input's control bit, for every switch at
+//! once) or from the commanded control column of a [`SwitchSettings`]
+//! ([`replay`]: settings *are* these columns), overlays any stuck/dead
+//! fault masks, and applies the column with [`benes_bits::delta_swap`]
+//! (intra-word for `d < 64`, word-pair XOR otherwise).
 //!
 //! The scalar kernels remain the **oracle**: exhaustive `B(2)`/`B(3)` and
-//! property-based `B(4..8)` tests assert output- and settings-level
-//! agreement on healthy and faulty fabrics.
+//! property-based `B(4..10)` tests assert output- and settings-level
+//! agreement on healthy and faulty fabrics, and `analyze word` proves it
+//! symbolically for every `n ≤ 8`.
 //!
 //! # Examples
 //!
@@ -54,7 +52,7 @@
 
 use benes_perm::Permutation;
 
-use crate::faults::FaultSet;
+use crate::faults::{FaultKind, FaultSet};
 use crate::network::{Benes, NetworkError, SwitchSettings, SwitchState};
 use crate::topology;
 
@@ -84,32 +82,17 @@ fn identity_plane_word(n: u32, b: u32, w: usize) -> u64 {
     }
 }
 
-/// Per-stage fault overlay masks in flattened upper-position coordinates.
-#[derive(Clone, Default)]
-struct StageFaults {
-    /// Upper positions whose switch is stuck (either way): commanded bit is
-    /// ignored there.
-    stuck: Vec<u64>,
-    /// Upper positions stuck at Cross.
-    stuck_cross: Vec<u64>,
-    /// Upper positions whose switch is dead: commanded bit is complemented.
-    dead: Vec<u64>,
-    /// Whether this stage has any fault at all (fast skip).
-    any: bool,
-}
-
-/// The result of a word-parallel self-routing pass.
+/// The result of a word-parallel routing pass.
 ///
 /// Holds the final bit planes (in flattened coordinates, which after the
-/// last stage coincide with physical output terminals) plus the per-stage
-/// cross-masks actually applied, so the realized [`SwitchSettings`] can be
-/// recovered for oracle comparison.
+/// last stage coincide with physical output terminals) plus the control
+/// columns actually applied, which are exactly a [`SwitchSettings`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordOutcome {
     n: u32,
     words: usize,
     planes: Vec<u64>,
-    stage_cross: Vec<u64>,
+    applied: SwitchSettings,
 }
 
 impl WordOutcome {
@@ -156,87 +139,31 @@ impl WordOutcome {
         out
     }
 
-    /// Recovers the realized [`SwitchSettings`] by mapping each stage's
-    /// flattened cross-mask back to physical switch indices via `net`'s
-    /// links. Intended for oracle comparison against the scalar kernels.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::SettingsOrder`] if `net` is of a different order.
-    pub fn settings(&self, net: &Benes) -> Result<SwitchSettings, NetworkError> {
-        if net.n() != self.n {
-            return Err(NetworkError::SettingsOrder {
-                network_n: net.n(),
-                settings_n: self.n,
-            });
-        }
-        let size = 1usize << self.n;
-        let stages = 2 * self.n as usize - 1;
-        let mut settings = SwitchSettings::all_straight(self.n);
-        // p2f[q] = flattened coordinate handled by physical port q at the
-        // current stage; identity at stage 0, advanced by each link.
-        let mut p2f: Vec<u32> = (0..size as u32).collect();
-        for s in 0..stages {
-            let cross = &self.stage_cross[s * self.words..(s + 1) * self.words];
-            for i in 0..size / 2 {
-                let u = p2f[2 * i] as usize;
-                if (cross[u >> 6] >> (u & 63)) & 1 == 1 {
-                    settings.set(s, i, SwitchState::Cross);
-                }
-            }
-            if s + 1 < stages {
-                p2f = advance(&p2f, net.link(s));
-            }
-        }
-        Ok(settings)
+    /// The switch states the pass actually applied, faults included.
+    #[must_use]
+    pub fn settings(&self) -> &SwitchSettings {
+        &self.applied
     }
 }
 
-/// Advances the physical→flattened map across one inter-stage link: the
-/// element at output port `p` arrives at input port `link[p]`.
-fn advance(p2f: &[u32], link: &[u32]) -> Vec<u32> {
-    let mut next = vec![0u32; p2f.len()];
-    for (p, &f) in p2f.iter().enumerate() {
-        next[link[p] as usize] = f;
-    }
-    next
-}
-
-/// Builds per-stage fault masks in flattened upper-position coordinates by
-/// walking the physical→flattened map through the links once.
-fn stage_fault_masks(net: &Benes, faults: &FaultSet) -> Vec<StageFaults> {
-    let size = net.terminal_count();
-    let words = word_count(net.n());
-    let stages = net.stage_count();
-    let mut out = vec![
-        StageFaults {
-            stuck: vec![0; words],
-            stuck_cross: vec![0; words],
-            dead: vec![0; words],
-            any: false
+/// A fault set as three overlays in control-column form: the switches
+/// that ignore their command (stuck either way), those stuck at Cross,
+/// and the dead ones that invert it.
+fn fault_masks(faults: &FaultSet) -> [SwitchSettings; 3] {
+    let mut masks = std::array::from_fn(|_| SwitchSettings::all_straight(faults.n()));
+    for (stage, switch, kind) in faults.iter() {
+        let hits = match kind {
+            FaultKind::StuckStraight => [true, false, false],
+            FaultKind::StuckCross => [true, true, false],
+            FaultKind::Dead => [false, false, true],
         };
-        stages
-    ];
-    let mut p2f: Vec<u32> = (0..size as u32).collect();
-    for (s, masks) in out.iter_mut().enumerate() {
-        for (_, switch, kind) in faults.iter().filter(|&(fs, _, _)| fs == s) {
-            let u = p2f[2 * switch] as usize;
-            let (w, bit) = (u >> 6, 1u64 << (u & 63));
-            masks.any = true;
-            match kind {
-                crate::faults::FaultKind::StuckStraight => masks.stuck[w] |= bit,
-                crate::faults::FaultKind::StuckCross => {
-                    masks.stuck[w] |= bit;
-                    masks.stuck_cross[w] |= bit;
-                }
-                crate::faults::FaultKind::Dead => masks.dead[w] |= bit,
+        for (mask, hit) in masks.iter_mut().zip(hits) {
+            if hit {
+                mask.set(stage, switch, SwitchState::Cross);
             }
         }
-        if s + 1 < stages {
-            p2f = advance(&p2f, net.link(s));
-        }
     }
-    out
+    masks
 }
 
 /// Packs one `≤ 64`-position chunk of destination tags into per-plane
@@ -327,12 +254,22 @@ fn pack(n: u32, d: &Permutation) -> Vec<u64> {
     planes
 }
 
+/// Where each stage's commanded cross mask comes from.
+#[derive(Clone, Copy)]
+enum Command<'a> {
+    /// The Fig. 3 tag rule; with the omega bit, stages `0..n−1` forced
+    /// straight (§II after Theorem 3).
+    Tags { omega: bool },
+    /// An external assignment's control columns.
+    Columns(&'a SwitchSettings),
+}
+
 /// The shared column-at-a-time routing pass.
 fn route(
     n: u32,
     d: &Permutation,
-    omega: bool,
-    faults: Option<&[StageFaults]>,
+    command: Command<'_>,
+    faults: Option<&[SwitchSettings; 3]>,
 ) -> Result<WordOutcome, NetworkError> {
     assert!(n >= 1, "word kernels require n >= 1");
     let size = 1usize << n;
@@ -342,37 +279,45 @@ fn route(
     let words = word_count(n);
     let mut planes = pack(n, d);
     let stages = 2 * n as usize - 1;
-    // Omega-bit variant (§II after Theorem 3): stages 0..n−1 forced straight.
     let forced_below = n as usize - 1;
-    let mut stage_cross = vec![0u64; stages * words];
+    let mut applied = SwitchSettings::all_straight(n);
     for s in 0..stages {
         let c = topology::control_bit(n, s);
-        let forced_straight = omega && s < forced_below;
-        let sf = faults.and_then(|f| f[s].any.then_some(&f[s]));
-        if forced_straight && sf.is_none() {
-            // A healthy forced-straight column moves nothing: skip it.
-            continue;
-        }
-        let cross = &mut stage_cross[s * words..(s + 1) * words];
-        if !forced_straight {
-            // Commanded mask: control bit of the upper input of every pair,
-            // read for the whole column from plane δ(s).
-            let plane_c = &planes[c as usize * words..(c as usize + 1) * words];
-            if c < 6 {
-                let m = benes_bits::delta_mask(c);
-                for (cw, &pw) in cross.iter_mut().zip(plane_c) {
-                    *cw = pw & m;
-                }
-            } else {
-                for (w, (cw, &pw)) in cross.iter_mut().zip(plane_c).enumerate() {
-                    *cw = if (w >> (c - 6)) & 1 == 0 { pw } else { 0 };
+        // This stage's overlay columns, if any switch in it is faulty.
+        let sf = faults
+            .map(|[stuck, stuck_cross, dead]| {
+                (stuck.column(s), stuck_cross.column(s), dead.column(s))
+            })
+            .filter(|(stuck, _, dead)| stuck.iter().chain(*dead).any(|&w| w != 0));
+        let cross = applied.column_mut(s);
+        match command {
+            Command::Tags { omega } if omega && s < forced_below => {
+                if sf.is_none() {
+                    // A healthy forced-straight column moves nothing: skip it.
+                    continue;
                 }
             }
+            Command::Tags { .. } => {
+                // Commanded mask: control bit of the upper input of every
+                // pair, read for the whole column from plane δ(s).
+                let plane_c = &planes[c as usize * words..(c as usize + 1) * words];
+                if c < 6 {
+                    let m = benes_bits::delta_mask(c);
+                    for (cw, &pw) in cross.iter_mut().zip(plane_c) {
+                        *cw = pw & m;
+                    }
+                } else {
+                    for (w, (cw, &pw)) in cross.iter_mut().zip(plane_c).enumerate() {
+                        *cw = if (w >> (c - 6)) & 1 == 0 { pw } else { 0 };
+                    }
+                }
+            }
+            Command::Columns(settings) => cross.copy_from_slice(settings.column(s)),
         }
-        if let Some(f) = sf {
+        if let Some((stuck, stuck_cross, dead)) = sf {
             // Stuck switches ignore the command, dead ones invert it.
             for (w, cw) in cross.iter_mut().enumerate() {
-                *cw = ((*cw & !f.stuck[w]) | f.stuck_cross[w]) ^ f.dead[w];
+                *cw = ((*cw & !stuck[w]) | stuck_cross[w]) ^ dead[w];
             }
         }
         // Apply the column to every plane: one delta-swap per plane word.
@@ -401,7 +346,7 @@ fn route(
             }
         }
     }
-    Ok(WordOutcome { n, words, planes, stage_cross })
+    Ok(WordOutcome { n, words, planes, applied })
 }
 
 /// Word-parallel self-routing of `d` through a healthy `B(n)`
@@ -424,7 +369,7 @@ fn route(
 /// assert!(word::self_route_omega(2, &d).unwrap().is_success());
 /// ```
 pub fn self_route(n: u32, d: &Permutation) -> Result<WordOutcome, NetworkError> {
-    route(n, d, false, None)
+    route(n, d, Command::Tags { omega: false }, None)
 }
 
 /// Word-parallel omega-bit self-routing: stages `0..n−1` forced straight,
@@ -434,7 +379,7 @@ pub fn self_route(n: u32, d: &Permutation) -> Result<WordOutcome, NetworkError> 
 ///
 /// [`NetworkError::PermutationLength`] if `d.len() != 2^n`.
 pub fn self_route_omega(n: u32, d: &Permutation) -> Result<WordOutcome, NetworkError> {
-    route(n, d, true, None)
+    route(n, d, Command::Tags { omega: true }, None)
 }
 
 /// Word-parallel self-routing over a faulty fabric: stuck/dead switches are
@@ -455,7 +400,7 @@ pub fn self_route_with_faults(
     faults: &FaultSet,
 ) -> Result<WordOutcome, NetworkError> {
     assert_eq!(net.n(), faults.n(), "fault set order must match the network");
-    route(net.n(), d, false, Some(&stage_fault_masks(net, faults)))
+    route(net.n(), d, Command::Tags { omega: false }, Some(&fault_masks(faults)))
 }
 
 /// Word-parallel omega-bit self-routing over a faulty fabric.
@@ -478,41 +423,62 @@ pub fn self_route_omega_with_faults(
     faults: &FaultSet,
 ) -> Result<WordOutcome, NetworkError> {
     assert_eq!(net.n(), faults.n(), "fault set order must match the network");
-    route(net.n(), d, true, Some(&stage_fault_masks(net, faults)))
+    route(net.n(), d, Command::Tags { omega: true }, Some(&fault_masks(faults)))
+}
+
+/// Word-parallel replay of an external switch assignment (the fast form
+/// of [`Benes::realized_permutation`]): the tags of `d` are routed through
+/// `settings`' control columns, so the outcome succeeds iff the settings
+/// realize exactly `d`.
+///
+/// # Errors
+///
+/// [`NetworkError::PermutationLength`] if `d.len() != 2^n` for the
+/// settings' order `n`.
+///
+/// # Examples
+///
+/// ```
+/// use benes_core::{waksman, word};
+/// use benes_perm::Permutation;
+///
+/// // Fig. 5's permutation is not self-routable, but external set-up
+/// // realizes it, and the replay confirms it on the word kernel.
+/// let d = Permutation::from_destinations(vec![1, 3, 2, 0]).unwrap();
+/// let settings = waksman::setup(&d).unwrap();
+/// assert!(word::replay(&settings, &d).unwrap().is_success());
+/// ```
+pub fn replay(
+    settings: &SwitchSettings,
+    d: &Permutation,
+) -> Result<WordOutcome, NetworkError> {
+    route(settings.n(), d, Command::Columns(settings), None)
+}
+
+/// Word-parallel replay of `settings` over a faulty fabric: the commanded
+/// columns with the stuck/dead overlay of `faults` (the word form of
+/// [`crate::faults::realized_with_faults`]).
+///
+/// # Panics
+///
+/// Panics if `faults` was built for a different order than `settings`.
+///
+/// # Errors
+///
+/// [`NetworkError::PermutationLength`] if `d.len() != 2^n`.
+pub fn replay_with_faults(
+    settings: &SwitchSettings,
+    d: &Permutation,
+    faults: &FaultSet,
+) -> Result<WordOutcome, NetworkError> {
+    assert_eq!(settings.n(), faults.n(), "fault set order must match the settings");
+    route(settings.n(), d, Command::Columns(settings), Some(&fault_masks(faults)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::{self, FaultKind};
-
-    /// The structural claim the whole module rests on: tracked through the
-    /// links, stage `s` pairs flattened positions differing in exactly bit
-    /// `control_bit(s)` (physical upper port = bit clear), and the
-    /// composition of all links is the identity.
-    #[test]
-    fn flattened_pairing_is_control_bit() {
-        for n in 1..=8u32 {
-            let net = Benes::new(n);
-            let size = net.terminal_count();
-            let stages = net.stage_count();
-            let mut p2f: Vec<u32> = (0..size as u32).collect();
-            for s in 0..stages {
-                let c = net.control_bit(s);
-                for i in 0..size / 2 {
-                    let upper = p2f[2 * i];
-                    let lower = p2f[2 * i + 1];
-                    assert_eq!(upper >> c & 1, 0, "B({n}) stage {s} switch {i}");
-                    assert_eq!(lower, upper | (1 << c), "B({n}) stage {s} switch {i}");
-                }
-                if s + 1 < stages {
-                    p2f = advance(&p2f, net.link(s));
-                }
-            }
-            let identity: Vec<u32> = (0..size as u32).collect();
-            assert_eq!(p2f, identity, "B({n}): links do not compose to identity");
-        }
-    }
 
     #[test]
     fn identity_plane_word_matches_definition() {
@@ -541,7 +507,7 @@ mod tests {
                 n,
                 words: word_count(n),
                 planes: pack(n, &d),
-                stage_cross: Vec::new(),
+                applied: SwitchSettings::all_straight(n),
             };
             assert_eq!(outcome.outputs(), d.destinations());
         }
@@ -568,11 +534,7 @@ mod tests {
                 let word = self_route(n, &d).unwrap();
                 assert_eq!(word.is_success(), scalar.is_success(), "B({n}) {d:?}");
                 assert_eq!(word.outputs(), scalar.outputs(), "B({n}) {d:?}");
-                assert_eq!(
-                    &word.settings(&net).unwrap(),
-                    scalar.settings(),
-                    "B({n}) {d:?}"
-                );
+                assert_eq!(word.settings(), scalar.settings(), "B({n}) {d:?}");
 
                 let scalar_o = net.self_route_omega(&d);
                 let word_o = self_route_omega(n, &d).unwrap();
@@ -582,11 +544,7 @@ mod tests {
                     "B({n}) omega {d:?}"
                 );
                 assert_eq!(word_o.outputs(), scalar_o.outputs(), "B({n}) omega {d:?}");
-                assert_eq!(
-                    &word_o.settings(&net).unwrap(),
-                    scalar_o.settings(),
-                    "B({n}) omega {d:?}"
-                );
+                assert_eq!(word_o.settings(), scalar_o.settings(), "B({n}) omega {d:?}");
             }
         }
     }
@@ -615,11 +573,7 @@ mod tests {
                 let word = self_route_with_faults(&net, &d, fs).unwrap();
                 assert_eq!(word.is_success(), scalar.is_success(), "{fs:?} {d:?}");
                 assert_eq!(word.outputs(), scalar.outputs(), "{fs:?} {d:?}");
-                assert_eq!(
-                    &word.settings(&net).unwrap(),
-                    scalar.settings(),
-                    "{fs:?} {d:?}"
-                );
+                assert_eq!(word.settings(), scalar.settings(), "{fs:?} {d:?}");
 
                 let scalar_o = faults::self_route_omega_with_faults(&net, &d, fs);
                 let word_o = self_route_omega_with_faults(&net, &d, fs).unwrap();
@@ -629,11 +583,7 @@ mod tests {
                     "omega {fs:?} {d:?}"
                 );
                 assert_eq!(word_o.outputs(), scalar_o.outputs(), "omega {fs:?} {d:?}");
-                assert_eq!(
-                    &word_o.settings(&net).unwrap(),
-                    scalar_o.settings(),
-                    "omega {fs:?} {d:?}"
-                );
+                assert_eq!(word_o.settings(), scalar_o.settings(), "omega {fs:?} {d:?}");
             }
         }
     }
@@ -650,11 +600,7 @@ mod tests {
                 let word = self_route(n, &d).unwrap();
                 assert_eq!(word.is_success(), scalar.is_success(), "B({n}) seed {seed}");
                 assert_eq!(word.outputs(), scalar.outputs(), "B({n}) seed {seed}");
-                assert_eq!(
-                    &word.settings(&net).unwrap(),
-                    scalar.settings(),
-                    "B({n}) seed {seed}"
-                );
+                assert_eq!(word.settings(), scalar.settings(), "B({n}) seed {seed}");
             }
             // Random stuck/dead fabric at the same orders.
             let fs = FaultSet::random_stuck(n, 4, 0xfab ^ u64::from(n));
@@ -675,6 +621,82 @@ mod tests {
         assert!(!outcome.is_success());
         assert_eq!(outcome.outputs(), vec![2, 1, 0, 3]);
         assert!(self_route_omega(2, &d).unwrap().is_success());
+    }
+
+    /// Exhaustive replay agreement with the scalar circuit walk on B(2)
+    /// and B(3): for every permutation, its Waksman settings replay to
+    /// success with the same arrivals as `route_with`, and replaying them
+    /// under the wrong permutation fails exactly as the walk does. Then
+    /// every fault kind on every single switch, against
+    /// `route_with_faults` and the overlaid settings.
+    #[test]
+    fn exhaustive_replay_agreement_with_scalar_oracle() {
+        for n in [2u32, 3] {
+            let net = Benes::new(n);
+            let perms = all_perms(1 << n);
+            for (idx, d) in perms.iter().enumerate() {
+                let settings = crate::waksman::setup(d).unwrap();
+                let word = replay(&settings, d).unwrap();
+                assert!(word.is_success(), "B({n}) {d:?}");
+                assert_eq!(
+                    word.outputs(),
+                    net.route_with(&settings, d.destinations()).unwrap()
+                );
+                assert_eq!(word.settings(), &settings);
+                let other = &perms[(idx * 7 + 3) % perms.len()];
+                let scalar = net.route_with(&settings, other.destinations()).unwrap();
+                let word = replay(&settings, other).unwrap();
+                assert_eq!(word.outputs(), scalar, "B({n}) {d:?} replayed for {other:?}");
+                assert_eq!(
+                    word.is_success(),
+                    net.realized_permutation(&settings).unwrap() == *other
+                );
+
+                if n == 3 && idx % 13 != 0 {
+                    continue;
+                }
+                for stage in 0..net.stage_count() {
+                    for switch in 0..net.switches_per_stage() {
+                        for kind in [
+                            FaultKind::StuckStraight,
+                            FaultKind::StuckCross,
+                            FaultKind::Dead,
+                        ] {
+                            let fs = fault_set(n, &[(stage, switch, kind)]);
+                            let word = replay_with_faults(&settings, d, &fs).unwrap();
+                            let scalar = faults::route_with_faults(
+                                &net,
+                                &settings,
+                                &fs,
+                                d.destinations(),
+                            )
+                            .unwrap();
+                            assert_eq!(word.outputs(), scalar, "B({n}) {d:?} {fs}");
+                            assert_eq!(
+                                word.settings(),
+                                &fs.apply_to(&settings),
+                                "B({n}) {fs}"
+                            );
+                            assert_eq!(
+                                word.is_success(),
+                                faults::realized_with_faults(&net, &settings, &fs).unwrap()
+                                    == *d,
+                                "B({n}) {d:?} {fs}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_rejects_length_mismatch() {
+        let settings = SwitchSettings::all_straight(3);
+        assert_eq!(
+            replay(&settings, &Permutation::identity(4)),
+            Err(NetworkError::PermutationLength { expected: 8, actual: 4 })
+        );
     }
 
     fn fault_set(n: u32, entries: &[(usize, usize, FaultKind)]) -> FaultSet {

@@ -205,13 +205,13 @@ proptest! {
         let word = net.self_route_fast(&p).unwrap();
         prop_assert_eq!(word.is_success(), scalar.is_success());
         prop_assert_eq!(word.outputs(), scalar.outputs());
-        prop_assert_eq!(&word.settings(&net).unwrap(), scalar.settings());
+        prop_assert_eq!(word.settings(), scalar.settings());
 
         let scalar_o = net.self_route_omega(&p);
         let word_o = net.self_route_omega_fast(&p).unwrap();
         prop_assert_eq!(word_o.is_success(), scalar_o.is_success());
         prop_assert_eq!(word_o.outputs(), scalar_o.outputs());
-        prop_assert_eq!(&word_o.settings(&net).unwrap(), scalar_o.settings());
+        prop_assert_eq!(word_o.settings(), scalar_o.settings());
     }
 
     /// Same agreement over random stuck/dead fabrics: the fault overlay
@@ -234,13 +234,59 @@ proptest! {
         let fast = word::self_route_with_faults(&net, &p, &fs).unwrap();
         prop_assert_eq!(fast.is_success(), scalar.is_success());
         prop_assert_eq!(fast.outputs(), scalar.outputs());
-        prop_assert_eq!(&fast.settings(&net).unwrap(), scalar.settings());
+        prop_assert_eq!(fast.settings(), scalar.settings());
 
         let scalar_o = self_route_omega_with_faults(&net, &p, &fs);
         let fast_o = word::self_route_omega_with_faults(&net, &p, &fs).unwrap();
         prop_assert_eq!(fast_o.is_success(), scalar_o.is_success());
         prop_assert_eq!(fast_o.outputs(), scalar_o.outputs());
-        prop_assert_eq!(&fast_o.settings(&net).unwrap(), scalar_o.settings());
+        prop_assert_eq!(fast_o.settings(), scalar_o.settings());
+    }
+}
+
+proptest! {
+    /// Word replay of Waksman settings vs the scalar circuit walk across
+    /// B(4..10): the settings' own permutation replays to success, and a
+    /// second permutation arrives exactly where `route_with` puts it.
+    #[test]
+    fn word_replay_agrees_with_route_with(n in 4u32..=10, seed in any::<u64>(), other in any::<u64>()) {
+        use benes_core::word;
+
+        let net = Benes::new(n);
+        let p = seeded_permutation(1usize << n, seed);
+        let q = seeded_permutation(1usize << n, other);
+        let settings = waksman::setup(&p).unwrap();
+        let fast = word::replay(&settings, &p).unwrap();
+        prop_assert!(fast.is_success());
+        prop_assert_eq!(fast.outputs(), net.route_with(&settings, p.destinations()).unwrap());
+        let fast = word::replay(&settings, &q).unwrap();
+        prop_assert_eq!(fast.outputs(), net.route_with(&settings, q.destinations()).unwrap());
+        prop_assert_eq!(fast.is_success(), net.realized_permutation(&settings).unwrap() == q);
+    }
+
+    /// The same replay over random stuck/dead fabrics vs
+    /// `route_with_faults` / `realized_with_faults`.
+    #[test]
+    fn word_replay_agrees_with_scalar_under_faults(
+        n in 4u32..=10,
+        seed in any::<u64>(),
+        fault_count in 1usize..=5,
+        fault_seed in any::<u64>(),
+    ) {
+        use benes_core::faults::{realized_with_faults, route_with_faults, FaultSet};
+        use benes_core::word;
+
+        let net = Benes::new(n);
+        let p = seeded_permutation(1usize << n, seed);
+        let fs = FaultSet::random_stuck(n, fault_count, fault_seed);
+        let settings = waksman::setup(&p).unwrap();
+        let fast = word::replay_with_faults(&settings, &p, &fs).unwrap();
+        prop_assert_eq!(
+            fast.outputs(),
+            route_with_faults(&net, &settings, &fs, p.destinations()).unwrap()
+        );
+        prop_assert_eq!(fast.is_success(), realized_with_faults(&net, &settings, &fs).unwrap() == p);
+        prop_assert_eq!(fast.settings(), &fs.apply_to(&settings));
     }
 }
 

@@ -19,7 +19,7 @@
 use std::fmt;
 
 use benes_core::waksman::{self, SetupError};
-use benes_core::{class_f, factor, Benes, SwitchSettings};
+use benes_core::{class_f, factor, word, Benes, SwitchSettings};
 use benes_perm::omega::is_omega;
 use benes_perm::Permutation;
 
@@ -218,11 +218,11 @@ pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
 /// for a *different* permutation) surface as `false`, never as silent
 /// misrouting.
 ///
-/// The self-routing arms run on the word-parallel kernels
-/// ([`benes_core::word`]) — whole switch columns as `u64` masks — which
-/// the exhaustive/property tests in `benes_core` pin to the scalar
-/// oracle. Settings replay stays on the scalar circuit walk (it has to
-/// realize an explicit per-switch assignment, not a tag rule).
+/// Every arm runs on the word-parallel kernels ([`benes_core::word`]) —
+/// whole switch columns as `u64` masks — which the exhaustive/property
+/// tests in `benes_core` pin to the scalar oracle. The self-routing arms
+/// derive each column from the tags; the settings arm applies the plan's
+/// stored control columns as they are ([`benes_core::word::replay`]).
 ///
 /// # Panics
 ///
@@ -237,7 +237,7 @@ pub fn execute(net: &Benes, d: &Permutation, plan: &Plan) -> bool {
             net.self_route_omega_fast(d).map(|o| o.is_success()).unwrap_or(false)
         }
         Plan::Settings(settings) => {
-            net.realized_permutation(settings).map(|r| r == *d).unwrap_or(false)
+            word::replay(settings, d).map(|o| o.is_success()).unwrap_or(false)
         }
         Plan::TwoPass { first, second } => {
             // The factorization theorem guarantees first ∈ Ω⁻¹ ⊆ F and

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use benes_core::faults::{realized_with_faults, setup_avoiding, FaultSet, FaultSetupError};
+use benes_core::faults::{setup_avoiding, FaultSet, FaultSetupError};
 use benes_core::trace::RouteTrace;
 use benes_core::{word, Benes};
 use benes_perm::Permutation;
@@ -237,9 +237,7 @@ fn execute_on_fabric(
     match plan {
         Plan::SelfRoute => word_ok(word::self_route_with_faults(net, d, faults)),
         Plan::OmegaBit => word_ok(word::self_route_omega_with_faults(net, d, faults)),
-        Plan::Settings(settings) => {
-            realized_with_faults(net, settings, faults).map(|r| r == *d).unwrap_or(false)
-        }
+        Plan::Settings(settings) => word_ok(word::replay_with_faults(settings, d, faults)),
         Plan::TwoPass { first, second } => {
             first.then(second) == *d
                 && word_ok(word::self_route_with_faults(net, first, faults))

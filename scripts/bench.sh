@@ -16,7 +16,8 @@
 #   * word kernel: single-thread routing at n=8 must beat the scalar
 #     kernel by BENCH_WORD_SPEEDUP (default 5; the committed
 #     EXPERIMENTS.md numbers are well above it — the default leaves
-#     headroom for noisy CI boxes).
+#     headroom for noisy CI boxes); and, always, Waksman set-up plus
+#     word replay must beat set-up plus the scalar walk by 2x at n=6.
 #
 # Env:
 #   BENCH_REQUESTS      requests per grid cell      (default 4000)

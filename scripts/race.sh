@@ -8,7 +8,8 @@
 #    lost-wakeup bug and the pre-PR 7 single-global-queue design must
 #    both be flagged with replayable traces).
 #  * `analyze word` — symbolic equivalence proof of the word-parallel
-#    routing kernels (including fault overlays) against the scalar
+#    routing kernels (self-route, omega-bit and the replay of commanded
+#    control columns, including fault overlays) against the scalar
 #    oracle for every n <= 8, zero sampled inputs.
 #
 # Exits nonzero on any counterexample, any unflagged mutant, or budget
