@@ -152,8 +152,8 @@ fn main() {
     }
 
     println!(
-        "observation: decompose is a serial O(N log N) pass (one Waksman-sized\n\
-         coloring), while the 2B + S scattered units ride the fleet — so shard\n\
+        "observation: decompose is a serial O(N·r) pass (a Waksman set-up cut\n\
+         at depth r), while the 2B + S scattered units ride the fleet — so shard\n\
          scaling attacks exactly the part the paper's Theorems 4-6 make\n\
          parallel, and the recombination check keeps the speedup honest."
     );

@@ -99,6 +99,49 @@ pub fn setup(d: &Permutation) -> Result<SwitchSettings, SetupError> {
     Ok(settings)
 }
 
+/// Colours the elements of `d` by `B(n)`'s own recursion cut at depth
+/// `r`: the looping step of [`setup`] runs for depths `0..r`, and element
+/// `x`'s colour is the low `r` bits of its position after depth `r − 1`,
+/// which name the middle sub-network `B(n − r)` it enters.
+///
+/// Depths `0..r` move only bits `0..r` of a position, so an element never
+/// leaves its contiguous block of `2^r` inputs, and its destination never
+/// leaves its block of `2^r` outputs: every source block and every
+/// destination block sees each colour exactly once. Read per block, the
+/// first `r` stages form an inverse omega network and the last `r` an
+/// omega network (§II), so within a block `rank → colour` is in `Ω⁻¹(r)`
+/// and `colour → destination rank` is in `Ω(r)`.
+///
+/// # Panics
+///
+/// Panics unless `d.len() = 2^n` with `r < n`.
+#[must_use]
+pub fn block_colors(d: &Permutation, r: u32) -> Vec<u32> {
+    let n = d.log2_len().filter(|&n| r < n).expect("block_colors: need len 2^n, r < n");
+    let mut column = vec![0u64; d.len().div_ceil(64)];
+    // at[p]: the element at position p, moved as the switches move it.
+    let mut at: Vec<u32> = (0..d.len() as u32).collect(); // analyze:allow(truncating-cast): len <= 2^32
+    let mut looper = Looper::new(n, d);
+    looper.index(0, 0);
+    for k in 0..r {
+        looper.loops(k, 0, 0, |x, cross, _, _| put(&mut column, x, cross));
+        looper.split(k, 0, 0, &column);
+        // The same branch-free conditional swaps `split` makes, in one
+        // sequential pass.
+        for f in uppers(n, 0, 0, k) {
+            let g = f | 1 << k;
+            let t = (at[f] ^ at[g]) & u32::from(bit(&column, f)).wrapping_neg();
+            (at[f], at[g]) = (at[f] ^ t, at[g] ^ t);
+        }
+    }
+    let low = (1u32 << r) - 1;
+    let mut colors = vec![0; d.len()];
+    for (p, &x) in (0u32..).zip(&at) {
+        colors[x as usize] = p & low;
+    }
+    colors
+}
+
 /// The looping step over flattened positions, in the style of
 /// SNIPPETS.md snippet 1 (`benes_step`): each recursion depth is one pass
 /// over a flat array, and the induced sub-permutations stay in place.
@@ -196,6 +239,23 @@ impl Looper {
         }
     }
 
+    /// Walks every loop of depth `k` under the depth-`k0` block `r0` that
+    /// is still unassigned, each seeded from its smallest input (see
+    /// [`Looper::trace`]).
+    pub(crate) fn loops(
+        &mut self,
+        k: u32,
+        k0: u32,
+        r0: usize,
+        mut emit: impl FnMut(usize, bool, usize, bool),
+    ) {
+        for seed in uppers(self.n, k0, r0, k) {
+            if !bit(&self.done, seed) {
+                self.trace(k, seed, &mut emit);
+            }
+        }
+    }
+
     /// Applies stage `k`'s control column over the depth-`k0` block `r0`:
     /// every element moves to the sub-network its switch sends it to, and
     /// its destination becomes a position of that sub-network. Leaves the
@@ -222,14 +282,10 @@ impl Looper {
         self.index(k0, r0);
         for k in k0..n - 1 {
             let (first, last) = settings.outer_columns_mut(k as usize);
-            for seed in uppers(n, k0, r0, k) {
-                if !bit(&self.done, seed) {
-                    self.trace(k, seed, |x, cross_in, o, cross_out| {
-                        put(first, x, cross_in);
-                        put(last, o, cross_out);
-                    });
-                }
-            }
+            self.loops(k, k0, r0, |x, cross_in, o, cross_out| {
+                put(first, x, cross_in);
+                put(last, o, cross_out);
+            });
             self.split(k, k0, r0, first);
         }
         self.last_level(k0, r0, settings);

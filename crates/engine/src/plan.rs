@@ -15,11 +15,17 @@
 //! expensive tiers computed so a repeated permutation never pays set-up
 //! twice (the [`crate::cache`] module). The planner here is the
 //! decision procedure; [`execute`] carries a plan out on a network.
+//!
+//! The self-route rung tests `F(n)` membership by simulation: `F(n)` is
+//! the set of permutations the self-routing network realizes, so a
+//! successful word-kernel self-route attempt is the membership proof.
+//! Theorem 1's characterization ([`benes_core::class_f::is_in_f`])
+//! stays the oracle the tests hold the planner to.
 
 use std::fmt;
 
 use benes_core::waksman::{self, SetupError};
-use benes_core::{class_f, factor, word, Benes, SwitchSettings};
+use benes_core::{factor, word, Benes, SwitchSettings};
 use benes_perm::omega::is_omega;
 use benes_perm::Permutation;
 
@@ -181,6 +187,12 @@ pub fn required_order(d: &Permutation) -> Result<u32, PlanError> {
 /// ladder: self-route if `d ∈ F(n)`, omega-bit if `d ∈ Ω(n)`, else the
 /// configured fallback.
 ///
+/// `F(n)` is by definition what the self-routing network realizes, so
+/// membership is decided by simulation: one word-parallel self-route
+/// attempt ([`word::self_route`]). On every member it costs less than
+/// the Theorem-1 recursion ([`benes_core::class_f::is_in_f`]), which the
+/// tests keep as the oracle.
+///
 /// # Errors
 ///
 /// Returns an error if the length is not a power of two ≥ 2 or exceeds
@@ -197,8 +209,8 @@ pub fn required_order(d: &Permutation) -> Result<u32, PlanError> {
 /// assert_eq!(plan(&d, Fallback::Waksman).unwrap().tier(), Tier::OmegaBit);
 /// ```
 pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
-    required_order(d)?;
-    if class_f::is_in_f(d) {
+    let n = required_order(d)?;
+    if word::self_route(n, d).is_ok_and(|o| o.is_success()) {
         return Ok(Plan::SelfRoute);
     }
     if is_omega(d) {
@@ -255,6 +267,7 @@ pub fn execute(net: &Benes, d: &Permutation, plan: &Plan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use benes_core::class_f;
     use benes_perm::bpc::Bpc;
 
     fn p(v: &[u32]) -> Permutation {
@@ -346,6 +359,28 @@ mod tests {
             plan(&one, Fallback::Waksman),
             Err(PlanError::UnsupportedLength { len: 1 })
         );
+    }
+
+    #[test]
+    fn simulation_ladder_matches_the_theorem_1_ladder() {
+        // The self-route attempt decides F(n) exactly as Theorem 1 does,
+        // so every request of the mixed stream lands on the same tier.
+        for n in 3..=8 {
+            for d in crate::workload::mixed_workload(n, 2000, u64::from(n)) {
+                for fallback in [Fallback::Waksman, Fallback::Factored] {
+                    let oracle = if class_f::is_in_f(&d) {
+                        Tier::SelfRoute
+                    } else if is_omega(&d) {
+                        Tier::OmegaBit
+                    } else if fallback == Fallback::Waksman {
+                        Tier::Waksman
+                    } else {
+                        Tier::Factored
+                    };
+                    assert_eq!(plan(&d, fallback).unwrap().tier(), oracle, "n={n} {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,16 +22,17 @@
 //! elements such that each source block and each destination block
 //! sees every color exactly once.
 //!
-//! The coloring is computed by recursive Euler splitting of the
-//! bipartite multigraph whose left vertices are source blocks, right
-//! vertices destination blocks, and edges the `N` elements (`x`
-//! connects `block(x)` to `block(π(x))`). The graph is `S`-regular
-//! (`S = 2^r`); walking its Euler circuits and alternating edges
-//! between two halves splits it into two `S/2`-regular halves (every
-//! circuit of a bipartite graph has even length, so the alternation is
-//! exact). `r` recursive splits yield `S` perfect matchings — the
-//! colors. Total cost `O(N · r)`, the same order as one Waksman set-up
-//! of the undecomposed permutation.
+//! The coloring is `B(n)`'s own looping recursion cut at depth `r`
+//! ([`waksman::block_colors`]): depths `0..r` of the Waksman set-up move
+//! only the low `r` bits of a position, so each element stays inside its
+//! source block, and the low `r` bits of its position after depth `r − 1`
+//! name the middle sub-network `B(n − r)` it enters — its color. The
+//! paper's §II remark that the first `n` stages of `B(n)` are an inverse
+//! omega network and the last `n` an omega network then holds block by
+//! block: every stage-1 unit is in `Ω⁻¹(r) ⊆ F(r)` (Theorem 3) and every
+//! stage-3 unit in `Ω(r)`, so both outer stages route with zero set-up
+//! (two thirds of the units at even `n`). Cost `O(N · r)`: a Waksman
+//! set-up cut short.
 //!
 //! The factorization is what lets a fleet of small `B(r)` / `B(n−r)`
 //! engine shards serve a permutation no single fabric reaches: each
@@ -40,6 +41,7 @@
 
 use std::fmt;
 
+use benes_core::waksman;
 use benes_perm::partition::JPartition;
 use benes_perm::Permutation;
 
@@ -223,7 +225,7 @@ pub fn decompose(pi: &Permutation, r: u32) -> Result<Decomposition, DecomposeErr
     let j = JPartition::from_mask(n, ((1u64 << (n - r)) - 1) << r)
         .expect("high-bit mask is valid for n");
 
-    let colors = color_elements(pi, n, r);
+    let colors = waksman::block_colors(pi, r);
 
     // Extract the three stage tables from the coloring. Every write
     // below is a bijection by construction of the coloring: each
@@ -259,180 +261,6 @@ pub fn decompose(pi: &Permutation, r: u32) -> Result<Decomposition, DecomposeErr
         between: lift(between),
         stage3: lift(stage3),
     })
-}
-
-/// Colors the elements of `pi` such that within every source block and
-/// within every destination block each color `0..2^r` appears exactly
-/// once — the middle-stage feasibility condition of the three-stage
-/// factorization (Hall/Birkhoff–von Neumann made constructive).
-///
-/// Recursive Euler splitting: each level halves the regular degree of
-/// the block multigraph, appending one bit to every element's color.
-fn color_elements(pi: &Permutation, n: u32, r: u32) -> Vec<u32> {
-    let len = pi.len();
-    let mut colors = vec![0u32; len];
-    // Groups of elements sharing a color prefix; each is a d-regular
-    // bipartite multigraph with d = 2^(r - level).
-    let mut groups: Vec<Vec<u32>> = vec![(0..len as u32).collect()];
-    let blocks = 1usize << (n - r);
-    // Scratch reused across groups (sized for the block count).
-    let mut scratch = SplitScratch::new(blocks);
-    for level in 0..r {
-        let mut next = Vec::with_capacity(groups.len() * 2);
-        for group in groups {
-            let (zero, one) = scratch.euler_split(pi, r, &group);
-            // The split appends one bit per level, most significant
-            // first; any consistent numbering works (the coordinator
-            // never interprets color values, only their bijectivity).
-            for &x in &one {
-                colors[x as usize] |= 1 << (r - 1 - level);
-            }
-            next.push(zero);
-            next.push(one);
-        }
-        groups = next;
-    }
-    colors
-}
-
-/// Reusable adjacency scratch for [`SplitScratch::euler_split`].
-struct SplitScratch {
-    /// CSR start offsets per left vertex (source block), length B+1.
-    left_start: Vec<u32>,
-    /// CSR start offsets per right vertex (destination block).
-    right_start: Vec<u32>,
-    /// Next-candidate cursor per left vertex.
-    left_ptr: Vec<u32>,
-    /// Next-candidate cursor per right vertex.
-    right_ptr: Vec<u32>,
-    /// Edge index lists, grouped by left vertex.
-    left_edges: Vec<u32>,
-    /// Edge index lists, grouped by right vertex.
-    right_edges: Vec<u32>,
-    /// Whether an edge has been placed on a circuit yet.
-    used: Vec<bool>,
-}
-
-impl SplitScratch {
-    fn new(blocks: usize) -> Self {
-        Self {
-            left_start: vec![0; blocks + 1],
-            right_start: vec![0; blocks + 1],
-            left_ptr: vec![0; blocks],
-            right_ptr: vec![0; blocks],
-            left_edges: Vec::new(),
-            right_edges: Vec::new(),
-            used: Vec::new(),
-        }
-    }
-
-    /// Splits one `d`-regular bipartite multigraph (the elements of
-    /// `group`, as edges source-block → destination-block) into two
-    /// `d/2`-regular halves by walking its Euler circuits and
-    /// alternating edges between the halves.
-    ///
-    /// Every vertex of a bipartite multigraph with all-even degrees
-    /// lies on circuits of even length, so strict alternation lands
-    /// exactly half of each vertex's edges in each half — which is the
-    /// induction step that terminates in perfect matchings.
-    fn euler_split(
-        &mut self,
-        pi: &Permutation,
-        r: u32,
-        group: &[u32],
-    ) -> (Vec<u32>, Vec<u32>) {
-        let m = group.len();
-        let blocks = self.left_ptr.len();
-        let sb = |x: u32| (x >> r) as usize;
-        let db = |x: u32| (pi.destination(x as usize) >> r) as usize;
-
-        // Counting-sort the edges into per-vertex CSR lists.
-        self.left_start[..=blocks].fill(0);
-        self.right_start[..=blocks].fill(0);
-        for &x in group {
-            self.left_start[sb(x) + 1] += 1;
-            self.right_start[db(x) + 1] += 1;
-        }
-        for v in 0..blocks {
-            self.left_start[v + 1] += self.left_start[v];
-            self.right_start[v + 1] += self.right_start[v];
-        }
-        self.left_ptr.copy_from_slice(&self.left_start[..blocks]);
-        self.right_ptr.copy_from_slice(&self.right_start[..blocks]);
-        self.left_edges.clear();
-        self.left_edges.resize(m, 0);
-        self.right_edges.clear();
-        self.right_edges.resize(m, 0);
-        for (e, &x) in group.iter().enumerate() {
-            let l = sb(x);
-            self.left_edges[self.left_ptr[l] as usize] = e as u32;
-            self.left_ptr[l] += 1;
-            let rv = db(x);
-            self.right_edges[self.right_ptr[rv] as usize] = e as u32;
-            self.right_ptr[rv] += 1;
-        }
-        self.left_ptr.copy_from_slice(&self.left_start[..blocks]);
-        self.right_ptr.copy_from_slice(&self.right_start[..blocks]);
-        self.used.clear();
-        self.used.resize(m, false);
-
-        let mut zero = Vec::with_capacity(m / 2);
-        let mut one = Vec::with_capacity(m / 2);
-        for start in 0..m {
-            if self.used[start] {
-                continue;
-            }
-            // Walk the circuit through `start`. In the remaining
-            // even-degree multigraph a walk can only get stuck back at
-            // its starting (left) vertex, after an even number of
-            // edges: at any right vertex, and at any other left
-            // vertex, the arrival leaves an odd (hence non-zero)
-            // number of unused incident edges.
-            let mut e = start;
-            let mut take_one = false;
-            loop {
-                // Traverse `e` left → right.
-                self.used[e] = true;
-                if take_one { &mut one } else { &mut zero }.push(group[e]);
-                take_one = !take_one;
-                // Leave the right endpoint by an unused edge
-                // (guaranteed to exist: see the parity note above).
-                let rv = db(group[e]);
-                let back = self
-                    .next_unused(rv, false)
-                    .expect("even-degree walk cannot strand at a right vertex");
-                self.used[back] = true;
-                if take_one { &mut one } else { &mut zero }.push(group[back]);
-                take_one = !take_one;
-                // Leave the left endpoint, or close the circuit.
-                let lv = sb(group[back]);
-                match self.next_unused(lv, true) {
-                    Some(next) => e = next,
-                    None => break,
-                }
-            }
-        }
-        debug_assert_eq!(zero.len(), one.len());
-        (zero, one)
-    }
-
-    /// The next unused edge incident to vertex `v` on the given side,
-    /// advancing that vertex's cursor past consumed entries.
-    fn next_unused(&mut self, v: usize, left: bool) -> Option<usize> {
-        let (ptr, start, edges) = if left {
-            (&mut self.left_ptr, &self.left_start, &self.left_edges)
-        } else {
-            (&mut self.right_ptr, &self.right_start, &self.right_edges)
-        };
-        while ptr[v] < start[v + 1] {
-            let e = edges[ptr[v] as usize] as usize;
-            ptr[v] += 1;
-            if !self.used[e] {
-                return Some(e);
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]

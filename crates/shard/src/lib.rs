@@ -16,8 +16,9 @@
 //!   of `N = 2^n` into three block-structured stages
 //!   `π = W1 ∘ M ∘ W3` over the contiguous partition (`J` = high bits):
 //!   within source blocks, between blocks, within destination blocks —
-//!   the classic three-stage Clos decomposition, computed by recursive
-//!   Euler splitting in `O(N log N)`;
+//!   the classic three-stage Clos decomposition, colored by `B(n)`'s own
+//!   looping recursion cut at depth `r` in `O(N·r)`, so the outer units
+//!   are inverse-omega (stage 1) and omega (stage 3) and self-route;
 //! * [`coordinator`] scatters the `2B + S` resulting sub-permutations
 //!   across a fleet of shards, gathers the per-unit outcomes over the
 //!   normal ticket lifecycle, and reports partial completion

@@ -18,3 +18,4 @@ CHAOS_REQUESTS=200 sh scripts/chaos.sh
 sh scripts/shard.sh
 SERVE_REQUESTS=2000 sh scripts/serve.sh
 sh scripts/fleet.sh
+sh scripts/benchmark.sh
