@@ -5,10 +5,10 @@
 //! [`crate::plancheck`] proves facts about individual plans; this module
 //! proves a fact about the *kernels themselves*: `core/word.rs`'s
 //! bit-sliced `route` computes, stage for stage, the same function as the
-//! scalar `propagate` walk in `core/network.rs`/`core/faults.rs`, for all
-//! orders `n ≤ 8`, for the plain and the omega-bit self-routing variants
-//! and for the replay of commanded control columns (`word::replay`, the
-//! Settings tier), with the full `((cw & !stuck) | stuck_cross) ^ dead`
+//! scalar `propagate` walk in `core/network.rs`/`core/trace.rs`, for all
+//! orders `n ≤ 8`, for all three `Control` modes — the plain and the
+//! omega-bit self-routing rule and the replay of commanded control
+//! columns (the Settings tier) — with the full `((cw & !stuck) | stuck_cross) ^ dead`
 //! fault overlay kept symbolic per switch.
 //!
 //! # Method: stage-cut combinational equivalence
@@ -72,13 +72,14 @@ use crate::sym::{Sym, SymVar};
 /// The word-kernel variant a proof covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WordKernel {
-    /// `word::self_route`: columns from the Fig. 3 tag rule.
+    /// `word::route` under `Control::SelfRoute`: columns from the Fig. 3
+    /// tag rule.
     SelfRoute,
-    /// `word::self_route_omega`: the tag rule with stages `0..n−1` forced
-    /// straight.
+    /// `word::route` under `Control::OmegaBit`: the tag rule with stages
+    /// `0..n−1` forced straight.
     OmegaBit,
-    /// `word::replay`: the commanded control columns of a
-    /// `SwitchSettings`, against `Benes::route_with`.
+    /// `word::route` under `Control::Settings`: the commanded control
+    /// columns of a `SwitchSettings`, against `Benes::route_with`.
     Commanded,
 }
 
@@ -430,8 +431,9 @@ pub fn prove_all(max_n: u32) -> (Vec<Finding>, Vec<WordCertificate>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use benes_core::faults::{self, FaultKind, FaultSet};
-    use benes_core::{waksman, word, SwitchState};
+    use benes_core::faults::{FaultKind, FaultSet};
+    use benes_core::trace::RouteTrace;
+    use benes_core::{waksman, word, Control, SwitchState};
     use benes_perm::Permutation;
 
     /// The tentpole acceptance check: word ≡ scalar for every n ≤ 8,
@@ -541,23 +543,15 @@ mod tests {
                 tags = next;
             }
 
-            let (real, scalar) = match kernel {
-                SelfRoute => (
-                    word::self_route_with_faults(&net, &d, &fs).unwrap().outputs(),
-                    faults::self_route_with_faults(&net, &d, &fs).outputs().to_vec(),
-                ),
-                OmegaBit => (
-                    word::self_route_omega_with_faults(&net, &d, &fs).unwrap().outputs(),
-                    faults::self_route_omega_with_faults(&net, &d, &fs).outputs().to_vec(),
-                ),
-                Commanded => (
-                    word::replay_with_faults(&settings, &d, &fs).unwrap().outputs(),
-                    faults::route_with_faults(&net, &settings, &fs, d.destinations())
-                        .unwrap(),
-                ),
+            let control = match kernel {
+                SelfRoute => Control::SelfRoute,
+                OmegaBit => Control::OmegaBit,
+                Commanded => Control::Settings(&settings),
             };
+            let real = word::route(n, &d, control, Some(&fs)).unwrap().outputs();
+            let scalar = RouteTrace::capture(&net, &d, control, Some(&fs)).unwrap();
             assert_eq!(tags, real, "B({n}) {}", kernel.name());
-            assert_eq!(tags, scalar, "B({n}) {} scalar", kernel.name());
+            assert_eq!(tags, scalar.outputs(), "B({n}) {} scalar", kernel.name());
         }
     }
 

@@ -6,7 +6,7 @@
 
 use benes_core::render::render_trace;
 use benes_core::trace::RouteTrace;
-use benes_core::Benes;
+use benes_core::{Benes, Control};
 use benes_perm::bpc::Bpc;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     println!("permutation: bit reversal, BPC A-vector {bpc} (Table I)");
     println!("destination tags D = {perm}\n");
 
-    let trace = RouteTrace::capture_self_route(&net, &perm)
+    let trace = RouteTrace::capture(&net, &perm, Control::SelfRoute, None)
         .expect("permutation length matches B(3)");
     println!("{}", render_trace(&trace));
 

@@ -5,7 +5,7 @@
 use benes_core::class_f::check_f;
 use benes_core::render::render_trace;
 use benes_core::trace::RouteTrace;
-use benes_core::{waksman, Benes};
+use benes_core::{waksman, Benes, Control};
 use benes_perm::omega::{is_inverse_omega, is_omega};
 use benes_perm::Permutation;
 
@@ -15,7 +15,8 @@ fn main() {
     let d = Permutation::from_destinations(vec![1, 3, 2, 0]).expect("valid permutation");
 
     println!("-- plain self-routing (must FAIL, Fig. 5) --\n");
-    let trace = RouteTrace::capture_self_route(&net, &d).expect("length matches");
+    let trace =
+        RouteTrace::capture(&net, &d, Control::SelfRoute, None).expect("length matches");
     println!("{}", render_trace(&trace));
     assert!(!trace.is_success(), "FIG5 must reproduce: D is not in F(2)");
 
@@ -29,14 +30,15 @@ fn main() {
     println!("(D ∈ Ω(2) ∖ F(2): the example §II uses to show Ω ⊄ F)\n");
 
     println!("-- omega-bit extension (must SUCCEED, §II after Theorem 3) --\n");
-    let omega_trace = RouteTrace::capture_omega(&net, &d).expect("length matches");
+    let omega_trace =
+        RouteTrace::capture(&net, &d, Control::OmegaBit, None).expect("length matches");
     println!("{}", render_trace(&omega_trace));
     assert!(omega_trace.is_success());
 
     println!("-- Waksman external set-up (must SUCCEED, §I) --\n");
     let settings = waksman::setup(&d).expect("Waksman handles all permutations");
-    let ext_trace =
-        RouteTrace::capture_external(&net, &d, &settings).expect("length matches");
+    let ext_trace = RouteTrace::capture(&net, &d, Control::Settings(&settings), None)
+        .expect("length matches");
     println!("{}", render_trace(&ext_trace));
     assert!(ext_trace.is_success());
     println!("reproduced: self-routing fails, omega bit and external set-up succeed.");

@@ -12,7 +12,8 @@
 //! The Settings tier gets its own table: arbitrary random permutations
 //! are set up by `waksman::setup` and executed either by the scalar
 //! circuit walk (`Benes::realized_permutation`) or by the word kernel
-//! replaying the settings' control columns (`word::replay`), which is
+//! replaying the settings' control columns (`word::route` with
+//! `Control::Settings`), which is
 //! how the engine serves a Waksman plan. Every word replay is
 //! cross-checked against the scalar walk before timing.
 //!
@@ -26,7 +27,7 @@
 //! order).
 
 use benes_bench::{random_f_member, random_permutation, Table};
-use benes_core::{waksman, word, Benes};
+use benes_core::{waksman, word, Benes, Control};
 use benes_perm::Permutation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,12 +97,12 @@ fn settings_table(perms: usize, rng: &mut StdRng) -> f64 {
         // permutation, with the scalar walk's arrivals, and a replay for
         // the wrong permutation fails exactly when the walk says it must.
         for (i, (d, s)) in stream.iter().zip(&plans).enumerate() {
-            let fast = word::replay(s, d).unwrap();
+            let fast = word::route(n, d, Control::Settings(s), None).unwrap();
             assert!(fast.is_success(), "word replay missed its permutation at n = {n}");
             assert_eq!(fast.outputs(), net.route_with(s, d.destinations()).unwrap());
             let other = &stream[(i + 1) % stream.len()];
             assert_eq!(
-                word::replay(s, other).unwrap().is_success(),
+                word::route(n, other, Control::Settings(s), None).unwrap().is_success(),
                 net.realized_permutation(s).unwrap() == *other,
                 "word/scalar replay disagreement at n = {n}"
             );
@@ -116,13 +117,15 @@ fn settings_table(perms: usize, rng: &mut StdRng) -> f64 {
         let mut pairs = stream.iter().zip(&plans);
         let (word_exec_s, _) = time_over(&stream, |_| {
             let (d, s) = pairs.next().unwrap();
-            word::replay(s, d).unwrap().is_success()
+            word::route(n, d, Control::Settings(s), None).unwrap().is_success()
         });
         let (scalar_s, scalar_ok) = time_over(&stream, |d| {
             net.realized_permutation(&waksman::setup(d).unwrap()).unwrap() == *d
         });
         let (word_s, word_ok) = time_over(&stream, |d| {
-            word::replay(&waksman::setup(d).unwrap(), d).unwrap().is_success()
+            word::route(n, d, Control::Settings(&waksman::setup(d).unwrap()), None)
+                .unwrap()
+                .is_success()
         });
         assert_eq!((scalar_ok, word_ok), (perms, perms));
 

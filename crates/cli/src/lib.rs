@@ -12,7 +12,7 @@ use std::fmt;
 use benes_core::class_f::check_f;
 use benes_core::render::{render_structure, render_trace};
 use benes_core::trace::RouteTrace;
-use benes_core::{census, waksman, Benes};
+use benes_core::{census, waksman, Benes, Control};
 use benes_gates::GateBenes;
 use benes_networks::cost;
 use benes_perm::bpc::Bpc;
@@ -917,17 +917,19 @@ fn route(args: &[String]) -> Result<String, CliError> {
     let d = parse_permutation(tag_args)?;
     let n = network_order(&d)?;
     let net = Benes::new(n);
-    let trace = match mode.as_str() {
-        "self" => RouteTrace::capture_self_route(&net, &d),
-        "omega" => RouteTrace::capture_omega(&net, &d),
+    let settings;
+    let control = match mode.as_str() {
+        "self" => Control::SelfRoute,
+        "omega" => Control::OmegaBit,
         "waksman" => {
-            let settings = waksman::setup(&d)
+            settings = waksman::setup(&d)
                 .map_err(|e| CliError::new(format!("set-up failed: {e}")))?;
-            RouteTrace::capture_external(&net, &d, &settings)
+            Control::Settings(&settings)
         }
         _ => unreachable!("mode restricted above"),
-    }
-    .map_err(|e| CliError::new(e.to_string()))?;
+    };
+    let trace = RouteTrace::capture(&net, &d, control, None)
+        .map_err(|e| CliError::new(e.to_string()))?;
     Ok(render_trace(&trace))
 }
 

@@ -26,8 +26,9 @@
 
 use benes_perm::Permutation;
 
-use crate::faults::{self_route_with_faults, FaultKind, FaultSet};
-use crate::network::{Benes, SwitchState};
+use crate::faults::{FaultKind, FaultSet};
+use crate::network::{Benes, Control, SwitchState};
+use crate::word;
 
 /// A single-stuck-switch hypothesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +43,7 @@ pub struct StuckSwitch {
 
 /// Simulates a self-route of `perm` with one switch stuck at a fixed
 /// state (every other switch self-sets normally): the one-fault case of
-/// [`self_route_with_faults`].
+/// [`word::route`].
 ///
 /// # Panics
 ///
@@ -60,7 +61,9 @@ pub fn self_route_with_fault(
     };
     let mut faults = FaultSet::new(net.n());
     faults.insert(fault.stage, fault.switch, kind).expect("fault location out of range");
-    self_route_with_faults(net, perm, &faults).into_parts().0
+    word::route(net.n(), perm, Control::SelfRoute, Some(&faults))
+        .expect("permutation length must match network")
+        .outputs()
 }
 
 /// Returns every single-stuck-switch hypothesis consistent with an

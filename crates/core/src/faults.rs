@@ -9,9 +9,10 @@
 //! * [`FaultSet`] — a per-switch fault overlay for one `B(n)` network
 //!   (stuck-at-straight, stuck-at-cross, or dead switches);
 //! * fault-aware execution — [`FaultSet::apply_to`] distorts any
-//!   [`SwitchSettings`] the way the broken hardware would, and
-//!   [`self_route_with_faults`] / [`self_route_omega_with_faults`]
-//!   replay the paper's self-routing rule through the damaged fabric;
+//!   [`SwitchSettings`] the way the broken hardware would, and every
+//!   routing kernel ([`crate::trace::RouteTrace::capture`],
+//!   [`crate::word::route`]) takes a fault set to overlay on whatever
+//!   its [`crate::network::Control`] commands;
 //! * [`setup_avoiding`] — a fault-avoiding Waksman set-up that searches
 //!   the free seeding choices of the looping decomposition for a switch
 //!   assignment **agreeing with every stuck switch**, so the settings
@@ -36,7 +37,6 @@ use std::fmt;
 use benes_perm::Permutation;
 
 use crate::network::{Benes, NetworkError, SwitchSettings, SwitchState};
-use crate::selfroute::SelfRouteOutcome;
 use crate::topology;
 use crate::waksman::{bit, span, uppers, Looper, SetupError};
 
@@ -376,58 +376,6 @@ pub fn realized_with_faults(
     net.realized_permutation(&faults.apply_to(settings))
 }
 
-/// Self-routes `perm` through the faulty fabric: healthy switches obey
-/// the Fig. 3 tag rule, faulty switches follow their fault.
-///
-/// # Panics
-///
-/// Panics if `perm.len() != net.terminal_count()` or
-/// `faults.n() != net.n()`.
-#[must_use]
-pub fn self_route_with_faults(
-    net: &Benes,
-    perm: &Permutation,
-    faults: &FaultSet,
-) -> SelfRouteOutcome {
-    assert_eq!(perm.len(), net.terminal_count(), "permutation length must be N");
-    assert_eq!(faults.n(), net.n(), "fault set order must match the network");
-    let tags: Vec<u32> = perm.destinations().to_vec();
-    let (outputs, settings) = net.propagate(tags, |s, i, upper, _| {
-        let commanded =
-            SwitchState::from_bit(benes_bits::bit(u64::from(*upper), net.control_bit(s)));
-        faults.effective_state(s, i, commanded)
-    });
-    SelfRouteOutcome::new(outputs, settings)
-}
-
-/// Self-routes `perm` with the omega bit asserted through the faulty
-/// fabric (stages `0..n−1` commanded straight, the rest by tag).
-///
-/// # Panics
-///
-/// Panics if `perm.len() != net.terminal_count()` or
-/// `faults.n() != net.n()`.
-#[must_use]
-pub fn self_route_omega_with_faults(
-    net: &Benes,
-    perm: &Permutation,
-    faults: &FaultSet,
-) -> SelfRouteOutcome {
-    assert_eq!(perm.len(), net.terminal_count(), "permutation length must be N");
-    assert_eq!(faults.n(), net.n(), "fault set order must match the network");
-    let forced_straight = net.n() as usize - 1;
-    let tags: Vec<u32> = perm.destinations().to_vec();
-    let (outputs, settings) = net.propagate(tags, |s, i, upper, _| {
-        let commanded = if s < forced_straight {
-            SwitchState::Straight
-        } else {
-            SwitchState::from_bit(benes_bits::bit(u64::from(*upper), net.control_bit(s)))
-        };
-        faults.effective_state(s, i, commanded)
-    });
-    SelfRouteOutcome::new(outputs, settings)
-}
-
 /// Error produced by [`setup_avoiding`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -725,6 +673,8 @@ fn try_seeding(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Control;
+    use crate::trace::RouteTrace;
     use crate::waksman;
     use benes_perm::bpc::Bpc;
 
@@ -799,13 +749,21 @@ mod tests {
         let net = Benes::new(3);
         let f = FaultSet::new(3);
         let d = Bpc::bit_reversal(3).to_permutation();
-        assert_eq!(self_route_with_faults(&net, &d, &f), net.self_route(&d));
+        let faulty = RouteTrace::capture(&net, &d, Control::SelfRoute, Some(&f)).unwrap();
+        let healthy = net.self_route(&d);
+        assert_eq!(
+            (faulty.outputs(), faulty.settings()),
+            (healthy.outputs(), healthy.settings())
+        );
         let fig5 = p(&[1, 3, 2, 0]);
         let net2 = Benes::new(2);
         let f2 = FaultSet::new(2);
+        let faulty =
+            RouteTrace::capture(&net2, &fig5, Control::OmegaBit, Some(&f2)).unwrap();
+        let healthy = net2.self_route_omega(&fig5);
         assert_eq!(
-            self_route_omega_with_faults(&net2, &fig5, &f2),
-            net2.self_route_omega(&fig5)
+            (faulty.outputs(), faulty.settings()),
+            (healthy.outputs(), healthy.settings())
         );
     }
 
@@ -817,7 +775,7 @@ mod tests {
         // Stage 0 of Fig. 4 is [=, =, x, x]; stick switch 2 at straight.
         let mut f = FaultSet::new(3);
         f.insert(0, 2, FaultKind::StuckStraight).unwrap();
-        let outcome = self_route_with_faults(&net, &d, &f);
+        let outcome = RouteTrace::capture(&net, &d, Control::SelfRoute, Some(&f)).unwrap();
         assert!(!outcome.is_success());
         assert_ne!(outcome.outputs(), healthy.outputs());
     }

@@ -12,19 +12,21 @@
 //!   `2·log N − 1` stages of `N/2` binary switches and the inter-stage
 //!   wiring, plus the per-stage *control bit* assignment of Fig. 3.
 //! * [`network`] — the circuit model: [`network::Benes`] (immutable
-//!   topology) and [`network::SwitchSettings`] (a full switch-state
+//!   topology), [`network::SwitchSettings`] (a full switch-state
 //!   assignment, stored as one bit-packed control column per stage),
-//!   with externally-set routing
-//!   ([`Benes::route_with`](network::Benes::route_with)).
+//!   externally-set routing
+//!   ([`Benes::route_with`](network::Benes::route_with)), and
+//!   [`Control`], the paper's three ways of setting the switches (tag
+//!   rule, omega bit, external set-up) that every routing kernel takes.
 //! * [`selfroute`] — the paper's self-routing scheme (Fig. 3): each switch
 //!   in stage `b` / stage `2n−2−b` sets itself from bit `b` of its upper
 //!   input's destination tag, plus the "omega bit" variant that forces
 //!   stages `0..n−1` straight to realize all of `Ω(n)`. This scalar walk is
 //!   the reference oracle; the hot path lives in [`word`].
-//! * [`word`] — the same kernels, and the replay of external settings, in
-//!   word-parallel (bit-sliced) form: whole switch columns as `u64` masks
-//!   applied with delta-swaps, an order of magnitude faster than the
-//!   switch-at-a-time walk.
+//! * [`word`] — one word-parallel (bit-sliced) kernel for every
+//!   [`Control`] mode, healthy or faulty: whole switch columns as `u64`
+//!   masks applied with delta-swaps, an order of magnitude faster than
+//!   the switch-at-a-time walk.
 //! * [`class_f`] — membership in `F(n)`: the Theorem 1 recursion and an
 //!   independent check by direct simulation.
 //! * [`census`] — exact `|F(n)|` via a transfer-matrix product formula
@@ -45,7 +47,9 @@
 //!   realizes **all** `N!` permutations.
 //! * [`pipeline`] — the §IV pipelined mode: registers between stages, one
 //!   new vector per clock after a `2n−1`-clock fill latency.
-//! * [`trace`] — full per-link route traces (reproducing Figs. 4 and 5).
+//! * [`trace`] — full per-link route traces (reproducing Figs. 4 and 5);
+//!   [`trace::RouteTrace::capture`] is the scalar oracle the word kernel
+//!   is held to.
 //! * [`render`] — ASCII rendering of the network and traces (Fig. 1).
 //!
 //! # Quick start
@@ -85,5 +89,5 @@ pub mod word;
 
 pub use class_f::{check_f, is_in_f, is_in_f_by_simulation, FViolation};
 pub use faults::{FaultKind, FaultSet, FaultSetupError};
-pub use network::{Benes, SwitchSettings, SwitchState};
+pub use network::{Benes, Control, SwitchSettings, SwitchState};
 pub use selfroute::SelfRouteOutcome;

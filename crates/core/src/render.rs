@@ -61,12 +61,12 @@ pub fn render_structure(net: &Benes) -> String {
 /// # Examples
 ///
 /// ```
-/// use benes_core::{Benes, render::render_trace, trace::RouteTrace};
+/// use benes_core::{Benes, Control, render::render_trace, trace::RouteTrace};
 /// use benes_perm::bpc::Bpc;
 ///
 /// let net = Benes::new(3);
 /// let perm = Bpc::bit_reversal(3).to_permutation();
-/// let trace = RouteTrace::capture_self_route(&net, &perm).unwrap();
+/// let trace = RouteTrace::capture(&net, &perm, Control::SelfRoute, None).unwrap();
 /// let text = render_trace(&trace);
 /// assert!(text.contains("stage 0"));
 /// assert!(text.contains("SUCCESS"));
@@ -108,6 +108,7 @@ pub fn render_trace(trace: &RouteTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Control;
     use benes_perm::bpc::Bpc;
     use benes_perm::Permutation;
 
@@ -125,7 +126,7 @@ mod tests {
     fn trace_render_shows_fig4_success() {
         let net = Benes::new(3);
         let perm = Bpc::bit_reversal(3).to_permutation();
-        let trace = crate::trace::RouteTrace::capture_self_route(&net, &perm).unwrap();
+        let trace = RouteTrace::capture(&net, &perm, Control::SelfRoute, None).unwrap();
         let text = render_trace(&trace);
         assert!(text.contains("SUCCESS"));
         // First switch of stage 0 carries tags 000 and 100.
@@ -136,7 +137,7 @@ mod tests {
     fn trace_render_shows_fig5_failure() {
         let net = Benes::new(2);
         let d = Permutation::from_destinations(vec![1, 3, 2, 0]).unwrap();
-        let trace = crate::trace::RouteTrace::capture_self_route(&net, &d).unwrap();
+        let trace = RouteTrace::capture(&net, &d, Control::SelfRoute, None).unwrap();
         let text = render_trace(&trace);
         assert!(text.contains("FAILURE"));
         assert!(text.contains("(0, 2)"));

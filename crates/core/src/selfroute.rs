@@ -28,7 +28,7 @@
 
 use benes_perm::Permutation;
 
-use crate::network::{Benes, NetworkError, SwitchSettings, SwitchState};
+use crate::network::{Benes, Control, NetworkError, SwitchSettings};
 
 /// The result of a self-routing attempt.
 ///
@@ -89,12 +89,6 @@ impl SelfRouteOutcome {
             .map(|(o, &t)| (o, t))
             .collect()
     }
-
-    /// Consumes the outcome, returning `(outputs, settings)`.
-    #[must_use]
-    pub fn into_parts(self) -> (Vec<u32>, SwitchSettings) {
-        (self.outputs, self.settings)
-    }
 }
 
 impl Benes {
@@ -122,17 +116,7 @@ impl Benes {
         &self,
         perm: &Permutation,
     ) -> Result<SelfRouteOutcome, NetworkError> {
-        if perm.len() != self.terminal_count() {
-            return Err(NetworkError::PermutationLength {
-                expected: self.terminal_count(),
-                actual: perm.len(),
-            });
-        }
-        let tags: Vec<u32> = perm.destinations().to_vec();
-        let (outputs, settings) = self.propagate(tags, |s, _, upper, _| {
-            SwitchState::from_bit(benes_bits::bit(u64::from(*upper), self.control_bit(s)))
-        });
-        Ok(SelfRouteOutcome::new(outputs, settings))
+        self.try_route_tags(perm, Control::SelfRoute)
     }
 
     /// Self-routes with the **omega bit** asserted: stages `0..n−1` are
@@ -170,24 +154,25 @@ impl Benes {
         &self,
         perm: &Permutation,
     ) -> Result<SelfRouteOutcome, NetworkError> {
+        self.try_route_tags(perm, Control::OmegaBit)
+    }
+
+    /// The scalar walk behind both tag-controlled kernels.
+    fn try_route_tags(
+        &self,
+        perm: &Permutation,
+        control: Control<'_>,
+    ) -> Result<SelfRouteOutcome, NetworkError> {
         if perm.len() != self.terminal_count() {
             return Err(NetworkError::PermutationLength {
                 expected: self.terminal_count(),
                 actual: perm.len(),
             });
         }
-        let forced_straight = self.n() as usize - 1; // stages 0..n−1
-        let tags: Vec<u32> = perm.destinations().to_vec();
-        let (outputs, settings) = self.propagate(tags, |s, _, upper, _| {
-            if s < forced_straight {
-                SwitchState::Straight
-            } else {
-                SwitchState::from_bit(benes_bits::bit(
-                    u64::from(*upper),
-                    self.control_bit(s),
-                ))
-            }
-        });
+        let (outputs, settings) = self
+            .propagate(perm.destinations().to_vec(), |s, i, upper, _| {
+                control.state(self, None, (s, i), *upper)
+            });
         Ok(SelfRouteOutcome::new(outputs, settings))
     }
 
@@ -216,7 +201,7 @@ impl Benes {
         &self,
         perm: &Permutation,
     ) -> Result<crate::word::WordOutcome, NetworkError> {
-        crate::word::self_route(self.n(), perm)
+        crate::word::route(self.n(), perm, Control::SelfRoute, None)
     }
 
     /// Word-parallel [`Benes::self_route_omega`] (see [`crate::word`]).
@@ -228,7 +213,7 @@ impl Benes {
         &self,
         perm: &Permutation,
     ) -> Result<crate::word::WordOutcome, NetworkError> {
-        crate::word::self_route_omega(self.n(), perm)
+        crate::word::route(self.n(), perm, Control::OmegaBit, None)
     }
 
     /// Self-routes arbitrary records: each `(tag, payload)` pair enters at
@@ -265,8 +250,8 @@ impl Benes {
                 actual: records.len(),
             });
         }
-        Ok(self.propagate(records, |s, _, upper, _| {
-            SwitchState::from_bit(benes_bits::bit(u64::from(upper.0), self.control_bit(s)))
+        Ok(self.propagate(records, |s, i, upper, _| {
+            Control::SelfRoute.state(self, None, (s, i), upper.0)
         }))
     }
 }
@@ -274,6 +259,7 @@ impl Benes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::SwitchState;
     use benes_perm::bpc::Bpc;
     use benes_perm::omega::{cyclic_shift, p_ordering, segment_cyclic_shift};
 

@@ -9,9 +9,10 @@
 use benes_perm::Permutation;
 
 use crate::faults::FaultSet;
-use crate::network::{Benes, NetworkError, SwitchSettings, SwitchState};
+use crate::network::{Benes, Control, NetworkError, SwitchSettings};
 
-/// How the switches were controlled during a traced route.
+/// How the switches were controlled during a traced route: the
+/// data-free discriminant of [`Control`] ([`Control::mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceMode {
     /// The paper's self-routing rule (Fig. 3).
@@ -34,149 +35,54 @@ pub struct RouteTrace {
 }
 
 impl RouteTrace {
-    /// Traces a self-routed pass of `perm` through `net`.
+    /// Traces one pass of `perm`'s tags through `net` under `control`,
+    /// with the faulty switches of `faults` (when given) overriding
+    /// their commanded state. This is the scalar oracle the word kernel
+    /// ([`crate::word::route`]) is held to, and the engine's
+    /// flight-recorder hook: it captures exactly what a failed request
+    /// saw, stage by stage.
     ///
     /// # Errors
     ///
-    /// Returns [`NetworkError::PermutationLength`] on a length mismatch.
-    pub fn capture_self_route(
-        net: &Benes,
-        perm: &Permutation,
-    ) -> Result<Self, NetworkError> {
-        Self::capture(net, perm, TraceMode::SelfRouting, None, None)
-    }
-
-    /// Traces an omega-bit pass of `perm` through `net`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::PermutationLength`] on a length mismatch.
-    pub fn capture_omega(net: &Benes, perm: &Permutation) -> Result<Self, NetworkError> {
-        Self::capture(net, perm, TraceMode::OmegaBit, None, None)
-    }
-
-    /// Traces a self-routed pass over the **faulty** fabric: healthy
-    /// switches obey the tag rule, faulty switches follow their fault.
-    /// This is the flight-recorder hook — the engine captures exactly
-    /// what a failed request saw, stage by stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::PermutationLength`] on a length mismatch.
+    /// [`NetworkError::PermutationLength`] on a length mismatch,
+    /// [`NetworkError::SettingsOrder`] if external settings were built
+    /// for another order.
     ///
     /// # Panics
     ///
-    /// Panics if `faults.n() != net.n()` (matching the other
-    /// fault-overlay entry points in [`crate::faults`]).
-    pub fn capture_self_route_with_faults(
+    /// Panics if `faults` was built for another order than `net`.
+    pub fn capture(
         net: &Benes,
         perm: &Permutation,
-        faults: &FaultSet,
-    ) -> Result<Self, NetworkError> {
-        assert_eq!(faults.n(), net.n(), "fault set order must match the network");
-        Self::capture(net, perm, TraceMode::SelfRouting, None, Some(faults))
-    }
-
-    /// Traces an omega-bit pass over the faulty fabric.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetworkError::PermutationLength`] on a length mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `faults.n() != net.n()`.
-    pub fn capture_omega_with_faults(
-        net: &Benes,
-        perm: &Permutation,
-        faults: &FaultSet,
-    ) -> Result<Self, NetworkError> {
-        assert_eq!(faults.n(), net.n(), "fault set order must match the network");
-        Self::capture(net, perm, TraceMode::OmegaBit, None, Some(faults))
-    }
-
-    /// Traces a pass with externally supplied settings over the faulty
-    /// fabric (every faulty switch overrides its commanded state).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on a length or settings-order mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `faults.n() != net.n()`.
-    pub fn capture_external_with_faults(
-        net: &Benes,
-        perm: &Permutation,
-        settings: &SwitchSettings,
-        faults: &FaultSet,
-    ) -> Result<Self, NetworkError> {
-        assert_eq!(faults.n(), net.n(), "fault set order must match the network");
-        if settings.n() != net.n() {
-            return Err(NetworkError::SettingsOrder {
-                network_n: net.n(),
-                settings_n: settings.n(),
-            });
-        }
-        Self::capture(net, perm, TraceMode::External, Some(settings), Some(faults))
-    }
-
-    /// Traces a pass of `perm`'s tags with externally supplied settings.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on a length or settings-order mismatch.
-    pub fn capture_external(
-        net: &Benes,
-        perm: &Permutation,
-        settings: &SwitchSettings,
-    ) -> Result<Self, NetworkError> {
-        if settings.n() != net.n() {
-            return Err(NetworkError::SettingsOrder {
-                network_n: net.n(),
-                settings_n: settings.n(),
-            });
-        }
-        Self::capture(net, perm, TraceMode::External, Some(settings), None)
-    }
-
-    fn capture(
-        net: &Benes,
-        perm: &Permutation,
-        mode: TraceMode,
-        external: Option<&SwitchSettings>,
+        control: Control<'_>,
         faults: Option<&FaultSet>,
     ) -> Result<Self, NetworkError> {
+        if let Some(f) = faults {
+            assert_eq!(f.n(), net.n(), "fault set order must match the network");
+        }
+        if let Control::Settings(settings) = control {
+            if settings.n() != net.n() {
+                return Err(NetworkError::SettingsOrder {
+                    network_n: net.n(),
+                    settings_n: settings.n(),
+                });
+            }
+        }
         if perm.len() != net.terminal_count() {
             return Err(NetworkError::PermutationLength {
                 expected: net.terminal_count(),
                 actual: perm.len(),
             });
         }
-        let stages = net.stage_count();
-        let mut stage_inputs: Vec<Vec<u32>> = vec![vec![0; net.terminal_count()]; stages];
-        let forced_straight = match mode {
-            TraceMode::OmegaBit => net.n() as usize - 1,
-            _ => 0,
-        };
+        let mut stage_inputs: Vec<Vec<u32>> =
+            vec![vec![0; net.terminal_count()]; net.stage_count()];
         let tags: Vec<u32> = perm.destinations().to_vec();
         let (outputs, settings) = net.propagate(tags, |s, i, upper, lower| {
             stage_inputs[s][2 * i] = *upper;
             stage_inputs[s][2 * i + 1] = *lower;
-            let commanded = match (mode, external) {
-                (TraceMode::External, Some(ext)) => ext.get(s, i),
-                _ if s < forced_straight => SwitchState::Straight,
-                _ => SwitchState::from_bit(benes_bits::bit(
-                    u64::from(*upper),
-                    net.control_bit(s),
-                )),
-            };
-            match faults {
-                Some(f) => f.effective_state(s, i, commanded),
-                None => commanded,
-            }
+            control.state(net, faults, (s, i), *upper)
         });
-        Ok(Self { n: net.n(), mode, stage_inputs, settings, outputs })
+        Ok(Self { n: net.n(), mode: control.mode(), stage_inputs, settings, outputs })
     }
 
     /// The network order `n`.
@@ -235,13 +141,14 @@ impl RouteTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::SwitchState;
     use benes_perm::bpc::Bpc;
 
     #[test]
     fn trace_matches_plain_self_route() {
         let net = Benes::new(3);
         let perm = Bpc::bit_reversal(3).to_permutation();
-        let trace = RouteTrace::capture_self_route(&net, &perm).unwrap();
+        let trace = RouteTrace::capture(&net, &perm, Control::SelfRoute, None).unwrap();
         let outcome = net.self_route(&perm);
         assert_eq!(trace.outputs(), outcome.outputs());
         assert_eq!(trace.settings(), outcome.settings());
@@ -252,7 +159,7 @@ mod tests {
     fn fig4_stage0_tags_are_the_permutation() {
         let net = Benes::new(3);
         let perm = Bpc::bit_reversal(3).to_permutation();
-        let trace = RouteTrace::capture_self_route(&net, &perm).unwrap();
+        let trace = RouteTrace::capture(&net, &perm, Control::SelfRoute, None).unwrap();
         assert_eq!(trace.stage_input(0), perm.destinations());
     }
 
@@ -260,7 +167,7 @@ mod tests {
     fn fig5_trace_reproduces_failure() {
         let net = Benes::new(2);
         let d = Permutation::from_destinations(vec![1, 3, 2, 0]).unwrap();
-        let trace = RouteTrace::capture_self_route(&net, &d).unwrap();
+        let trace = RouteTrace::capture(&net, &d, Control::SelfRoute, None).unwrap();
         assert!(!trace.is_success());
         assert_eq!(trace.stage_input(0), &[1, 3, 2, 0]);
         // After stage 0 (cross, straight) and the link: middle sees
@@ -273,7 +180,7 @@ mod tests {
     fn omega_trace_forces_straight_stages() {
         let net = Benes::new(3);
         let d = benes_perm::omega::cyclic_shift(3, 1);
-        let trace = RouteTrace::capture_omega(&net, &d).unwrap();
+        let trace = RouteTrace::capture(&net, &d, Control::OmegaBit, None).unwrap();
         assert_eq!(trace.mode(), TraceMode::OmegaBit);
         for s in 0..2 {
             assert!(trace
@@ -290,7 +197,8 @@ mod tests {
         let net = Benes::new(3);
         let d = Permutation::from_destinations(vec![5, 2, 7, 0, 1, 6, 3, 4]).unwrap();
         let settings = crate::waksman::setup(&d).unwrap();
-        let trace = RouteTrace::capture_external(&net, &d, &settings).unwrap();
+        let trace =
+            RouteTrace::capture(&net, &d, Control::Settings(&settings), None).unwrap();
         assert!(trace.is_success());
         assert_eq!(trace.settings(), &settings);
     }
@@ -299,6 +207,6 @@ mod tests {
     fn length_mismatch_rejected() {
         let net = Benes::new(2);
         let d = Permutation::identity(8);
-        assert!(RouteTrace::capture_self_route(&net, &d).is_err());
+        assert!(RouteTrace::capture(&net, &d, Control::SelfRoute, None).is_err());
     }
 }

@@ -79,7 +79,7 @@ impl std::error::Error for SetupError {}
 /// `B(n)` — the paper's baseline `O(N log N)` set-up.
 ///
 /// The returned settings route input `i` to output `d[i]` via
-/// [`crate::network::Benes::route_with`] or [`crate::word::replay`].
+/// [`crate::network::Benes::route_with`] or [`crate::word::route`].
 ///
 /// # Errors
 ///

@@ -193,100 +193,54 @@ proptest! {
 }
 
 proptest! {
-    /// Word-kernel vs scalar-kernel agreement on healthy fabrics across
-    /// B(4..8): success flag, arrival tags, and recovered settings must be
-    /// bit-identical for both the plain and the omega-bit variants.
+    /// Word kernel vs scalar oracle across B(4..10), for every control
+    /// mode on the healthy fabric and on a random stuck fabric: success
+    /// flag, arrival tags and applied settings must be bit-identical, and
+    /// a settings replay must land where `route_with_faults` puts it. A
+    /// second permutation replayed through the first one's settings
+    /// arrives exactly where `route_with` puts it.
     #[test]
-    fn word_kernel_agrees_with_scalar(n in 4u32..=8, seed in any::<u64>()) {
-        let net = Benes::new(n);
-        let p = seeded_permutation(1usize << n, seed);
-
-        let scalar = net.self_route(&p);
-        let word = net.self_route_fast(&p).unwrap();
-        prop_assert_eq!(word.is_success(), scalar.is_success());
-        prop_assert_eq!(word.outputs(), scalar.outputs());
-        prop_assert_eq!(word.settings(), scalar.settings());
-
-        let scalar_o = net.self_route_omega(&p);
-        let word_o = net.self_route_omega_fast(&p).unwrap();
-        prop_assert_eq!(word_o.is_success(), scalar_o.is_success());
-        prop_assert_eq!(word_o.outputs(), scalar_o.outputs());
-        prop_assert_eq!(word_o.settings(), scalar_o.settings());
-    }
-
-    /// Same agreement over random stuck/dead fabrics: the fault overlay
-    /// masks must reproduce the scalar per-switch effective states exactly.
-    #[test]
-    fn word_kernel_agrees_with_scalar_under_faults(
-        n in 4u32..=8,
-        seed in any::<u64>(),
-        fault_count in 1usize..=5,
-        fault_seed in any::<u64>(),
-    ) {
-        use benes_core::faults::{self_route_omega_with_faults, self_route_with_faults, FaultSet};
-        use benes_core::word;
-
-        let net = Benes::new(n);
-        let p = seeded_permutation(1usize << n, seed);
-        let fs = FaultSet::random_stuck(n, fault_count, fault_seed);
-
-        let scalar = self_route_with_faults(&net, &p, &fs);
-        let fast = word::self_route_with_faults(&net, &p, &fs).unwrap();
-        prop_assert_eq!(fast.is_success(), scalar.is_success());
-        prop_assert_eq!(fast.outputs(), scalar.outputs());
-        prop_assert_eq!(fast.settings(), scalar.settings());
-
-        let scalar_o = self_route_omega_with_faults(&net, &p, &fs);
-        let fast_o = word::self_route_omega_with_faults(&net, &p, &fs).unwrap();
-        prop_assert_eq!(fast_o.is_success(), scalar_o.is_success());
-        prop_assert_eq!(fast_o.outputs(), scalar_o.outputs());
-        prop_assert_eq!(fast_o.settings(), scalar_o.settings());
-    }
-}
-
-proptest! {
-    /// Word replay of Waksman settings vs the scalar circuit walk across
-    /// B(4..10): the settings' own permutation replays to success, and a
-    /// second permutation arrives exactly where `route_with` puts it.
-    #[test]
-    fn word_replay_agrees_with_route_with(n in 4u32..=10, seed in any::<u64>(), other in any::<u64>()) {
-        use benes_core::word;
-
-        let net = Benes::new(n);
-        let p = seeded_permutation(1usize << n, seed);
-        let q = seeded_permutation(1usize << n, other);
-        let settings = waksman::setup(&p).unwrap();
-        let fast = word::replay(&settings, &p).unwrap();
-        prop_assert!(fast.is_success());
-        prop_assert_eq!(fast.outputs(), net.route_with(&settings, p.destinations()).unwrap());
-        let fast = word::replay(&settings, &q).unwrap();
-        prop_assert_eq!(fast.outputs(), net.route_with(&settings, q.destinations()).unwrap());
-        prop_assert_eq!(fast.is_success(), net.realized_permutation(&settings).unwrap() == q);
-    }
-
-    /// The same replay over random stuck/dead fabrics vs
-    /// `route_with_faults` / `realized_with_faults`.
-    #[test]
-    fn word_replay_agrees_with_scalar_under_faults(
+    fn word_kernel_agrees_with_scalar(
         n in 4u32..=10,
         seed in any::<u64>(),
+        other in any::<u64>(),
         fault_count in 1usize..=5,
         fault_seed in any::<u64>(),
     ) {
         use benes_core::faults::{realized_with_faults, route_with_faults, FaultSet};
-        use benes_core::word;
+        use benes_core::trace::RouteTrace;
+        use benes_core::{word, Control};
 
         let net = Benes::new(n);
         let p = seeded_permutation(1usize << n, seed);
         let fs = FaultSet::random_stuck(n, fault_count, fault_seed);
         let settings = waksman::setup(&p).unwrap();
-        let fast = word::replay_with_faults(&settings, &p, &fs).unwrap();
-        prop_assert_eq!(
-            fast.outputs(),
-            route_with_faults(&net, &settings, &fs, p.destinations()).unwrap()
-        );
-        prop_assert_eq!(fast.is_success(), realized_with_faults(&net, &settings, &fs).unwrap() == p);
-        prop_assert_eq!(fast.settings(), &fs.apply_to(&settings));
+        for faults in [None, Some(&fs)] {
+            for control in [Control::SelfRoute, Control::OmegaBit, Control::Settings(&settings)] {
+                let word = word::route(n, &p, control, faults).unwrap();
+                let scalar = RouteTrace::capture(&net, &p, control, faults).unwrap();
+                prop_assert_eq!(word.is_success(), scalar.is_success());
+                prop_assert_eq!(word.outputs(), scalar.outputs());
+                prop_assert_eq!(word.settings(), scalar.settings());
+            }
+            let replay = word::route(n, &p, Control::Settings(&settings), faults).unwrap();
+            let healthy = FaultSet::new(n);
+            let fabric = faults.unwrap_or(&healthy);
+            prop_assert_eq!(
+                replay.outputs(),
+                route_with_faults(&net, &settings, fabric, p.destinations()).unwrap()
+            );
+            prop_assert_eq!(
+                replay.is_success(),
+                realized_with_faults(&net, &settings, fabric).unwrap() == p
+            );
+            prop_assert_eq!(replay.settings(), &fabric.apply_to(&settings));
+        }
+        prop_assert!(word::route(n, &p, Control::Settings(&settings), None).unwrap().is_success());
+        let q = seeded_permutation(1usize << n, other);
+        let replay = word::route(n, &q, Control::Settings(&settings), None).unwrap();
+        prop_assert_eq!(replay.outputs(), net.route_with(&settings, q.destinations()).unwrap());
+        prop_assert_eq!(replay.is_success(), net.realized_permutation(&settings).unwrap() == q);
     }
 }
 

@@ -258,19 +258,32 @@ impl Breaker {
         self.lock().state
     }
 
-    /// Trips to open and schedules the next probe:
-    /// `base · 2^(streak-1)` capped at `max_backoff`, plus up to 25%
-    /// deterministic jitter.
+    /// Trips to open and schedules the next probe [`backoff`] from now.
     fn open(trip: &mut Trip, cfg: &BreakerConfig, now: Instant) {
         trip.consecutive_failures = 0;
         trip.state = BreakerState::Open;
         trip.open_streak += 1;
-        let exp = trip.open_streak.saturating_sub(1).min(16);
-        let backoff = (cfg.base_backoff.as_nanos() << exp).min(cfg.max_backoff.as_nanos());
-        let backoff = u64::try_from(backoff).unwrap_or(u64::MAX);
-        let jitter = trip.jitter.below(backoff / 4 + 1);
-        trip.open_until = now + Duration::from_nanos(backoff.saturating_add(jitter));
+        trip.open_until = now
+            + backoff(
+                trip.open_streak,
+                cfg.base_backoff,
+                cfg.max_backoff,
+                &mut trip.jitter,
+            );
     }
+}
+
+/// The wait after the `streak`-th consecutive failure (`streak ≥ 1`):
+/// `base · 2^(streak-1)` capped at `max`, plus up to 25% deterministic
+/// jitter drawn from `jitter` (one draw per call). The breaker's
+/// re-open and the remote shard's reconnect share it.
+#[must_use]
+pub fn backoff(streak: u32, base: Duration, max: Duration, jitter: &mut Rng64) -> Duration {
+    let exp = streak.saturating_sub(1).min(16);
+    let backoff = (base.as_nanos() << exp).min(max.as_nanos());
+    let backoff = u64::try_from(backoff).unwrap_or(u64::MAX);
+    let jitter = jitter.below(backoff / 4 + 1);
+    Duration::from_nanos(backoff.saturating_add(jitter))
 }
 
 #[cfg(test)]
@@ -367,6 +380,21 @@ mod tests {
         let b = schedule(4);
         assert_eq!(a.len(), b.len());
     }
+
+    #[test]
+    fn backoff_schedule_is_pinned() {
+        // The first six waits for one seed, as `base · 2^(streak-1)`
+        // capped at `max` plus the jitter draw: seeded drills (breaker
+        // timelines, remote-shard reconnects) replay these exactly.
+        let mut rng = Rng64::new(7);
+        let ms = Duration::from_millis;
+        let waits: Vec<u128> =
+            (1..=6).map(|k| backoff(k, ms(10), ms(200), &mut rng).as_nanos()).collect();
+        assert_eq!(waits, PINNED_BACKOFFS_NS);
+    }
+
+    const PINNED_BACKOFFS_NS: [u128; 6] =
+        [10_974_574, 20_083_941, 49_007_607, 91_658_606, 178_097_676, 212_471_576];
 
     #[test]
     fn backoff_caps_at_max() {

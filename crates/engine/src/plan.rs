@@ -24,8 +24,9 @@
 
 use std::fmt;
 
+use benes_core::faults::FaultSet;
 use benes_core::waksman::{self, SetupError};
-use benes_core::{factor, word, Benes, SwitchSettings};
+use benes_core::{factor, word, Benes, Control, SwitchSettings};
 use benes_perm::omega::is_omega;
 use benes_perm::Permutation;
 
@@ -189,7 +190,7 @@ pub fn required_order(d: &Permutation) -> Result<u32, PlanError> {
 ///
 /// `F(n)` is by definition what the self-routing network realizes, so
 /// membership is decided by simulation: one word-parallel self-route
-/// attempt ([`word::self_route`]). On every member it costs less than
+/// attempt ([`word::route`]). On every member it costs less than
 /// the Theorem-1 recursion ([`benes_core::class_f::is_in_f`]), which the
 /// tests keep as the oracle.
 ///
@@ -210,7 +211,7 @@ pub fn required_order(d: &Permutation) -> Result<u32, PlanError> {
 /// ```
 pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
     let n = required_order(d)?;
-    if word::self_route(n, d).is_ok_and(|o| o.is_success()) {
+    if word::route(n, d, Control::SelfRoute, None).is_ok_and(|o| o.is_success()) {
         return Ok(Plan::SelfRoute);
     }
     if is_omega(d) {
@@ -230,11 +231,9 @@ pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
 /// for a *different* permutation) surface as `false`, never as silent
 /// misrouting.
 ///
-/// Every arm runs on the word-parallel kernels ([`benes_core::word`]) —
-/// whole switch columns as `u64` masks — which the exhaustive/property
-/// tests in `benes_core` pin to the scalar oracle. The self-routing arms
-/// derive each column from the tags; the settings arm applies the plan's
-/// stored control columns as they are ([`benes_core::word::replay`]).
+/// Every pass runs on the word-parallel kernel ([`word::route`]) — whole
+/// switch columns as `u64` masks — which the exhaustive/property tests
+/// in `benes_core` pin to the scalar oracle.
 ///
 /// # Panics
 ///
@@ -243,25 +242,40 @@ pub fn plan(d: &Permutation, fallback: Fallback) -> Result<Plan, PlanError> {
 #[must_use]
 pub fn execute(net: &Benes, d: &Permutation, plan: &Plan) -> bool {
     assert_eq!(d.len(), net.terminal_count(), "execute: network order mismatch");
-    match plan {
-        Plan::SelfRoute => net.self_route_fast(d).map(|o| o.is_success()).unwrap_or(false),
-        Plan::OmegaBit => {
-            net.self_route_omega_fast(d).map(|o| o.is_success()).unwrap_or(false)
+    walk(net, d, plan, None).is_ok()
+}
+
+/// Walks `plan`'s passes for `d` on the word kernel over the fabric as
+/// it is (`faults` overlaid when present and non-empty), in order,
+/// stopping at the first pass that misroutes. `Ok` when every pass
+/// succeeded; otherwise the failing pass (its tags and control), or
+/// `None` for a two-pass plan whose factors do not compose to `d`.
+/// Healthy execution, degraded execution and the failure trace all go
+/// through here.
+pub(crate) fn walk<'a>(
+    net: &Benes,
+    d: &'a Permutation,
+    plan: &'a Plan,
+    faults: Option<&FaultSet>,
+) -> Result<(), Option<(&'a Permutation, Control<'a>)>> {
+    let (one, two) = match plan {
+        Plan::SelfRoute => ((d, Control::SelfRoute), None),
+        Plan::OmegaBit => ((d, Control::OmegaBit), None),
+        Plan::Settings(settings) => ((d, Control::Settings(settings)), None),
+        // The factorization theorem guarantees first ∈ Ω⁻¹ ⊆ F and
+        // second ∈ Ω, so both passes self-route with zero set-up.
+        Plan::TwoPass { first, second } if first.then(second) == *d => {
+            ((first, Control::SelfRoute), Some((second, Control::OmegaBit)))
         }
-        Plan::Settings(settings) => {
-            word::replay(settings, d).map(|o| o.is_success()).unwrap_or(false)
-        }
-        Plan::TwoPass { first, second } => {
-            // The factorization theorem guarantees first ∈ Ω⁻¹ ⊆ F and
-            // second ∈ Ω, so both passes self-route with zero set-up.
-            first.then(second) == *d
-                && net.self_route_fast(first).map(|o| o.is_success()).unwrap_or(false)
-                && net
-                    .self_route_omega_fast(second)
-                    .map(|o| o.is_success())
-                    .unwrap_or(false)
+        Plan::TwoPass { .. } => return Err(None),
+    };
+    let faults = faults.filter(|f| !f.is_empty());
+    for (tags, control) in std::iter::once(one).chain(two) {
+        if !word::route(net.n(), tags, control, faults).is_ok_and(|o| o.is_success()) {
+            return Err(Some((tags, control)));
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,13 +14,13 @@ use std::time::Instant;
 
 use benes_core::faults::{setup_avoiding, FaultSet, FaultSetupError};
 use benes_core::trace::RouteTrace;
-use benes_core::{word, Benes};
+use benes_core::Benes;
 use benes_perm::Permutation;
 
 use crate::breaker::Admission;
 use crate::engine::{EngineError, Shared};
 use crate::flightrec::{LadderStep, RouteAttempt};
-use crate::plan::{execute, plan, required_order, Plan, PlanError, Tier};
+use crate::plan::{plan, required_order, walk, Plan, PlanError, Tier};
 use crate::queue::{Job, RequestOutcome};
 
 pub(crate) fn worker_loop(shared: &Shared, worker: usize) {
@@ -216,81 +216,23 @@ pub(crate) fn cancel_job(shared: &Shared, job: Job) {
 /// changed between planning and execution).
 const MAX_FAULT_RETRIES: usize = 3;
 
-/// Executes `plan` on the fabric as it currently is: healthy when
-/// `faults` is `None`, otherwise with every faulty switch overriding its
-/// commanded state. Either way the realized routing is verified against
-/// `d`.
-fn execute_on_fabric(
-    net: &Benes,
-    d: &Permutation,
-    plan: &Plan,
-    faults: Option<&FaultSet>,
-) -> bool {
-    let Some(faults) = faults.filter(|f| !f.is_empty()) else {
-        return execute(net, d, plan);
-    };
-    // Degraded-path execution rides the same word-parallel kernels as
-    // the healthy path (`benes_core::word`), with the stuck/dead
-    // switches overlaid as per-stage masks.
-    let word_ok =
-        |r: Result<word::WordOutcome, _>| r.map(|o| o.is_success()).unwrap_or(false);
-    match plan {
-        Plan::SelfRoute => word_ok(word::self_route_with_faults(net, d, faults)),
-        Plan::OmegaBit => word_ok(word::self_route_omega_with_faults(net, d, faults)),
-        Plan::Settings(settings) => word_ok(word::replay_with_faults(settings, d, faults)),
-        Plan::TwoPass { first, second } => {
-            first.then(second) == *d
-                && word_ok(word::self_route_with_faults(net, first, faults))
-                && word_ok(word::self_route_omega_with_faults(net, second, faults))
-        }
-    }
-}
-
 /// `start.elapsed()` as saturating nanoseconds.
 fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-/// Captures the full per-stage trace of `plan` routing `d` over the
-/// fabric as it is (`faults` applied when present) — the post-mortem
-/// evidence attached to a failed flight record. For a two-pass plan the
-/// first failing pass is traced. Returns `None` only if the trace
-/// capture itself rejects the inputs (it never should for a plan the
-/// engine just executed).
+/// Captures the full per-stage trace of `plan`'s first failing pass for
+/// `d` over the fabric as it is (`faults` applied when present) — the
+/// post-mortem evidence attached to a failed flight record. `None` when
+/// every pass succeeds or the plan cannot serve `d` at all.
 pub(crate) fn capture_trace(
     net: &Benes,
     d: &Permutation,
     plan: &Plan,
     faults: Option<&FaultSet>,
 ) -> Option<RouteTrace> {
-    let faults = faults.filter(|f| !f.is_empty());
-    match (plan, faults) {
-        (Plan::SelfRoute, None) => RouteTrace::capture_self_route(net, d).ok(),
-        (Plan::SelfRoute, Some(f)) => {
-            RouteTrace::capture_self_route_with_faults(net, d, f).ok()
-        }
-        (Plan::OmegaBit, None) => RouteTrace::capture_omega(net, d).ok(),
-        (Plan::OmegaBit, Some(f)) => RouteTrace::capture_omega_with_faults(net, d, f).ok(),
-        (Plan::Settings(s), None) => RouteTrace::capture_external(net, d, s).ok(),
-        (Plan::Settings(s), Some(f)) => {
-            RouteTrace::capture_external_with_faults(net, d, s, f).ok()
-        }
-        (Plan::TwoPass { first, second }, f) => {
-            let pass1 = match f {
-                Some(f) => {
-                    RouteTrace::capture_self_route_with_faults(net, first, f).ok()?
-                }
-                None => RouteTrace::capture_self_route(net, first).ok()?,
-            };
-            if !pass1.is_success() {
-                return Some(pass1);
-            }
-            match f {
-                Some(f) => RouteTrace::capture_omega_with_faults(net, second, f).ok(),
-                None => RouteTrace::capture_omega(net, second).ok(),
-            }
-        }
-    }
+    let (tags, control) = walk(net, d, plan, faults).err()??;
+    RouteTrace::capture(net, tags, control, faults).ok()
 }
 
 /// Serves one request: cache lookup, then tier planning, execution, and
@@ -335,7 +277,7 @@ fn serve_one(
                     }
                     agrees
                 }
-                (_, overlay) => execute_on_fabric(net, perm, &cached, overlay),
+                (_, overlay) => walk(net, perm, &cached, overlay).is_ok(),
             };
             if valid {
                 shared.recorder.note_tier(Tier::Cached);
@@ -362,7 +304,7 @@ fn serve_one(
     let tier = fresh.tier();
     attempt.step(LadderStep::Planned(tier));
     let execute_started = Instant::now();
-    let executed = execute_on_fabric(net, perm, &fresh, faults.as_deref());
+    let executed = walk(net, perm, &fresh, faults.as_deref()).is_ok();
     attempt.phases.execute = elapsed_ns(execute_started);
     attempt.step(LadderStep::Executed { ok: executed });
     if executed {
@@ -412,7 +354,7 @@ fn fault_ladder(
             None => {
                 // Healed mid-flight: the fresh plan is valid again.
                 attempt.step(LadderStep::Healed);
-                let healed = execute_on_fabric(net, perm, fresh, None);
+                let healed = walk(net, perm, fresh, None).is_ok();
                 attempt.step(LadderStep::Executed { ok: healed });
                 if healed {
                     if fresh.is_cacheable() {
@@ -429,7 +371,7 @@ fn fault_ladder(
         match setup_avoiding(perm, &current) {
             Ok(settings) => {
                 let avoiding = Plan::Settings(settings);
-                let ok = execute_on_fabric(net, perm, &avoiding, Some(&current));
+                let ok = walk(net, perm, &avoiding, Some(&current)).is_ok();
                 attempt.step(LadderStep::Replanned { ok });
                 if ok {
                     // The avoiding settings agree with every stuck

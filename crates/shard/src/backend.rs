@@ -2,7 +2,7 @@
 //!
 //! PR 6's coordinator talked to a `Vec<Engine>` directly; this module
 //! generalizes one shard into a [`Backend`]: *any* fault domain that
-//! accepts a routing unit and guarantees a terminal [`UnitReply`].
+//! accepts a routing unit and guarantees a terminal [`RequestOutcome`].
 //! Two implementations exist — [`LocalShard`] wraps an in-process
 //! [`Engine`]; `RemoteShard` (see [`crate::remote`]) speaks the
 //! benes-serve wire protocol to a separate process. The coordinator's
@@ -15,30 +15,17 @@ use std::fmt;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use benes_engine::{Engine, EngineConfig, EngineError, Tier};
+use benes_engine::{Engine, EngineConfig, EngineError, RequestOutcome};
 use benes_obs::Ledger;
 use benes_perm::Permutation;
-
-/// The terminal result of one routing unit on one backend.
-#[derive(Debug, Clone)]
-pub struct UnitReply {
-    /// The tier that served the unit, or why it failed/was shed.
-    pub result: Result<Tier, EngineError>,
-    /// Submit → terminal latency as observed by the coordinator (for
-    /// remote backends this includes queueing, the wire, retries and
-    /// failover — the latency the caller actually experienced).
-    pub latency: Duration,
-}
 
 enum TicketInner {
     /// An in-process engine ticket.
     Local(benes_engine::Ticket),
     /// A remote unit: the backend's I/O thread sends exactly one
-    /// terminal reply.
-    Remote(mpsc::Receiver<UnitReply>),
-    /// Already terminal at submit time (e.g. the backend is shut
-    /// down).
-    Ready(UnitReply),
+    /// terminal reply. Its latency is submit → terminal as the
+    /// coordinator saw it: queueing, the wire, retries and failover.
+    Remote(mpsc::Receiver<RequestOutcome>),
 }
 
 /// A pending routing unit on some backend. Like an engine
@@ -59,31 +46,21 @@ impl UnitTicket {
     /// one terminal reply, or drop — a dropped sender resolves as
     /// canceled).
     #[must_use]
-    pub fn remote(rx: mpsc::Receiver<UnitReply>) -> Self {
+    pub fn remote(rx: mpsc::Receiver<RequestOutcome>) -> Self {
         Self { inner: TicketInner::Remote(rx) }
-    }
-
-    /// A unit that was terminal at submit time.
-    #[must_use]
-    pub fn ready(result: Result<Tier, EngineError>, latency: Duration) -> Self {
-        Self { inner: TicketInner::Ready(UnitReply { result, latency }) }
     }
 
     /// Blocks until the unit is terminal.
     #[must_use]
-    pub fn wait(self) -> UnitReply {
+    pub fn wait(self) -> RequestOutcome {
         match self.inner {
-            TicketInner::Local(t) => {
-                let outcome = t.wait();
-                UnitReply { result: outcome.result, latency: outcome.latency }
-            }
-            TicketInner::Remote(rx) => rx.recv().unwrap_or(UnitReply {
+            TicketInner::Local(t) => t.wait(),
+            TicketInner::Remote(rx) => rx.recv().unwrap_or(RequestOutcome {
                 // The I/O thread died without replying (it accounts the
                 // unit as canceled on its own side before exiting).
                 result: Err(EngineError::Canceled),
                 latency: Duration::ZERO,
             }),
-            TicketInner::Ready(reply) => reply,
         }
     }
 }
@@ -93,7 +70,6 @@ impl fmt::Debug for UnitTicket {
         let kind = match &self.inner {
             TicketInner::Local(_) => "local",
             TicketInner::Remote(_) => "remote",
-            TicketInner::Ready(_) => "ready",
         };
         f.debug_struct("UnitTicket").field("kind", &kind).finish()
     }
@@ -229,14 +205,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ready_tickets_resolve_immediately() {
-        let t = UnitTicket::ready(Err(EngineError::Canceled), Duration::ZERO);
-        assert_eq!(t.wait().result, Err(EngineError::Canceled));
-    }
-
-    #[test]
     fn dropped_remote_sender_resolves_as_canceled() {
-        let (tx, rx) = mpsc::channel::<UnitReply>();
+        let (tx, rx) = mpsc::channel::<RequestOutcome>();
         drop(tx);
         assert_eq!(UnitTicket::remote(rx).wait().result, Err(EngineError::Canceled));
     }

@@ -69,9 +69,7 @@ pub mod remote;
 pub mod soak;
 pub mod stats;
 
-pub use backend::{
-    Backend, BackendDrain, BackendLedger, LocalShard, UnitReply, UnitTicket,
-};
+pub use backend::{Backend, BackendDrain, BackendLedger, LocalShard, UnitTicket};
 pub use coordinator::{
     BlockPolicy, ShardConfig, ShardCoordinator, ShardError, ShardOutcome, Stage,
     UnitOutcome,

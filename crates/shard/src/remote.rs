@@ -63,14 +63,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use benes_engine::breaker::backoff;
 use benes_engine::workload::Rng64;
-use benes_engine::{terminal, Admission, Breaker, BreakerConfig, EngineError, Tier};
+use benes_engine::{
+    terminal, Admission, Breaker, BreakerConfig, EngineError, RequestOutcome, Tier,
+};
 use benes_obs::LedgerCell;
 use benes_perm::Permutation;
 use benes_serve::proto::{tier_from_code, Frame, Status};
 use benes_serve::Client;
 
-use crate::backend::{Backend, BackendDrain, BackendLedger, UnitReply, UnitTicket};
+use crate::backend::{Backend, BackendDrain, BackendLedger, UnitTicket};
 
 /// Capacity of the I/O thread's event channel. A full channel blocks
 /// submitters and readers until the I/O thread catches up.
@@ -162,17 +165,17 @@ impl Shared {
 /// a reply (its event discarded with a closed channel, or the I/O
 /// thread gone), it books the unit canceled and tells the caller so.
 struct Reply {
-    tx: Option<SyncSender<UnitReply>>,
+    tx: Option<SyncSender<RequestOutcome>>,
     shared: Arc<Shared>,
 }
 
 impl Reply {
     /// Books `reply`'s terminal state and delivers it.
-    fn send(mut self, reply: UnitReply) {
+    fn send(mut self, reply: RequestOutcome) {
         self.deliver(reply);
     }
 
-    fn deliver(&mut self, reply: UnitReply) {
+    fn deliver(&mut self, reply: RequestOutcome) {
         let Some(tx) = self.tx.take() else { return };
         self.shared.requests.finish(terminal(&reply.result));
         // analyze:allow(discarded-result): the caller may have dropped its ticket
@@ -182,7 +185,7 @@ impl Reply {
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        self.deliver(UnitReply {
+        self.deliver(RequestOutcome {
             result: Err(EngineError::Canceled),
             latency: Duration::ZERO,
         });
@@ -419,7 +422,7 @@ struct Pending {
     req: [Option<u64>; 2],
     sent_at: Option<Instant>,
     /// A losing (non-Ok) reply parked while a hedge twin is still out.
-    fallback: Option<UnitReply>,
+    fallback: Option<RequestOutcome>,
 }
 
 /// Whether `u` still waits on the primary alone and may be hedged.
@@ -565,7 +568,7 @@ impl IoThread {
         match event {
             Event::Unit { perm, deadline, reply } => {
                 if self.draining.is_some() {
-                    reply.send(UnitReply {
+                    reply.send(RequestOutcome {
                         result: Err(EngineError::Canceled),
                         latency: Duration::ZERO,
                     });
@@ -741,7 +744,7 @@ impl IoThread {
                     self.units.insert(id, unit);
                     self.endpoints[SPARE].sendq.push_back(id);
                 } else {
-                    let reply = UnitReply {
+                    let reply = RequestOutcome {
                         result: Err(EngineError::BreakerOpen),
                         latency: now.saturating_duration_since(unit.started),
                     };
@@ -863,7 +866,8 @@ impl IoThread {
         // twin decide.
         if twin_out {
             let unit = self.units.get_mut(&id).expect("still pending");
-            unit.fallback = Some(UnitReply { result, latency: unit.started.elapsed() });
+            unit.fallback =
+                Some(RequestOutcome { result, latency: unit.started.elapsed() });
             return;
         }
         // Primary said "overloaded/broken" and the spare is untried:
@@ -956,13 +960,14 @@ impl IoThread {
         let _ = self.endpoints[e].breaker.on_failure(probe, now);
         let streak = self.endpoints[e].connect_streak.saturating_add(1);
         self.endpoints[e].connect_streak = streak;
-        let exp = streak.saturating_sub(1).min(16);
-        let backoff = (self.cfg.reconnect_base.as_nanos() << exp)
-            .min(self.cfg.reconnect_max.as_nanos());
-        let backoff = u64::try_from(backoff).unwrap_or(u64::MAX);
-        let jitter = self.endpoints[e].jitter.below(backoff / 4 + 1);
-        self.endpoints[e].not_before =
-            now + Duration::from_nanos(backoff.saturating_add(jitter));
+        let ep = &mut self.endpoints[e];
+        ep.not_before = now
+            + backoff(
+                streak,
+                self.cfg.reconnect_base,
+                self.cfg.reconnect_max,
+                &mut ep.jitter,
+            );
 
         // Every unit with a request outstanding here, plus everything
         // still queued, just lost an attempt.
@@ -1087,7 +1092,7 @@ impl IoThread {
             (Err(_), Some(parked)) => parked.result,
             _ => result,
         };
-        unit.reply.send(UnitReply { result, latency: unit.started.elapsed() });
+        unit.reply.send(RequestOutcome { result, latency: unit.started.elapsed() });
     }
 
     /// Terminal cancel of everything pending (teardown path).

@@ -10,7 +10,7 @@
 
 use benes::core::render::render_trace;
 use benes::core::trace::RouteTrace;
-use benes::core::{class_f, waksman, Benes};
+use benes::core::{class_f, waksman, Benes, Control};
 use benes::perm::bpc::Bpc;
 use benes::perm::omega::{is_inverse_omega, is_omega};
 use benes::perm::Permutation;
@@ -38,18 +38,21 @@ fn explore(d: &Permutation) {
     }
 
     let net = Benes::new(n);
-    let trace = RouteTrace::capture_self_route(&net, d).expect("length matches");
+    let trace =
+        RouteTrace::capture(&net, d, Control::SelfRoute, None).expect("length matches");
     println!("\nself-routing trace:");
     println!("{}", render_trace(&trace));
 
     if !trace.is_success() {
         if is_omega(d) {
-            let omega = RouteTrace::capture_omega(&net, d).expect("length matches");
+            let omega = RouteTrace::capture(&net, d, Control::OmegaBit, None)
+                .expect("length matches");
             println!("omega-bit trace (first n−1 stages forced straight):");
             println!("{}", render_trace(&omega));
         }
         let settings = waksman::setup(d).expect("power-of-two length");
-        let ext = RouteTrace::capture_external(&net, d, &settings).expect("valid");
+        let ext = RouteTrace::capture(&net, d, Control::Settings(&settings), None)
+            .expect("valid");
         println!(
             "Waksman external set-up: success = {} ({} crosses among {} switches)",
             ext.is_success(),

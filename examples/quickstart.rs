@@ -5,7 +5,7 @@
 
 use benes::core::render::render_trace;
 use benes::core::trace::RouteTrace;
-use benes::core::{class_f, waksman, Benes};
+use benes::core::{class_f, waksman, Benes, Control};
 use benes::perm::bpc::Bpc;
 use benes::perm::omega::cyclic_shift;
 use benes::perm::Permutation;
@@ -24,8 +24,9 @@ fn main() {
     // --- 1. A BPC permutation self-routes with zero set-up. ---
     let reversal = Bpc::bit_reversal(3);
     println!("bit reversal, A-vector {reversal}:");
-    let trace = RouteTrace::capture_self_route(&net, &reversal.to_permutation())
-        .expect("length matches");
+    let trace =
+        RouteTrace::capture(&net, &reversal.to_permutation(), Control::SelfRoute, None)
+            .expect("length matches");
     println!("{}", render_trace(&trace));
 
     // --- 2. So does any inverse-omega permutation (Theorem 3). ---
