@@ -27,10 +27,21 @@
 //! coalesced wakes are gone; dropping it (the seeded mutant) yields a
 //! lost-wakeup counterexample.
 //!
+//! # Batch admission
+//!
+//! A submitter may admit a run of jobs the way
+//! `SubmissionQueue::admit_all` does: one depth update reserves as many
+//! slots as fit (up to its `admit_batch`), one push puts the run on one
+//! shard, and one wake follows — `notify_all` for a run longer than one
+//! job. A push that finds admission closed hands the whole run back and
+//! releases every slot it reserved.
+//!
 //! # Properties
 //!
 //! * **conservation** — at full quiescence every job was served or
-//!   rejected, every queue is empty and no admission slot leaks.
+//!   rejected, every queue is empty and no admission slot leaks; and
+//!   at every step the reserved depth equals the slots the submitters
+//!   hold.
 //! * **deadlock** — no reachable state stalls with a thread neither
 //!   finished nor wakeable (covers the `gate`/`space` drain choreography
 //!   and bounded-admission parking).
@@ -80,6 +91,12 @@ pub struct Protocol {
     pub submitters: usize,
     /// Jobs each submitter admits.
     pub jobs_each: u8,
+    /// Per submitter, the most admission slots one reservation takes
+    /// (1 = single admission, more = batch admission).
+    pub admit_batch: Vec<u8>,
+    /// Whether a push that finds admission closed releases every slot
+    /// it reserved (the shipped code) or one fewer (a seeded mutant).
+    pub release_whole_run: bool,
     /// Worker batch size (jobs drained per shard-lock acquisition).
     pub batch: u8,
     /// Bounded-admission depth, `None` for unbounded.
@@ -106,6 +123,8 @@ impl Protocol {
             workers: 2,
             submitters: 2,
             jobs_each: 2,
+            admit_batch: vec![1, 1],
+            release_whole_run: true,
             batch: 1,
             max_depth: None,
             admit_wake: AdmitWake::PerPush,
@@ -123,10 +142,12 @@ impl Protocol {
     }
 
     /// The shipped protocol with bounded admission, exercising the
-    /// `gate`/`space` submitter parking and release choreography.
+    /// `gate`/`space` submitter parking and release choreography, with
+    /// one batch submitter (runs of up to two jobs) beside one single
+    /// submitter.
     #[must_use]
     pub fn current_bounded() -> Self {
-        Self { max_depth: Some(2), ..Self::current() }
+        Self { max_depth: Some(2), admit_batch: vec![2, 1], ..Self::current() }
     }
 
     /// Seeded mutant: PR 7's lost-wakeup bug — the post-take
@@ -147,6 +168,8 @@ impl Protocol {
             workers: 3,
             submitters: 2,
             jobs_each: 2,
+            admit_batch: vec![1, 1],
+            release_whole_run: true,
             batch: 2,
             max_depth: None,
             admit_wake: AdmitWake::PerPush,
@@ -162,6 +185,14 @@ impl Protocol {
     #[must_use]
     pub fn mutant_silent_release() -> Self {
         Self { release_notifies_space: false, ..Self::current() }
+    }
+
+    /// Seeded mutant for batch admission: a push that finds admission
+    /// closed hands its run back but releases one slot fewer than it
+    /// reserved.
+    #[must_use]
+    pub fn mutant_short_tail_release() -> Self {
+        Self { release_whole_run: false, ..Self::current_bounded() }
     }
 
     fn total_jobs(&self) -> u16 {
@@ -188,8 +219,9 @@ enum Worker {
 enum Sub {
     /// Ready to admit; the `u8` counts jobs still to submit.
     Ready(u8),
-    /// Holds a reserved admission slot for the next push.
-    Reserved(u8),
+    /// Holds `.1` reserved admission slots for the next push (`.0`
+    /// jobs still to submit, the reserved ones included).
+    Reserved(u8, u8),
     /// Asleep on `space` (queue full); runnable only via a wake.
     GateParked(u8),
     /// Woken from the gate, about to retry admission.
@@ -271,7 +303,7 @@ impl QState {
             .iter()
             .map(|s| match s {
                 Sub::Ready(l) => format!("ready({l})"),
-                Sub::Reserved(l) => format!("reserved({l})"),
+                Sub::Reserved(l, k) => format!("reserved({l}, {k} slots)"),
                 Sub::GateParked(l) => format!("gate-parked({l})"),
                 Sub::GateWoken(l) => format!("gate-woken({l})"),
                 Sub::Done => "done".to_string(),
@@ -344,73 +376,94 @@ impl Protocol {
         }
     }
 
-    /// One submitter's attempt to reserve an admission slot (the shared
-    /// front half of `admit`), from `Ready` or `GateWoken`.
+    /// One submitter's attempt to reserve admission slots — as many as
+    /// fit, up to its `admit_batch`, in one depth update (the shared
+    /// front half of `admit_all`), from `Ready` or `GateWoken`.
     fn reserve(&self, s: &QState, i: usize, left: u8, out: &mut Vec<(String, QState)>) {
+        // One admission call carries up to `admit_batch` jobs; a refused
+        // call hands all of them back.
+        let call = left.min(self.admit_batch[i]);
         if s.draining {
             let mut n = s.clone();
-            n.rejected += 1;
-            n.subs[i] = sub_next(left - 1);
-            out.push((format!("S{i}: admission refused (draining), job rejected"), n));
+            n.rejected += call;
+            n.subs[i] = sub_next(left - call);
+            out.push((
+                format!("S{i}: admission refused (draining), {call} job(s) rejected"),
+                n,
+            ));
             return;
         }
-        if let Some(max) = self.max_depth {
-            if s.depth() >= u16::from(max) {
-                let mut n = s.clone();
-                n.subs[i] = Sub::GateParked(left);
-                out.push((
-                    format!("S{i}: queue full (depth={}), park on gate", s.depth()),
-                    n,
-                ));
-                return;
-            }
+        let free =
+            self.max_depth.map_or(u16::MAX, |max| u16::from(max).saturating_sub(s.depth()));
+        if free == 0 {
+            let mut n = s.clone();
+            n.subs[i] = Sub::GateParked(left);
+            out.push((format!("S{i}: queue full (depth={}), park on gate", s.depth()), n));
+            return;
         }
+        let k = u8::try_from(u16::from(call).min(free)).expect("at most `call` slots");
         let mut n = s.clone();
-        n.reserved += 1;
-        n.subs[i] = Sub::Reserved(left);
+        n.reserved += k;
+        n.subs[i] = Sub::Reserved(left, k);
         out.push((
             format!(
-                "S{i}: reserve admission slot (depth {}->{})",
+                "S{i}: reserve {k} admission slot(s) (depth {}->{})",
                 s.depth(),
-                s.depth() + 1
+                s.depth() + u16::from(k)
             ),
             n,
         ));
     }
 
-    /// A reserved submitter's push, one successor per target shard (the
-    /// scatter placement is adversarially nondeterministic) and, under
-    /// `PerPush` wake delivery, per parked wake target.
-    fn push(&self, s: &QState, i: usize, left: u8, out: &mut Vec<(String, QState)>) {
+    /// A reserved submitter's push of its run of `run` jobs onto one
+    /// shard, one successor per target shard (the scatter placement is
+    /// adversarially nondeterministic) and, under `PerPush` wake
+    /// delivery of a one-job run, per parked wake target.
+    fn push(
+        &self,
+        s: &QState,
+        i: usize,
+        left: u8,
+        run: u8,
+        out: &mut Vec<(String, QState)>,
+    ) {
         if self.recheck_draining_on_push && s.draining {
+            // The run goes back to the caller whole; every slot it
+            // reserved is released.
+            let released = if self.release_whole_run { run } else { run - 1 };
+            let call = left.min(self.admit_batch[i]).max(run);
             let mut n = s.clone();
-            n.reserved -= 1;
-            n.rejected += 1;
-            n.subs[i] = sub_next(left - 1);
+            n.reserved -= released;
+            n.rejected += call;
+            n.subs[i] = sub_next(left - call);
             if self.release_notifies_space {
                 pulse_space(&mut n);
             }
-            out.push((
-                format!(
-                    "S{i}: push aborted (draining re-check), slot released, job rejected"
-                ),
-                n,
-            ));
+            let mut label = format!(
+                "S{i}: push aborted (draining re-check), {released} of {run} slot(s) released, {call} job(s) rejected"
+            );
+            if !self.release_whole_run {
+                label.push_str(" [mutant]");
+            }
+            out.push((label, n));
             return;
         }
         for k in 0..self.shards {
             let mut n = s.clone();
             let was_empty = n.shards[k] == 0;
-            n.shards[k] += 1;
-            n.reserved -= 1;
-            n.submitted += 1;
-            n.subs[i] = sub_next(left - 1);
+            n.shards[k] += run;
+            n.reserved -= run;
+            n.submitted += run;
+            n.subs[i] = sub_next(left - run);
             let deliver = match self.admit_wake {
                 AdmitWake::PerPush => true,
                 AdmitWake::CoalescedBurst => was_empty,
             };
-            let base = format!("S{i}: push job -> shard {k}");
-            if deliver {
+            let base = format!("S{i}: push {run} job(s) -> shard {k}");
+            if deliver && run > 1 {
+                let woken = wake_all_workers(&mut n);
+                out.push((format!("{base}; notify_all wakes {woken}"), n));
+            } else if deliver {
                 let parked: Vec<usize> = n
                     .workers
                     .iter()
@@ -532,7 +585,7 @@ impl Protocol {
         for i in 0..self.submitters {
             match s.subs[i] {
                 Sub::Ready(left) => self.reserve(s, i, left, &mut out),
-                Sub::Reserved(left) => self.push(s, i, left, &mut out),
+                Sub::Reserved(left, run) => self.push(s, i, left, run, &mut out),
                 Sub::GateWoken(left) => {
                     // Re-entry into the admission loop after a space
                     // pulse; same three-way branch as Ready.
@@ -622,7 +675,7 @@ impl Protocol {
     fn has_non_service_progress(&self, s: &QState) -> bool {
         for sub in &s.subs {
             match sub {
-                Sub::Ready(_) | Sub::Reserved(_) | Sub::GateWoken(_) => return true,
+                Sub::Ready(_) | Sub::Reserved(..) | Sub::GateWoken(_) => return true,
                 Sub::GateParked(_) | Sub::Done => {}
             }
         }
@@ -651,6 +704,24 @@ impl Protocol {
         s: &QState,
         succs: &[(String, QState)],
     ) -> Option<(String, String)> {
+        let held: u16 = s
+            .subs
+            .iter()
+            .map(|sub| match sub {
+                Sub::Reserved(_, run) => u16::from(*run),
+                _ => 0,
+            })
+            .sum();
+        if u16::from(s.reserved) != held {
+            return Some((
+                "conservation".to_string(),
+                format!(
+                    "admission slot leak: {} reserved but submitters hold {held} — {}",
+                    s.reserved,
+                    s.render()
+                ),
+            ));
+        }
         if s.all_done() {
             let total = self.total_jobs();
             let balanced = u16::from(s.served) + u16::from(s.rejected) == total
@@ -768,7 +839,8 @@ pub fn concurrency_findings(budget: usize) -> (Vec<Finding>, Vec<ProtocolReport>
             Expectation::Certify,
         ),
         (
-            "sharded queue, bounded admission (gate park/wake)".to_string(),
+            "sharded queue, bounded admission (gate park/wake, one batch submitter)"
+                .to_string(),
             Protocol::current_bounded(),
             Expectation::Certify,
         ),
@@ -786,6 +858,11 @@ pub fn concurrency_findings(budget: usize) -> (Vec<Finding>, Vec<ProtocolReport>
             "mutant: slot release without the space pulse".to_string(),
             Protocol::mutant_silent_release(),
             Expectation::FlagAny,
+        ),
+        (
+            "mutant: batch push hands its run back but releases a slot short".to_string(),
+            Protocol::mutant_short_tail_release(),
+            Expectation::Flag("conservation"),
         ),
     ];
 
@@ -963,6 +1040,41 @@ mod tests {
             "got {}",
             cex.property
         );
+    }
+
+    #[test]
+    fn batch_submitters_reserve_runs_in_one_step() {
+        // The bounded batch configuration really exercises runs: some
+        // reachable step reserves two slots at once and pushes both.
+        let p = Protocol::current_bounded();
+        let first = p.successors(&p.initial());
+        assert!(first
+            .iter()
+            .any(|(label, _)| label == "S0: reserve 2 admission slot(s) (depth 0->2)"));
+        let (_, reserved) =
+            first.iter().find(|(label, _)| label.starts_with("S0: reserve 2")).unwrap();
+        assert!(p.successors(reserved).iter().any(
+            |(label, _)| label.starts_with("S0: push 2 job(s) -> shard 0; notify_all")
+        ));
+    }
+
+    #[test]
+    fn mutant_short_tail_release_leaks_a_slot_with_a_replayable_trace() {
+        let p = Protocol::mutant_short_tail_release();
+        let cex = p.check(BUDGET).counterexample.expect("mutant must be flagged");
+        assert_eq!(cex.property, "conservation");
+        assert!(cex.detail.contains("slot leak"), "{}", cex.detail);
+        let mut state = p.initial();
+        for step in &cex.trace {
+            let succs = p.successors(&state);
+            let (_, next) = succs
+                .into_iter()
+                .find(|(label, _)| label == step)
+                .unwrap_or_else(|| panic!("trace step not enabled: {step}"));
+            state = next;
+        }
+        assert!(cex.render().contains("[mutant]"), "trace must show the short release");
+        assert!(cex.detail.contains(&state.render()), "final state must match the detail");
     }
 
     #[test]

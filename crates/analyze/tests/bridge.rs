@@ -7,7 +7,9 @@
 //! The pillar-3 model checker's proofs are about an abstraction; this
 //! test is what pins the abstraction to the shipped code. The mirror
 //! below *is* the model's data semantics — admission reserves then
-//! scatters by `mix64(fingerprint ^ nonce)`, dequeue uses the model's
+//! scatters by `mix64(fingerprint ^ nonce)` (a batch reserves as many
+//! slots as fit in one step and lands its run on the shard its first
+//! fingerprint picks), dequeue uses the model's
 //! own `Protocol::scan_take` (own shard first, then steal), drain
 //! strands and cancels what is queued — so any drift between
 //! `queue.rs` and the model shows up as a counter or depth mismatch
@@ -24,6 +26,9 @@ use proptest::prelude::*;
 enum Op {
     /// A submitter's admit (reserve + scatter + push).
     Admit(u64),
+    /// A batch submitter's admit of one run (one reservation for as
+    /// many slots as fit, one scatter, one push).
+    AdmitBatch(Vec<u64>),
     /// A worker's take scan: `(worker, batch)`.
     Take(usize, usize),
 }
@@ -73,15 +78,27 @@ impl Mirror {
     /// gate-park branch is its blocking analogue); otherwise reserve,
     /// scatter by fingerprint ⊕ nonce, push.
     fn admit(&mut self, fingerprint: u64) -> bool {
-        if self.draining || self.max_depth.is_some_and(|max| self.depth() >= max) {
-            self.ledger.rejected += 1;
-            return false;
+        self.admit_all(&[fingerprint]) == 1
+    }
+
+    /// The model's batch admission: reserve `min(run, free)` slots in
+    /// one step, push them on one shard, reject the rest.
+    fn admit_all(&mut self, fingerprints: &[u64]) -> usize {
+        let free = match (self.draining, self.max_depth) {
+            (true, _) => 0,
+            (false, Some(max)) => max.saturating_sub(self.depth()),
+            (false, None) => usize::MAX,
+        };
+        let admitted = fingerprints.len().min(free);
+        if admitted > 0 {
+            let shard =
+                BridgeQueue::scatter_shard(fingerprints[0], self.nonce, self.shards.len());
+            self.nonce += 1;
+            self.shards[shard] += u8::try_from(admitted).unwrap();
+            self.ledger.submitted += admitted as u64;
         }
-        let shard = BridgeQueue::scatter_shard(fingerprint, self.nonce, self.shards.len());
-        self.nonce += 1;
-        self.shards[shard] += 1;
-        self.ledger.submitted += 1;
-        true
+        self.ledger.rejected += (fingerprints.len() - admitted) as u64;
+        admitted
     }
 
     /// The model's dequeue rule, via the checker's own `scan_take`.
@@ -127,6 +144,15 @@ fn run_schedule(shard_count: usize, max_depth: Option<usize>, ops: &[Op]) {
                 let expected = mirror.admit(perm.fingerprint());
                 assert_eq!(admitted, expected, "admission verdict diverged at step {step}");
             }
+            Op::AdmitBatch(ref seeds) => {
+                let perms: Vec<Permutation> =
+                    seeds.iter().map(|&s| seeded_perm(3, s)).collect();
+                let fingerprints: Vec<u64> =
+                    perms.iter().map(Permutation::fingerprint).collect();
+                let admitted = real.admit_all(perms);
+                let expected = mirror.admit_all(&fingerprints);
+                assert_eq!(admitted, expected, "batch admission diverged at step {step}");
+            }
             Op::Take(worker, batch) => {
                 let worker = worker % shard_count;
                 let taken = real.take(batch, worker);
@@ -154,13 +180,16 @@ fn run_schedule(shard_count: usize, max_depth: Option<usize>, ops: &[Op]) {
     );
 }
 
-/// One op: biased 3:2 toward admits so queues actually fill.
+/// One op: biased 3:2 toward admits — single and batch mixed — so
+/// queues actually fill.
 fn op_strategy() -> impl Strategy<Value = Op> {
     (any::<u64>(), any::<u64>(), 0usize..4, 1usize..4).prop_map(|(tag, seed, w, b)| {
-        if tag % 5 < 3 {
-            Op::Admit(seed)
-        } else {
-            Op::Take(w, b)
+        match tag % 5 {
+            0 | 1 => Op::Admit(seed),
+            2 => {
+                Op::AdmitBatch((0..=(tag / 5) % 4).map(|k| seed.wrapping_add(k)).collect())
+            }
+            _ => Op::Take(w, b),
         }
     })
 }
@@ -202,4 +231,19 @@ fn steal_sweep_replays_identically() {
     let ops: Vec<Op> =
         (0..12).map(Op::Admit).chain((0..8).map(|_| Op::Take(1, 2))).collect();
     run_schedule(3, None, &ops);
+}
+
+/// A batch larger than the free depth: the fitting prefix lands on one
+/// shard in one step, the tail is refused, and later takes and a
+/// drain agree.
+#[test]
+fn batch_prefix_admission_replays_identically() {
+    let ops = vec![
+        Op::Admit(1),
+        Op::AdmitBatch((10..16).collect()),
+        Op::Take(0, 1),
+        Op::AdmitBatch(vec![20, 21]),
+        Op::Take(1, 3),
+    ];
+    run_schedule(2, Some(4), &ops);
 }

@@ -1852,8 +1852,8 @@ mod extension_tests {
         assert!(out.contains("concurrency model check: certified"), "{out}");
         // All three current-protocol abstractions certify exhaustively.
         assert_eq!(out.matches("certified: sharded queue").count(), 3, "{out}");
-        // All three seeded mutants are flagged, with a readable trace.
-        assert_eq!(out.matches("flagged as expected: mutant").count(), 3, "{out}");
+        // All four seeded mutants are flagged, with a readable trace.
+        assert_eq!(out.matches("flagged as expected: mutant").count(), 4, "{out}");
         assert!(out.contains("counterexample trace"), "{out}");
         assert!(out.contains("no post-take wake [mutant]"), "{out}");
         assert!(out.contains("no lost wakeups"), "{out}");

@@ -50,7 +50,9 @@ use crate::queue::{Block, SubmissionQueue};
 use crate::stats::{EngineStats, Recorder};
 use crate::worker::{cancel_job, worker_loop};
 
-pub use crate::queue::{Completion, DrainReport, RequestOutcome, SubmitError, Ticket};
+pub use crate::queue::{
+    Completion, DrainReport, Refused, RequestOutcome, Submission, SubmitError, Ticket,
+};
 
 /// Per-request submission options for [`Engine::try_submit_to`]:
 /// everything the wire service needs to attach to a request beyond the
@@ -378,13 +380,8 @@ impl Engine {
     }
 
     fn submit_with(&self, perm: Permutation, deadline: Option<Instant>) -> Ticket {
-        match self.shared.sub.admit(
-            &self.shared.recorder,
-            perm,
-            deadline,
-            None,
-            Block::Forever,
-        ) {
+        let opts = SubmitOpts { deadline, tenant: None };
+        match self.shared.sub.admit(&self.shared.recorder, perm, opts, Block::Forever) {
             Ok(ticket) => ticket,
             // Only `ShuttingDown` can escape a forever-blocking
             // enqueue; honour the infallible signature by handing back
@@ -396,16 +393,28 @@ impl Engine {
         }
     }
 
-    /// Non-blocking admission carrying full [`SubmitOpts`] and
-    /// completing through the caller's own sink instead of a
-    /// [`Ticket`] — the wire service's submission path. The worker
-    /// that finishes the request runs `done` with its outcome; a
+    /// Non-blocking admission of a run of requests, each carrying its
+    /// own [`SubmitOpts`] and completing through its own sink instead
+    /// of a [`Ticket`] — the wire service's submission path. The run
+    /// crosses the queue once: one depth reservation for as many
+    /// requests as fit, one shard lock, one wake. The requests stay
+    /// separate jobs, so idle workers steal them from that shard. The
+    /// worker that finishes a request runs its sink with the outcome; a
     /// caller that already blocks on a channel (the wire server's
-    /// handler) passes a sink that wakes it, so a reply needs no
-    /// polling.
+    /// handler) passes sinks that wake it, so a reply needs no polling.
     ///
-    /// A refused submission bumps the tenant's `rejected` ledger and
-    /// drops `done` without running it.
+    /// # Errors
+    ///
+    /// The refused tail, by value and in order, with its sinks not
+    /// run: [`SubmitError::QueueFull`] once the bounded queue is full,
+    /// [`SubmitError::ShuttingDown`] on a draining engine. Each refused
+    /// request bumps its tenant's `rejected` ledger.
+    pub fn try_submit_all_to(&self, jobs: Vec<Submission>) -> Result<(), Refused> {
+        self.shared.sub.admit_all(&self.shared.recorder, jobs, Block::Never)
+    }
+
+    /// [`Engine::try_submit_all_to`] of one request. A refused
+    /// submission drops `done` without running it.
     ///
     /// # Errors
     ///
@@ -417,14 +426,7 @@ impl Engine {
         opts: SubmitOpts,
         done: Completion,
     ) -> Result<(), SubmitError> {
-        self.shared.sub.admit_to(
-            &self.shared.recorder,
-            perm,
-            opts.deadline,
-            opts.tenant,
-            Block::Never,
-            done,
-        )
+        self.try_submit_all_to(vec![(perm, opts, done)]).map_err(|(err, _)| err)
     }
 
     /// Non-blocking admission: rejects with [`SubmitError::QueueFull`]
@@ -435,7 +437,12 @@ impl Engine {
     /// [`SubmitError::QueueFull`] on a full bounded queue,
     /// [`SubmitError::ShuttingDown`] on a draining engine.
     pub fn try_submit(&self, perm: Permutation) -> Result<Ticket, SubmitError> {
-        self.shared.sub.admit(&self.shared.recorder, perm, None, None, Block::Never)
+        self.shared.sub.admit(
+            &self.shared.recorder,
+            perm,
+            SubmitOpts::default(),
+            Block::Never,
+        )
     }
 
     /// Blocking admission with a bound: waits up to `timeout` for queue
@@ -453,8 +460,7 @@ impl Engine {
         self.shared.sub.admit(
             &self.shared.recorder,
             perm,
-            None,
-            None,
+            SubmitOpts::default(),
             Block::Until(Instant::now() + timeout),
         )
     }

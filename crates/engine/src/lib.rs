@@ -93,8 +93,8 @@ pub use breaker::{Admission, Breaker, BreakerConfig, BreakerState};
 pub use cache::PlanCache;
 pub use chaos::{run_soak, ChaosConfig, ChaosEvent, ChaosSchedule, SoakConfig, SoakReport};
 pub use engine::{
-    terminal, Completion, DrainReport, Engine, EngineConfig, EngineError, RequestOutcome,
-    SubmitError, SubmitOpts, Ticket,
+    terminal, Completion, DrainReport, Engine, EngineConfig, EngineError, Refused,
+    RequestOutcome, Submission, SubmitError, SubmitOpts, Ticket,
 };
 pub use flightrec::{LadderStep, PhaseNanos, RouteAttempt};
 pub use plan::{Fallback, Plan, PlanError, Tier};

@@ -7,11 +7,11 @@
 //! placement — `benes-analyze` depends on `benes-engine`, so the
 //! bridge test lives over there — and the queue internals are
 //! `pub(crate)`, so this module exposes exactly the deterministic
-//! single-threaded surface that test needs: admit (non-blocking),
-//! take-by-worker, drain, the scatter function, and the conservation
-//! counters. Nothing here is public API; it is `#[doc(hidden)]` and
-//! exists solely so the analyze crate can replay model schedules
-//! against the real type.
+//! single-threaded surface that test needs: admit and batch admit
+//! (non-blocking), take-by-worker, drain, the scatter function, and the
+//! conservation counters. Nothing here is public API; it is
+//! `#[doc(hidden)]` and exists solely so the analyze crate can replay
+//! model schedules against the real type.
 
 use std::time::Instant;
 
@@ -20,7 +20,7 @@ use benes_perm::Permutation;
 
 use crate::queue::{mix64, Block, SubmissionQueue};
 use crate::stats::Recorder;
-use crate::EngineStats;
+use crate::{Completion, EngineStats, SubmitOpts};
 
 /// A `SubmissionQueue` plus its own stats `Recorder`, driven directly
 /// (no worker threads) so every scheduling decision is the caller's.
@@ -39,7 +39,8 @@ impl BridgeQueue {
     /// The shard index `admit` scatters to for a given fingerprint and
     /// round-robin nonce — exposed so the bridge test can predict
     /// placement (the nonce increments once per successful
-    /// reservation, starting from zero).
+    /// reservation, starting from zero; a batch's run lands on the
+    /// shard its first permutation's fingerprint picks).
     #[must_use]
     pub fn scatter_shard(fingerprint: u64, nonce: u64, shards: usize) -> usize {
         (mix64(fingerprint ^ nonce) % shards as u64) as usize // analyze:allow(truncating-cast): modulo the shard count fits usize by construction
@@ -49,7 +50,22 @@ impl BridgeQueue {
     /// if it was rejected (queue full or draining). The ticket is
     /// dropped — the bridge counts outcomes through the recorder.
     pub fn admit(&self, perm: Permutation) -> bool {
-        self.queue.admit(&self.recorder, perm, None, None, Block::Never).is_ok()
+        self.admit_all(vec![perm]) == 1
+    }
+
+    /// Non-blocking batch admission (one reservation for as many slots
+    /// as fit, one shard, one wake); returns how many of `perms` were
+    /// enqueued — a prefix — and drops the refused tail.
+    pub fn admit_all(&self, perms: Vec<Permutation>) -> usize {
+        let total = perms.len();
+        let jobs = perms
+            .into_iter()
+            .map(|perm| (perm, SubmitOpts::default(), Completion::new(|_| {})))
+            .collect();
+        match self.queue.admit_all(&self.recorder, jobs, Block::Never) {
+            Ok(()) => total,
+            Err((_, tail)) => total - tail.len(),
+        }
     }
 
     /// One `try_take` scan as worker `worker`; every job taken is

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use benes_perm::Permutation;
 
-use crate::engine::EngineError;
+use crate::engine::{EngineError, SubmitOpts};
 use crate::plan::Tier;
 use crate::stats::Recorder;
 
@@ -111,7 +111,7 @@ impl RequestOutcome {
 /// the thread that canceled it). Every admitted request completes
 /// through one of these; a [`Ticket`] is the sink that sends into a
 /// one-slot channel, and a caller with its own wake-up channel passes
-/// a sink that sends there instead ([`crate::Engine::try_submit_to`]).
+/// a sink that sends there instead ([`crate::Engine::try_submit_all_to`]).
 ///
 /// The callback runs on an engine worker: it should hand the outcome
 /// off (a channel send) rather than do work of its own.
@@ -226,6 +226,14 @@ impl Ticket {
         }
     }
 }
+
+/// One request handed to [`crate::Engine::try_submit_all_to`]: the
+/// permutation, its options, and where its outcome goes.
+pub type Submission = (Permutation, SubmitOpts, Completion);
+
+/// Requests admission refused, in submission order, with why: the
+/// first refusal's reason, and that request and every one after it.
+pub type Refused = (SubmitError, Vec<Submission>);
 
 /// How an admission call behaves when the bounded queue is full.
 #[derive(Debug, Clone, Copy)]
@@ -362,15 +370,18 @@ impl SubmissionQueue {
         self.shards.iter().map(|s| s.depth.load(Ordering::Relaxed)).collect()
     }
 
-    /// Tries to reserve one admission slot against the depth bound.
-    fn reserve_slot(&self) -> bool {
+    /// Tries to reserve up to `want` admission slots against the depth
+    /// bound in one update; returns how many it got (0 when full).
+    fn reserve_slots(&self, want: usize) -> usize {
         let Some(max) = self.max_depth else {
-            self.depth.fetch_add(1, Ordering::SeqCst);
-            return true;
+            self.depth.fetch_add(want, Ordering::SeqCst);
+            return want;
         };
         self.depth
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| (d < max).then(|| d + 1))
-            .is_ok()
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| {
+                (d < max).then(|| d + want.min(max - d))
+            })
+            .map_or(0, |d| want.min(max - d))
     }
 
     /// Releases `count` admission slots and wakes anyone parked on the
@@ -399,104 +410,119 @@ impl SubmissionQueue {
         }
     }
 
-    /// [`SubmissionQueue::admit_to`] with a fresh [`Ticket`] as the
-    /// sink.
+    /// [`SubmissionQueue::admit_all`] of one request with a fresh
+    /// [`Ticket`] as the sink.
     pub(crate) fn admit(
         &self,
         recorder: &Recorder,
         perm: Permutation,
-        deadline: Option<Instant>,
-        tenant: Option<u64>,
+        opts: SubmitOpts,
         block: Block,
     ) -> Result<Ticket, SubmitError> {
         let (ticket, done) = Ticket::pending();
-        self.admit_to(recorder, perm, deadline, tenant, block, done).map(|()| ticket)
+        self.admit_all(recorder, vec![(perm, opts, done)], block)
+            .map(|()| ticket)
+            .map_err(|(err, _)| err)
     }
 
-    /// The one admission path: checks drain state and the depth bound
-    /// (blocking per `block`), reserves a slot, enqueues on the hashed
-    /// shard, and wakes a worker. Rejected submissions are counted
-    /// `rejected`, never `submitted`, and drop `done` without running
-    /// it.
-    pub(crate) fn admit_to(
+    /// The one admission path: checks drain state, reserves as many
+    /// depth slots as fit in one update (blocking per `block` while
+    /// none do), pushes the reserved run onto one hashed shard under
+    /// one lock, and wakes the workers once — every sibling when the
+    /// run is longer than one job, so idle workers steal the rest.
+    /// `Block::Never` stops there and refuses what did not fit; the
+    /// blocking modes repeat until every job is in. Refused jobs are
+    /// counted `rejected`, never `submitted`, and come back by value in
+    /// order with their sinks not run.
+    pub(crate) fn admit_all(
         &self,
         recorder: &Recorder,
-        perm: Permutation,
-        deadline: Option<Instant>,
-        tenant: Option<u64>,
+        mut jobs: Vec<Submission>,
         block: Block,
-        done: Completion,
-    ) -> Result<(), SubmitError> {
-        let reject = |err: SubmitError| {
-            recorder.note_rejected(tenant);
-            Err(err)
+    ) -> Result<(), Refused> {
+        let reject = |err: SubmitError, tail: Vec<Submission>| {
+            for (_, opts, _) in &tail {
+                recorder.note_rejected(opts.tenant);
+            }
+            Err((err, tail))
         };
-        // Reserve a depth slot first; park on the gate while full.
-        loop {
+        let max = self.max_depth.unwrap_or(usize::MAX);
+        while !jobs.is_empty() {
             if self.draining.load(Ordering::SeqCst) {
-                return reject(SubmitError::ShuttingDown);
+                return reject(SubmitError::ShuttingDown, jobs);
             }
-            if self.reserve_slot() {
-                break;
-            }
-            let max = self.max_depth.unwrap_or(usize::MAX);
-            match block {
-                Block::Never => return reject(SubmitError::QueueFull { depth: max }),
-                Block::Forever => {
-                    let g = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
-                    if !self.draining.load(Ordering::SeqCst)
-                        && self.depth.load(Ordering::SeqCst) >= max
-                    {
-                        drop(self.space.wait(g).unwrap_or_else(PoisonError::into_inner));
+            let reserved = self.reserve_slots(jobs.len());
+            if reserved == 0 {
+                // Full: refuse, or park on the gate until space appears,
+                // admission closes, or `until` passes.
+                let until = match block {
+                    Block::Never => {
+                        return reject(SubmitError::QueueFull { depth: max }, jobs)
+                    }
+                    Block::Until(until) if Instant::now() >= until => {
+                        return reject(SubmitError::Timeout, jobs)
+                    }
+                    Block::Until(until) => Some(until),
+                    Block::Forever => None,
+                };
+                let g = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+                if !self.draining.load(Ordering::SeqCst)
+                    && self.depth.load(Ordering::SeqCst) >= max
+                {
+                    match until {
+                        None => {
+                            drop(self.space.wait(g).unwrap_or_else(PoisonError::into_inner))
+                        }
+                        Some(until) => drop(
+                            self.space
+                                .wait_timeout(
+                                    g,
+                                    until.saturating_duration_since(Instant::now()),
+                                )
+                                .unwrap_or_else(PoisonError::into_inner),
+                        ),
                     }
                 }
-                Block::Until(until) => {
-                    let now = Instant::now();
-                    if now >= until {
-                        return reject(SubmitError::Timeout);
-                    }
-                    let g = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
-                    if !self.draining.load(Ordering::SeqCst)
-                        && self.depth.load(Ordering::SeqCst) >= max
-                    {
-                        let (g, _) = self
-                            .space
-                            .wait_timeout(g, until - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        drop(g);
-                    }
+                continue;
+            }
+            // Slots reserved: scatter the run to one shard. Fingerprint
+            // ⊕ nonce through the mixer keeps hot identical
+            // permutations off one mutex.
+            // analyze:allow(relaxed-control): the nonce only spreads load — every shard is a correct destination, so a stale or reordered read costs uniformity, never conservation (which rides on the SeqCst `depth` counter)
+            let nonce = self.rr.fetch_add(1, Ordering::Relaxed);
+            let shard = &self.shards[(mix64(jobs[0].0.fingerprint() ^ nonce)
+                % self.shards.len() as u64) as usize];
+            {
+                let mut q = shard.lock();
+                // Re-check under the shard lock: `shut_down` stores
+                // `draining` *before* collecting the shards, so either
+                // this check observes it (abort, release the slots) or
+                // the push lands before the collection and drains
+                // normally.
+                if self.draining.load(Ordering::SeqCst) {
+                    drop(q);
+                    self.release_slots(reserved);
+                    return reject(SubmitError::ShuttingDown, jobs);
                 }
+                let submitted_at = Instant::now();
+                for (perm, opts, done) in jobs.drain(..reserved) {
+                    recorder.note_submitted(opts.tenant);
+                    q.push_back(Job {
+                        perm,
+                        submitted_at,
+                        deadline: opts.deadline,
+                        tenant: opts.tenant,
+                        reply: Some(done),
+                    });
+                }
+                shard.depth.store(q.len() as u64, Ordering::Relaxed);
+            }
+            recorder.note_queue_depth(self.depth.load(Ordering::SeqCst) as u64);
+            self.wake_workers(reserved > 1);
+            if matches!(block, Block::Never) && !jobs.is_empty() {
+                return reject(SubmitError::QueueFull { depth: max }, jobs);
             }
         }
-        // Slot reserved: scatter to a shard. Fingerprint ⊕ nonce through
-        // the mixer keeps hot identical permutations off one mutex.
-        // analyze:allow(relaxed-control): the nonce only spreads load — every shard is a correct destination, so a stale or reordered read costs uniformity, never conservation (which rides on the SeqCst `depth` counter)
-        let nonce = self.rr.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards
-            [(mix64(perm.fingerprint() ^ nonce) % self.shards.len() as u64) as usize];
-        {
-            let mut q = shard.lock();
-            // Re-check under the shard lock: `shut_down` stores
-            // `draining` *before* collecting the shards, so either this
-            // check observes it (abort, release the slot) or the push
-            // lands before the collection and drains normally.
-            if self.draining.load(Ordering::SeqCst) {
-                drop(q);
-                self.release_slots(1);
-                return reject(SubmitError::ShuttingDown);
-            }
-            recorder.note_submitted(tenant);
-            q.push_back(Job {
-                perm,
-                submitted_at: Instant::now(),
-                deadline,
-                tenant,
-                reply: Some(done),
-            });
-            shard.depth.store(q.len() as u64, Ordering::Relaxed);
-        }
-        recorder.note_queue_depth(self.depth.load(Ordering::SeqCst) as u64);
-        self.wake_workers(false);
         Ok(())
     }
 

@@ -106,6 +106,51 @@ fn completion_sinks_run_once_on_the_worker_and_never_for_refusals() {
 }
 
 #[test]
+fn batch_admission_takes_what_fits_and_hands_back_the_tail() {
+    // One reservation for as many slots as fit: with the worker asleep
+    // on its first job and 3 free slots, a 5-run admits its first 3 and
+    // hands the last 2 back by value, in order, their sinks not run; a
+    // draining engine hands back the whole run.
+    let engine = slow_engine(3, Duration::from_millis(100));
+    let (tx, rx) = mpsc::sync_channel(8);
+    let job = |tag: u32, tenant: u64| {
+        let tx = tx.clone();
+        let perm = Permutation::from_fn(8, |i| (i + tag) % 8).unwrap();
+        let done =
+            Completion::new(move |outcome| tx.send((tag, outcome)).expect("test holds rx"));
+        (perm, SubmitOpts { deadline: None, tenant: Some(tenant) }, done)
+    };
+    engine.try_submit_to(small(), SubmitOpts::default(), job(0, 1).2).expect("queue empty");
+    std::thread::sleep(Duration::from_millis(30));
+    let (err, tail) = engine
+        .try_submit_all_to((1..=5).map(|tag| job(tag, 7)).collect())
+        .expect_err("only three slots are free");
+    assert_eq!(err, SubmitError::QueueFull { depth: 3 });
+    let refused: Vec<u32> = tail.iter().map(|(p, _, _)| p.destination(0)).collect();
+    assert_eq!(refused, [4, 5], "the tail comes back in order");
+    assert!(tail.iter().all(|(_, opts, _)| opts.tenant == Some(7)));
+    drop(tail);
+
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.rejected), (4, 2));
+    let tenant = stats.tenants.iter().find(|(t, _)| *t == 7).expect("tenant 7 booked").1;
+    assert_eq!((tenant.submitted, tenant.rejected), (3, 2));
+
+    engine.clear_chaos();
+    let report = engine.drain(Instant::now() + Duration::from_secs(10));
+    assert!(!report.timed_out);
+    let (err, tail) = engine
+        .try_submit_all_to((6..=7).map(|tag| job(tag, 7)).collect())
+        .expect_err("admission is closed");
+    assert_eq!((err, tail.len()), (SubmitError::ShuttingDown, 2));
+    drop((tail, tx));
+    let mut tags: Vec<u32> = rx.iter().map(|(tag, _)| tag).collect();
+    tags.sort_unstable();
+    assert_eq!(tags, [0, 1, 2, 3], "admitted jobs complete once, refused ones never");
+    assert!(engine.stats().conserves_requests());
+}
+
+#[test]
 fn expired_deadline_sheds_without_execution() {
     let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
     // Deadline already in the past: the worker must shed at dequeue.

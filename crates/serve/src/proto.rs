@@ -26,6 +26,12 @@
 //! | 4    | `StatsReply` | server → client  | tenant count u32, rows of 7 × u64 (tenant id + submitted/completed/failed/shed/canceled/rejected) |
 //! | 5    | `Drain`      | client → server  | empty (honoured only when the server runs `--allow-drain`) |
 //! | 6    | `ErrorReply` | server → client  | req id u64 (0 = not request-scoped), code u8, message len u16 + UTF-8 bytes |
+//! | 7    | `RouteBatch` | client → server  | tenant u64, item count u32, then per item: req id u64, deadline-ms u32, len u32, destinations `len × u32` |
+//! | 8    | `RouteBatchReply` | server → client | item count u32, then per item: req id u64, status u8, tier u8, latency-ns u64 |
+//!
+//! One `RouteBatchReply` answers a whole `RouteBatch`, item by item in
+//! order. A peer that predates types 7 and 8 rejects them with
+//! [`WireError::UnknownType`], so the version byte stays 1.
 
 use benes_engine::Tier;
 use benes_obs::Ledger;
@@ -186,6 +192,52 @@ impl From<(u64, Ledger)> for TenantRow {
     }
 }
 
+/// One unit of a [`Frame::RouteBatch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchItem {
+    /// Client-chosen request id, echoed in the unit's reply item.
+    pub req_id: u64,
+    /// Relative deadline in milliseconds; 0 means no deadline.
+    pub deadline_ms: u32,
+    /// The unit's permutation as a destination vector.
+    pub destinations: Vec<u32>,
+}
+
+/// One unit's outcome: the body of a [`Frame::RouteReply`] and one item
+/// of a [`Frame::RouteBatchReply`] (the same 18 bytes on the wire).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyItem {
+    /// The request id of the unit answered.
+    pub req_id: u64,
+    /// The outcome code.
+    pub status: Status,
+    /// The serving tier index (engine `Tier` order), when routed.
+    pub tier: Option<u8>,
+    /// Submit → terminal latency as the engine measured it.
+    pub latency_ns: u64,
+}
+
+impl ReplyItem {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.req_id.to_le_bytes());
+        out.push(self.status as u8);
+        out.push(self.tier.unwrap_or(u8::MAX));
+        out.extend_from_slice(&self.latency_ns.to_le_bytes());
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let req_id = r.u64("reply: request id")?;
+        let status = Status::from_u8(r.u8("reply: status")?)
+            .ok_or(WireError::Malformed("reply: unknown status code"))?;
+        let tier = match r.u8("reply: tier")? {
+            u8::MAX => None,
+            t => Some(t),
+        };
+        let latency_ns = r.u64("reply: latency")?;
+        Ok(Self { req_id, status, tier, latency_ns })
+    }
+}
+
 /// A decoded protocol frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -231,6 +283,19 @@ pub enum Frame {
         /// A short human-readable explanation.
         message: String,
     },
+    /// Client → server: route many units of one tenant.
+    RouteBatch {
+        /// The tenant namespace every item bills against.
+        tenant: u64,
+        /// The units, each with its own request id and deadline.
+        items: Vec<BatchItem>,
+    },
+    /// Server → client: one status per [`Frame::RouteBatch`] item, in
+    /// item order.
+    RouteBatchReply {
+        /// The items' outcomes.
+        items: Vec<ReplyItem>,
+    },
 }
 
 const TYPE_ROUTE: u8 = 1;
@@ -239,6 +304,21 @@ const TYPE_STATS: u8 = 3;
 const TYPE_STATS_REPLY: u8 = 4;
 const TYPE_DRAIN: u8 = 5;
 const TYPE_ERROR_REPLY: u8 = 6;
+const TYPE_ROUTE_BATCH: u8 = 7;
+const TYPE_ROUTE_BATCH_REPLY: u8 = 8;
+
+/// What a [`Frame::RouteBatch`]'s length prefix counts before its
+/// items (version, type, tenant id, item count); each item adds
+/// [`batch_item_len`]. A sender starts a new frame to stay within
+/// [`MAX_FRAME_LEN`].
+pub const ROUTE_BATCH_HEADER: usize = 2 + 8 + 4;
+
+/// What one [`BatchItem`] of `len` destinations adds to a
+/// [`Frame::RouteBatch`]'s length prefix.
+#[must_use]
+pub fn batch_item_len(len: usize) -> usize {
+    16 + 4 * len
+}
 
 /// Typed decode failure. Every arm means "this connection is speaking
 /// garbage" — the server answers with one [`Frame::ErrorReply`] and
@@ -316,6 +396,18 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
+    fn destinations(&mut self, what: &'static str) -> Result<Vec<u32>, WireError> {
+        let n = self.u32(what)? as usize;
+        // The count must agree with the bytes actually present — a
+        // hostile count cannot make us allocate past the frame.
+        let bytes = n.checked_mul(4).ok_or(WireError::Malformed(what))?;
+        let raw = self.take(bytes, what)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
+    }
+
     fn finish(&self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -338,18 +430,17 @@ impl Frame {
                 out.extend_from_slice(&req_id.to_le_bytes());
                 out.extend_from_slice(&tenant.to_le_bytes());
                 out.extend_from_slice(&deadline_ms.to_le_bytes());
-                let n = u32::try_from(destinations.len()).unwrap_or(u32::MAX);
-                out.extend_from_slice(&n.to_le_bytes());
-                for d in destinations {
-                    out.extend_from_slice(&d.to_le_bytes());
-                }
+                put_destinations(out, destinations);
             }
             Self::RouteReply { req_id, status, tier, latency_ns } => {
                 out.push(TYPE_ROUTE_REPLY);
-                out.extend_from_slice(&req_id.to_le_bytes());
-                out.push(*status as u8);
-                out.push(tier.unwrap_or(u8::MAX));
-                out.extend_from_slice(&latency_ns.to_le_bytes());
+                ReplyItem {
+                    req_id: *req_id,
+                    status: *status,
+                    tier: *tier,
+                    latency_ns: *latency_ns,
+                }
+                .encode(out);
             }
             Self::Stats => out.push(TYPE_STATS),
             Self::StatsReply { rows } => {
@@ -374,6 +465,23 @@ impl Frame {
                 out.extend_from_slice(&n.to_le_bytes());
                 out.extend_from_slice(&msg[..usize::from(n)]);
             }
+            Self::RouteBatch { tenant, items } => {
+                out.push(TYPE_ROUTE_BATCH);
+                out.extend_from_slice(&tenant.to_le_bytes());
+                put_count(out, items.len());
+                for item in items {
+                    out.extend_from_slice(&item.req_id.to_le_bytes());
+                    out.extend_from_slice(&item.deadline_ms.to_le_bytes());
+                    put_destinations(out, &item.destinations);
+                }
+            }
+            Self::RouteBatchReply { items } => {
+                out.push(TYPE_ROUTE_BATCH_REPLY);
+                put_count(out, items.len());
+                for item in items {
+                    item.encode(out);
+                }
+            }
         }
         let payload = u32::try_from(out.len() - len_at - 4).expect("frame under 4 GiB");
         out[len_at..len_at + 4].copy_from_slice(&payload.to_le_bytes());
@@ -385,6 +493,17 @@ impl Frame {
         let mut out = Vec::new();
         self.encode(&mut out);
         out
+    }
+}
+
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&u32::try_from(n).unwrap_or(u32::MAX).to_le_bytes());
+}
+
+fn put_destinations(out: &mut Vec<u8>, destinations: &[u32]) {
+    put_count(out, destinations.len());
+    for d in destinations {
+        out.extend_from_slice(&d.to_le_bytes());
     }
 }
 
@@ -423,28 +542,12 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
             let req_id = r.u64("route: request id")?;
             let tenant = r.u64("route: tenant id")?;
             let deadline_ms = r.u32("route: deadline")?;
-            let n = r.u32("route: destination count")? as usize;
-            // The count must agree with the bytes actually present —
-            // a hostile count cannot make us allocate past the frame.
-            let bytes = n
-                .checked_mul(4)
-                .ok_or(WireError::Malformed("route: destination count overflows"))?;
-            let raw = r.take(bytes, "route: destinations shorter than their count")?;
-            let destinations = raw
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
+            let destinations =
+                r.destinations("route: destinations disagree with their count")?;
             Frame::Route { req_id, tenant, deadline_ms, destinations }
         }
         TYPE_ROUTE_REPLY => {
-            let req_id = r.u64("reply: request id")?;
-            let status = Status::from_u8(r.u8("reply: status")?)
-                .ok_or(WireError::Malformed("reply: unknown status code"))?;
-            let tier = match r.u8("reply: tier")? {
-                u8::MAX => None,
-                t => Some(t),
-            };
-            let latency_ns = r.u64("reply: latency")?;
+            let ReplyItem { req_id, status, tier, latency_ns } = ReplyItem::decode(&mut r)?;
             Frame::RouteReply { req_id, status, tier, latency_ns }
         }
         TYPE_STATS => Frame::Stats,
@@ -485,6 +588,28 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
             let message = String::from_utf8(raw.to_vec())
                 .map_err(|_| WireError::Malformed("error: message is not UTF-8"))?;
             Frame::ErrorReply { req_id, code, message }
+        }
+        // Batch items are read, never reserved: a lying item count fails
+        // at the first item the payload does not hold, and a short one
+        // leaves trailing bytes.
+        TYPE_ROUTE_BATCH => {
+            let tenant = r.u64("batch: tenant id")?;
+            let items = (0..r.u32("batch: item count")?)
+                .map(|_| {
+                    Ok(BatchItem {
+                        req_id: r.u64("batch: request id")?,
+                        deadline_ms: r.u32("batch: deadline")?,
+                        destinations: r.destinations("batch: destinations")?,
+                    })
+                })
+                .collect::<Result<_, WireError>>()?;
+            Frame::RouteBatch { tenant, items }
+        }
+        TYPE_ROUTE_BATCH_REPLY => {
+            let items = (0..r.u32("batch reply: item count")?)
+                .map(|_| ReplyItem::decode(&mut r))
+                .collect::<Result<_, _>>()?;
+            Frame::RouteBatchReply { items }
         }
         other => return Err(WireError::UnknownType(other)),
     };
@@ -542,6 +667,39 @@ mod tests {
             code: Status::BadRequest,
             message: "nope".into(),
         });
+        roundtrip(&Frame::RouteBatch {
+            tenant: 4,
+            items: vec![
+                BatchItem { req_id: 1, deadline_ms: 0, destinations: vec![1, 0] },
+                BatchItem { req_id: 2, deadline_ms: 9, destinations: vec![] },
+            ],
+        });
+        roundtrip(&Frame::RouteBatch { tenant: 0, items: vec![] });
+        roundtrip(&Frame::RouteBatchReply {
+            items: vec![ReplyItem {
+                req_id: 1,
+                status: Status::Ok,
+                tier: Some(2),
+                latency_ns: 5,
+            }],
+        });
+    }
+
+    #[test]
+    fn batch_reply_items_are_route_reply_bodies() {
+        let item =
+            ReplyItem { req_id: 7, status: Status::Shed, tier: None, latency_ns: 99 };
+        let single = Frame::RouteReply {
+            req_id: item.req_id,
+            status: item.status,
+            tier: item.tier,
+            latency_ns: item.latency_ns,
+        }
+        .to_bytes();
+        let batch = Frame::RouteBatchReply { items: vec![item] }.to_bytes();
+        // Same 18 body bytes after each frame's header (the batch's
+        // header carries a 4-byte item count).
+        assert_eq!(single[6..], batch[10..]);
     }
 
     #[test]

@@ -28,14 +28,21 @@
 //!   can concern it: accepted connections, frames, closes and wire
 //!   errors, idle reports, engine completions, and stop. After each
 //!   wake it drains the channel, takes the outcomes the engine
-//!   finished, pumps its DRR scheduler into [`Engine::try_submit_to`]
-//!   (backpressure: a full engine queue pauses the pump, an over-quota
-//!   tenant is refused on the spot), and hands each connection's
-//!   pending replies to its writer once. It never blocks anywhere else.
-//!   The engine's workers finish a request by pushing its outcome onto
-//!   the handler's done list and, unless a wake-up is already pending,
-//!   sending a token into the same channel with `try_send` — so nothing
-//!   polls a ticket, and no worker ever waits on a handler.
+//!   finished, pumps its DRR scheduler into
+//!   [`Engine::try_submit_all_to`] (backpressure: a full engine queue
+//!   hands the refused tail back to the front of its tenants' backlogs
+//!   and pauses the pump, an over-quota tenant is refused on the spot),
+//!   and hands each connection's pending replies to its writer once. It
+//!   never blocks anywhere else. The engine's workers finish a request
+//!   by pushing its outcome onto the handler's done list and, unless a
+//!   wake-up is already pending, sending a token into the same channel
+//!   with `try_send` — so nothing polls a ticket, and no worker ever
+//!   waits on a handler.
+//!
+//! A [`Frame::RouteBatch`] enters the scheduler one entry per item, so
+//! cost, quota and fairness stay per item. The batch is answered once,
+//! when its last item is terminal, and only the engine completion of
+//! that last item wakes the handler.
 //!
 //! Malformed input (oversize length prefix, unknown version or type,
 //! torn payloads) gets one [`Frame::ErrorReply`] and the connection is
@@ -56,7 +63,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -69,7 +76,7 @@ use benes_engine::{
 use benes_perm::Permutation;
 
 use crate::client::{Client, RecvError};
-use crate::proto::{tier_code, Frame, Status, TenantRow, WireError};
+use crate::proto::{tier_code, Frame, ReplyItem, Status, TenantRow, WireError};
 use crate::tenant::DrrScheduler;
 
 /// Capacity of each handler's event channel. A full channel blocks the
@@ -88,6 +95,11 @@ const READER_CREDIT: usize = 2;
 /// behind on reading its replies is cut off rather than grow the
 /// server's memory without bound.
 const OUTBOX_LIMIT: usize = 4 << 20;
+
+/// Most requests the pump hands the engine in one admission. While
+/// the engine's queue is full it hands them over one at a time, so a
+/// refusal hands back at most one.
+const PUMP_RUN: usize = 256;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -468,17 +480,39 @@ struct OutboxState {
     broken: bool,
 }
 
+/// Where one request's status goes once it is terminal.
+#[derive(Clone)]
+enum Slot {
+    /// Its own [`Frame::RouteReply`] to request `.0`.
+    Route(u64),
+    /// Item `index` of the connection's open batch `batch`, whose items
+    /// not yet terminal `unfinished` counts.
+    Item { batch: u64, index: usize, unfinished: Arc<AtomicUsize> },
+}
+
+impl Slot {
+    /// Counts the request terminal; true for a lone `Route` or a
+    /// batch's last item.
+    fn finish(&self) -> bool {
+        match self {
+            Self::Route(_) => true,
+            Self::Item { unfinished, .. } => unfinished.fetch_sub(1, Ordering::AcqRel) == 1,
+        }
+    }
+}
+
 /// One finished request, handed from an engine worker to its handler.
 struct Done {
     conn: u64,
-    req_id: u64,
+    slot: Slot,
     outcome: RequestOutcome,
 }
 
 /// Engine outcomes for one handler's requests. A worker finishing a
-/// request pushes onto `outcomes` under a short lock and sends the
-/// handler a [`Event::Completed`] token only when `wake_pending` was
-/// clear, with `try_send`: a channel full of reader events is about to
+/// request pushes onto `outcomes` under a short lock and, for a batch's
+/// last item or while `backlogged`, sends the handler a
+/// [`Event::Completed`] token — only when `wake_pending` was clear,
+/// and with `try_send`: a channel full of reader events is about to
 /// wake the handler anyway, so the worker never waits. The list holds
 /// at most as many entries as its handler has requests in flight.
 #[derive(Default)]
@@ -487,14 +521,25 @@ struct DoneList {
     /// Set by the worker that sends a token, cleared by the handler
     /// just before it takes the list.
     wake_pending: AtomicBool,
+    /// Requests wait in the handler's scheduler for engine queue space,
+    /// which every finished request frees: each one wakes the handler.
+    backlogged: AtomicBool,
 }
 
 /// One request decoded off a connection, waiting for an engine slot.
 struct Pending {
     conn: u64,
-    req_id: u64,
+    slot: Slot,
     deadline: Option<Instant>,
     perm: Permutation,
+}
+
+/// A [`Frame::RouteBatch`] whose reply waits for its last item.
+struct OpenBatch {
+    /// One reply item per batch item, in item order.
+    items: Vec<ReplyItem>,
+    /// Items with no status yet.
+    open: usize,
 }
 
 /// One client connection, owned by exactly one handler thread.
@@ -511,6 +556,10 @@ struct Conn {
     wbuf: Vec<u8>,
     /// Requests the engine admitted and has not finished.
     inflight: usize,
+    /// Batches with items still open, by the connection's batch number.
+    batches: HashMap<u64, OpenBatch>,
+    /// The number the next batch gets.
+    next_batch: u64,
     /// The last reply hand-off (or the accept): an idle report reaps
     /// the connection only when this is a read timeout old too.
     last_write: Instant,
@@ -525,10 +574,44 @@ impl Conn {
         frame.encode(&mut self.wbuf);
     }
 
-    /// Route replies with no outcome from the engine.
-    fn refuse(&mut self, counters: &ServerCounters, req_id: u64, status: Status) {
-        self.push_frame(&Frame::RouteReply { req_id, status, tier: None, latency_ns: 0 });
-        counters.replies.fetch_add(1, Ordering::Relaxed);
+    /// Records one request's terminal status: its own `RouteReply`, or
+    /// its batch item and, after the batch's last, the batch's one
+    /// `RouteBatchReply`. Counts replies per item.
+    fn answer(
+        &mut self,
+        counters: &ServerCounters,
+        slot: &Slot,
+        status: Status,
+        tier: Option<u8>,
+        latency_ns: u64,
+    ) {
+        let (batch, index) = match *slot {
+            Slot::Route(req_id) => {
+                counters.replies.fetch_add(1, Ordering::Relaxed);
+                return self.push_frame(&Frame::RouteReply {
+                    req_id,
+                    status,
+                    tier,
+                    latency_ns,
+                });
+            }
+            Slot::Item { batch, index, .. } => (batch, index),
+        };
+        let Some(open) = self.batches.get_mut(&batch) else { return };
+        let item = &mut open.items[index];
+        (item.status, item.tier, item.latency_ns) = (status, tier, latency_ns);
+        open.open -= 1;
+        if open.open == 0 {
+            let items = self.batches.remove(&batch).expect("found above").items;
+            counters.replies.fetch_add(items.len() as u64, Ordering::Relaxed);
+            self.push_frame(&Frame::RouteBatchReply { items });
+        }
+    }
+
+    /// Answers a request that never reached (or never left) the engine.
+    fn refuse(&mut self, counters: &ServerCounters, slot: &Slot, status: Status) {
+        slot.finish();
+        self.answer(counters, slot, status, None, 0);
     }
 
     /// Moves `wbuf` into the outbox and wakes the writer. Returns
@@ -737,7 +820,7 @@ impl Handler {
         let done = std::mem::take(
             &mut *self.ctx.done.outcomes.lock().unwrap_or_else(PoisonError::into_inner),
         );
-        for Done { conn, req_id, outcome } in done {
+        for Done { conn, slot, outcome } in done {
             // Conn already gone: the reply is dropped, but the engine
             // still booked the tenant's terminal state — conservation
             // survives killed connections.
@@ -745,8 +828,7 @@ impl Handler {
             conn.inflight -= 1;
             let (status, tier) = classify(&outcome.result);
             let latency_ns = u64::try_from(outcome.latency.as_nanos()).unwrap_or(u64::MAX);
-            conn.push_frame(&Frame::RouteReply { req_id, status, tier, latency_ns });
-            self.ctx.counters.replies.fetch_add(1, Ordering::Relaxed);
+            conn.answer(&self.ctx.counters, &slot, status, tier, latency_ns);
         }
     }
 
@@ -799,6 +881,8 @@ impl Handler {
                 credit,
                 wbuf: Vec::new(),
                 inflight: 0,
+                batches: HashMap::new(),
+                next_batch: 0,
                 last_write: Instant::now(),
                 read_closed: false,
                 poisoned: false,
@@ -806,53 +890,97 @@ impl Handler {
         );
     }
 
-    /// Pumps the scheduler into the engine until it pushes back.
-    /// Returns whether requests stay queued behind a full engine with
-    /// none of this handler's in flight.
+    /// Pumps the scheduler into the engine, one admission per run of
+    /// requests, until it is empty or the engine pushes back. Returns whether requests stay queued behind a full
+    /// engine with none of this handler's in flight.
     fn pump(&mut self) -> bool {
-        while let Some((tenant, cost, pending)) = self.sched.dequeue() {
-            let opts = SubmitOpts { deadline: pending.deadline, tenant: Some(tenant) };
-            let (conn, req_id) = (pending.conn, pending.req_id);
-            let (list, tx) = (Arc::clone(&self.ctx.done), self.ctx.tx.clone());
-            let done = Completion::new(move |outcome| {
-                list.outcomes.lock().unwrap_or_else(PoisonError::into_inner).push(Done {
-                    conn,
-                    req_id,
-                    outcome,
-                });
-                if !list.wake_pending.swap(true, Ordering::SeqCst) {
-                    // Full: queued events wake the handler, which takes
-                    // the list after draining them. Disconnected: the
-                    // handler exited; the engine booked the outcome.
-                    // analyze:allow(discarded-result): see above
-                    let _ = tx.try_send(Event::Completed);
-                }
-            });
-            match self.ctx.engine.try_submit_to(pending.perm.clone(), opts, done) {
-                Ok(()) => {
-                    if let Some(conn) = self.conns.get_mut(&conn) {
-                        conn.inflight += 1;
+        loop {
+            let (mut run, mut keys) = (Vec::new(), Vec::new());
+            let most =
+                if self.ctx.done.backlogged.load(Ordering::SeqCst) { 1 } else { PUMP_RUN };
+            while run.len() < most {
+                let Some((tenant, cost, Pending { conn, slot, deadline, perm })) =
+                    self.sched.dequeue()
+                else {
+                    break;
+                };
+                keys.push((tenant, cost, conn, slot.clone()));
+                let (list, tx) = (Arc::clone(&self.ctx.done), self.ctx.tx.clone());
+                let done = Completion::new(move |outcome| {
+                    // Counted under the list's lock: the wake of a
+                    // batch's last item finds every item on the list.
+                    let mut outcomes =
+                        list.outcomes.lock().unwrap_or_else(PoisonError::into_inner);
+                    let wake = slot.finish() | list.backlogged.load(Ordering::SeqCst);
+                    outcomes.push(Done { conn, slot, outcome });
+                    drop(outcomes);
+                    if wake && !list.wake_pending.swap(true, Ordering::SeqCst) {
+                        // Full: queued events wake the handler, which
+                        // takes the list after draining them.
+                        // Disconnected: the handler exited; the engine
+                        // booked the outcome.
+                        // analyze:allow(discarded-result): see above
+                        let _ = tx.try_send(Event::Completed);
                     }
+                });
+                run.push((perm, SubmitOpts { deadline, tenant: Some(tenant) }, done));
+            }
+            if run.is_empty() {
+                self.ctx.done.backlogged.store(false, Ordering::SeqCst);
+                return false;
+            }
+            let (refused, tail) = match self.ctx.engine.try_submit_all_to(run) {
+                Ok(()) => (None, Vec::new()),
+                Err((err, tail)) => (Some(err), tail),
+            };
+            let admitted = keys.len() - tail.len();
+            let mut keys = keys.into_iter();
+            for (_, _, conn, _) in keys.by_ref().take(admitted) {
+                if let Some(conn) = self.conns.get_mut(&conn) {
+                    conn.inflight += 1;
                 }
-                Err(SubmitError::QueueFull { .. }) => {
-                    self.sched.requeue_front(tenant, cost, pending);
+            }
+            match refused {
+                None => {}
+                Some(SubmitError::QueueFull { .. }) => {
+                    // Back to the front of their backlogs, last first,
+                    // so each tenant keeps its order.
+                    let back: Vec<_> = keys.zip(tail).collect();
+                    for ((tenant, cost, conn, slot), (perm, opts, _)) in
+                        back.into_iter().rev()
+                    {
+                        let deadline = opts.deadline;
+                        self.sched.requeue_front(
+                            tenant,
+                            cost,
+                            Pending { conn, slot, deadline, perm },
+                        );
+                    }
+                    // From here every finished request wakes us; the
+                    // ones that finished before are on the list now.
+                    self.ctx.done.backlogged.store(true, Ordering::SeqCst);
+                    self.take_done();
                     return self.conns.values().all(|c| c.inflight == 0);
                 }
-                Err(_) => {
+                Some(_) => {
                     // Engine shutting down: everything still queued is
                     // refused as Draining.
-                    for p in std::iter::once(pending)
-                        .chain(self.sched.drain_all().into_iter().map(|(_, p)| p))
+                    let queued =
+                        self.sched.drain_all().into_iter().map(|(_, p)| (p.conn, p.slot));
+                    for (conn, slot) in
+                        keys.map(|(_, _, conn, slot)| (conn, slot)).chain(queued)
                     {
-                        if let Some(conn) = self.conns.get_mut(&p.conn) {
-                            conn.refuse(&self.ctx.counters, p.req_id, Status::Draining);
+                        if let Some(conn) = self.conns.get_mut(&conn) {
+                            conn.refuse(&self.ctx.counters, &slot, Status::Draining);
                         }
                     }
+                    // A refusal can finish a batch whose other items
+                    // the engine finished without waking us.
+                    self.take_done();
                     return false;
                 }
             }
         }
-        false
     }
 
     /// Hands each connection's pending replies to its writer, then
@@ -899,21 +1027,31 @@ fn handle_frame(
 ) {
     match frame {
         Frame::Route { req_id, tenant, deadline_ms, destinations } => {
-            if stopping {
-                conn.refuse(&ctx.counters, req_id, Status::Draining);
-                return;
+            let request = (Slot::Route(req_id), deadline_ms, destinations);
+            queue_requests(ctx, conn, id, sched, stopping, tenant, [request]);
+        }
+        Frame::RouteBatch { tenant, items } => {
+            let batch = conn.next_batch;
+            conn.next_batch += 1;
+            let unfinished = Arc::new(AtomicUsize::new(items.len()));
+            let replies = items
+                .iter()
+                .map(|i| ReplyItem {
+                    req_id: i.req_id,
+                    status: Status::Failed,
+                    tier: None,
+                    latency_ns: 0,
+                })
+                .collect();
+            if items.is_empty() {
+                return conn.push_frame(&Frame::RouteBatchReply { items: replies });
             }
-            let cost = u32::try_from(destinations.len()).unwrap_or(u32::MAX);
-            let Ok(perm) = Permutation::from_destinations(destinations) else {
-                conn.refuse(&ctx.counters, req_id, Status::BadRequest);
-                return;
-            };
-            let deadline = (deadline_ms > 0)
-                .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-            let pending = Pending { conn: id, req_id, deadline, perm };
-            if let Err((_, refused)) = sched.enqueue(tenant, cost, pending) {
-                conn.refuse(&ctx.counters, refused.req_id, Status::QuotaExceeded);
-            }
+            conn.batches.insert(batch, OpenBatch { items: replies, open: items.len() });
+            let requests = items.into_iter().enumerate().map(|(index, i)| {
+                let slot = Slot::Item { batch, index, unfinished: Arc::clone(&unfinished) };
+                (slot, i.deadline_ms, i.destinations)
+            });
+            queue_requests(ctx, conn, id, sched, stopping, tenant, requests);
         }
         Frame::Stats => {
             conn.push_frame(&Frame::StatsReply { rows: stats_rows(&ctx.engine) });
@@ -934,12 +1072,48 @@ fn handle_frame(
         }
         // Server-to-client frames arriving at the server are protocol
         // violations.
-        Frame::RouteReply { .. } | Frame::StatsReply { .. } | Frame::ErrorReply { .. } => {
+        Frame::RouteReply { .. }
+        | Frame::StatsReply { .. }
+        | Frame::ErrorReply { .. }
+        | Frame::RouteBatchReply { .. } => {
             wire_error(
                 &ctx.counters,
                 conn,
                 &WireError::Malformed("client sent a server-only frame"),
             );
+        }
+    }
+}
+
+/// Queues requests — a `Route`, or a `RouteBatch`'s items — for the
+/// engine, refusing each on the spot when it cannot go: `Draining`
+/// while stopping, `BadRequest` for a non-permutation, `QuotaExceeded`
+/// past its tenant's backlog quota.
+fn queue_requests(
+    ctx: &HandlerCtx,
+    conn: &mut Conn,
+    id: u64,
+    sched: &mut DrrScheduler<Pending>,
+    stopping: bool,
+    tenant: u64,
+    requests: impl IntoIterator<Item = (Slot, u32, Vec<u32>)>,
+) {
+    for (slot, deadline_ms, destinations) in requests {
+        if stopping {
+            conn.refuse(&ctx.counters, &slot, Status::Draining);
+            continue;
+        }
+        let cost = u32::try_from(destinations.len()).unwrap_or(u32::MAX);
+        let Ok(perm) = Permutation::from_destinations(destinations) else {
+            conn.refuse(&ctx.counters, &slot, Status::BadRequest);
+            continue;
+        };
+        let deadline = (deadline_ms > 0)
+            .then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
+        if let Err((_, refused)) =
+            sched.enqueue(tenant, cost, Pending { conn: id, slot, deadline, perm })
+        {
+            conn.refuse(&ctx.counters, &refused.slot, Status::QuotaExceeded);
         }
     }
 }

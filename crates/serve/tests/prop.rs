@@ -4,7 +4,9 @@
 //! for garbage — and **never panic**, on any byte soup, any
 //! truncation, any mutation.
 
-use benes_serve::proto::{decode, Frame, Status, TenantRow, WireError, MAX_FRAME_LEN};
+use benes_serve::proto::{
+    decode, BatchItem, Frame, ReplyItem, Status, TenantRow, WireError, MAX_FRAME_LEN,
+};
 use proptest::prelude::*;
 
 /// Random bytes, skewed to start with plausible small length prefixes
@@ -26,28 +28,33 @@ fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
 fn arb_frame() -> impl Strategy<Value = Frame> {
     Just(()).prop_perturb(|(), mut rng| {
         let mut r64 = || rng.random::<u64>();
-        match r64() % 6 {
-            0 => {
-                let n = 1usize << (r64() % 5); // 1..=16 destinations
-                let mut destinations: Vec<u32> = (0..n as u32).collect();
-                // A random (not necessarily valid) destination vector:
-                // the protocol layer does not validate permutations.
-                for i in (1..n).rev() {
-                    destinations.swap(i, (r64() % (i as u64 + 1)) as usize);
-                }
-                Frame::Route {
-                    req_id: r64(),
-                    tenant: r64(),
-                    deadline_ms: (r64() & 0xffff) as u32,
-                    destinations,
-                }
+        // A random (not necessarily valid) destination vector: the
+        // protocol layer does not validate permutations.
+        let destinations = |r64: &mut dyn FnMut() -> u64| {
+            let n = 1usize << (r64() % 5); // 1..=16 destinations
+            let mut destinations: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                destinations.swap(i, (r64() % (i as u64 + 1)) as usize);
             }
-            1 => Frame::RouteReply {
+            destinations
+        };
+        let reply = |r64: &mut dyn FnMut() -> u64| ReplyItem {
+            req_id: r64(),
+            status: Status::ALL[(r64() % Status::ALL.len() as u64) as usize],
+            tier: if r64().is_multiple_of(2) { None } else { Some((r64() % 5) as u8) },
+            latency_ns: r64(),
+        };
+        match r64() % 8 {
+            0 => Frame::Route {
                 req_id: r64(),
-                status: Status::ALL[(r64() % Status::ALL.len() as u64) as usize],
-                tier: if r64() % 2 == 0 { None } else { Some((r64() % 5) as u8) },
-                latency_ns: r64(),
+                tenant: r64(),
+                deadline_ms: (r64() & 0xffff) as u32,
+                destinations: destinations(&mut r64),
             },
+            1 => {
+                let ReplyItem { req_id, status, tier, latency_ns } = reply(&mut r64);
+                Frame::RouteReply { req_id, status, tier, latency_ns }
+            }
             2 => Frame::Stats,
             3 => {
                 let rows = (0..r64() % 4)
@@ -64,10 +71,23 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 Frame::StatsReply { rows }
             }
             4 => Frame::Drain,
-            _ => Frame::ErrorReply {
+            5 => Frame::ErrorReply {
                 req_id: r64(),
                 code: Status::ALL[(r64() % Status::ALL.len() as u64) as usize],
                 message: format!("err-{}", r64() % 1000),
+            },
+            6 => Frame::RouteBatch {
+                tenant: r64(),
+                items: (0..r64() % 5)
+                    .map(|_| BatchItem {
+                        req_id: r64(),
+                        deadline_ms: (r64() & 0xffff) as u32,
+                        destinations: destinations(&mut r64),
+                    })
+                    .collect(),
+            },
+            _ => Frame::RouteBatchReply {
+                items: (0..r64() % 5).map(|_| reply(&mut r64)).collect(),
             },
         }
     })
@@ -156,6 +176,92 @@ proptest! {
     }
 }
 
+/// The byte offset of a batch frame's item count: length prefix,
+/// version and type, then the tenant id for `RouteBatch` only.
+fn item_count_at(frame: &Frame) -> usize {
+    match frame {
+        Frame::RouteBatch { .. } => 4 + 2 + 8,
+        _ => 4 + 2,
+    }
+}
+
+/// A batch frame whose item count says `count`, whatever it holds.
+fn with_item_count(frame: &Frame, count: u32) -> Vec<u8> {
+    let mut bytes = frame.to_bytes();
+    let at = item_count_at(frame);
+    bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+    bytes
+}
+
+proptest! {
+    /// A batch frame's item count that does not match the items the
+    /// payload holds — one more, one fewer, or absurdly many — is a
+    /// typed `Malformed`, never a panic or an allocation past the
+    /// frame.
+    #[test]
+    fn lying_batch_item_counts_are_malformed(frame in arb_frame(), huge in 1u32..=u32::MAX) {
+        let items = match &frame {
+            Frame::RouteBatch { items, .. } => items.len(),
+            Frame::RouteBatchReply { items } => items.len(),
+            _ => return Ok(()),
+        } as u32;
+        for count in [items + 1, items.wrapping_sub(1), items.saturating_add(huge)] {
+            if count == items {
+                continue;
+            }
+            let got = decode(&with_item_count(&frame, count));
+            prop_assert!(matches!(got, Err(WireError::Malformed(_))), "count {}: {:?}", count, got);
+        }
+    }
+
+    /// A batch whose payload is cut short inside an item (with the
+    /// length prefix shrunk to match) is `Malformed`: the item list
+    /// must fill the payload exactly.
+    #[test]
+    fn batch_payload_cut_inside_an_item_is_malformed(frame in arb_frame(), cut in 1usize..64) {
+        let items = match &frame {
+            Frame::RouteBatch { items, .. } => items.len(),
+            Frame::RouteBatchReply { items } => items.len(),
+            _ => return Ok(()),
+        };
+        let mut bytes = frame.to_bytes();
+        let body = item_count_at(&frame) + 4;
+        if items == 0 {
+            return Ok(());
+        }
+        let keep = bytes.len() - 1 - (cut % (bytes.len() - body));
+        bytes.truncate(keep);
+        let len = u32::try_from(keep - 4).unwrap();
+        bytes[0..4].copy_from_slice(&len.to_le_bytes());
+        prop_assert!(matches!(decode(&bytes), Err(WireError::Malformed(_))));
+    }
+}
+
+/// A batch at the frame cap decodes; one item more is `Oversize`
+/// before a single item is read.
+#[test]
+fn batch_frames_respect_the_frame_cap() {
+    use benes_serve::proto::{batch_item_len, ROUTE_BATCH_HEADER};
+    let unit = 512usize;
+    let fit = (MAX_FRAME_LEN as usize - ROUTE_BATCH_HEADER) / batch_item_len(unit);
+    let frame = |k: usize| Frame::RouteBatch {
+        tenant: 1,
+        items: (0..k)
+            .map(|i| BatchItem {
+                req_id: i as u64,
+                deadline_ms: 0,
+                destinations: vec![0; unit],
+            })
+            .collect(),
+    };
+    let full = frame(fit).to_bytes();
+    assert_eq!(full.len() - 4, ROUTE_BATCH_HEADER + fit * batch_item_len(unit));
+    let got = decode(&full).map(|f| f.map(|(_, used)| used));
+    assert_eq!(got, Ok(Some(full.len())));
+    let over = frame(fit + 1).to_bytes();
+    assert!(matches!(decode(&over), Err(WireError::Oversize { .. })));
+}
+
 /// Feeds `stream` into an incremental decode buffer `chunk_sizes` at a
 /// time (cycling, trailing remainder flushed at the end), asserting
 /// the decoder only ever says "incomplete" between chunks, and returns
@@ -205,6 +311,24 @@ fn every_fixed_chunk_size_reassembles_every_frame_kind() {
         },
         Frame::Drain,
         Frame::ErrorReply { req_id: 0, code: Status::BadRequest, message: "nope".into() },
+        Frame::RouteBatch {
+            tenant: 7,
+            items: vec![
+                BatchItem { req_id: 2, deadline_ms: 0, destinations: vec![1, 0] },
+                BatchItem { req_id: 3, deadline_ms: 9, destinations: vec![0, 1, 3, 2] },
+            ],
+        },
+        Frame::RouteBatchReply {
+            items: vec![
+                ReplyItem { req_id: 2, status: Status::Ok, tier: Some(1), latency_ns: 7 },
+                ReplyItem {
+                    req_id: 3,
+                    status: Status::BadRequest,
+                    tier: None,
+                    latency_ns: 0,
+                },
+            ],
+        },
     ];
     let mut stream = Vec::new();
     for f in &frames {

@@ -12,20 +12,65 @@
 //! in-process engine does.
 
 use std::fmt;
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
-use benes_engine::{Engine, EngineConfig, EngineError, RequestOutcome};
+use benes_engine::{Engine, EngineConfig, RequestOutcome};
 use benes_obs::Ledger;
 use benes_perm::Permutation;
 
 enum TicketInner {
     /// An in-process engine ticket.
     Local(benes_engine::Ticket),
-    /// A remote unit: the backend's I/O thread sends exactly one
-    /// terminal reply. Its latency is submit → terminal as the
-    /// coordinator saw it: queueing, the wire, retries and failover.
-    Remote(mpsc::Receiver<RequestOutcome>),
+    /// Unit `.1` of one remote `submit_batch` call: the backend's I/O
+    /// thread fills its slot exactly once. Its latency is submit →
+    /// terminal as the coordinator saw it: queueing, the wire, retries
+    /// and failover.
+    Remote(Arc<Outcomes>, usize),
+}
+
+/// The terminal outcomes of one remote [`Backend::submit_batch`] call.
+/// Each unit's slot is filled exactly once; waiters are woken when the
+/// last slot fills, so a thread gathering the whole call wakes once
+/// for it rather than once per unit.
+pub(crate) struct Outcomes {
+    /// Per-unit outcomes, and how many slots are still empty.
+    slots: Mutex<(Vec<Option<RequestOutcome>>, usize)>,
+    filled: Condvar,
+}
+
+impl Outcomes {
+    /// Empty slots for `units` units.
+    pub(crate) fn new(units: usize) -> Arc<Self> {
+        Arc::new(Self {
+            slots: Mutex::new((vec![None; units], units)),
+            filled: Condvar::new(),
+        })
+    }
+
+    /// Fills unit `index`'s slot (once) and wakes the waiters if it was
+    /// the last one.
+    pub(crate) fn fill(&self, index: usize, outcome: RequestOutcome) {
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let (outcomes, open) = &mut *slots;
+        if outcomes[index].replace(outcome).is_none() {
+            *open -= 1;
+            if *open == 0 {
+                self.filled.notify_all();
+            }
+        }
+    }
+
+    /// Takes unit `index`'s outcome, blocking until its slot is filled
+    /// (a blocked taker sleeps until the call's last slot fills).
+    fn take(&self, index: usize) -> RequestOutcome {
+        let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slots = self
+            .filled
+            .wait_while(slots, |(outcomes, _)| outcomes[index].is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slots.0[index].take().expect("waited for the slot")
+    }
 }
 
 /// A pending routing unit on some backend. Like an engine
@@ -42,25 +87,21 @@ impl UnitTicket {
         Self { inner: TicketInner::Local(ticket) }
     }
 
-    /// Wraps a remote reply channel (the sender must guarantee exactly
-    /// one terminal reply, or drop — a dropped sender resolves as
-    /// canceled).
-    #[must_use]
-    pub fn remote(rx: mpsc::Receiver<RequestOutcome>) -> Self {
-        Self { inner: TicketInner::Remote(rx) }
+    /// Unit `index` of a remote call whose outcomes land in
+    /// `outcomes` (its filler must guarantee exactly one fill per
+    /// unit: the remote backend's `Reply` guard fills a dropped unit
+    /// as canceled).
+    pub(crate) fn remote(outcomes: Arc<Outcomes>, index: usize) -> Self {
+        Self { inner: TicketInner::Remote(outcomes, index) }
     }
 
-    /// Blocks until the unit is terminal.
+    /// Blocks until the unit is terminal. A remote unit's waiter is
+    /// woken once every unit of its `submit_batch` call is terminal.
     #[must_use]
     pub fn wait(self) -> RequestOutcome {
         match self.inner {
             TicketInner::Local(t) => t.wait(),
-            TicketInner::Remote(rx) => rx.recv().unwrap_or(RequestOutcome {
-                // The I/O thread died without replying (it accounts the
-                // unit as canceled on its own side before exiting).
-                result: Err(EngineError::Canceled),
-                latency: Duration::ZERO,
-            }),
+            TicketInner::Remote(outcomes, index) => outcomes.take(index),
         }
     }
 }
@@ -69,7 +110,7 @@ impl fmt::Debug for UnitTicket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match &self.inner {
             TicketInner::Local(_) => "local",
-            TicketInner::Remote(_) => "remote",
+            TicketInner::Remote(..) => "remote",
         };
         f.debug_struct("UnitTicket").field("kind", &kind).finish()
     }
@@ -84,7 +125,8 @@ impl fmt::Debug for UnitTicket {
 pub struct BackendLedger {
     /// `"local"` or `"remote"` — the backend flavor, for labels.
     pub kind: &'static str,
-    /// Units accepted by [`Backend::submit`] and their terminal states.
+    /// Units accepted by [`Backend::submit_batch`] and their terminal
+    /// states.
     /// `rejected` is non-zero only for a local backend (its engine's
     /// admission refusals); the fleet exposition does not export it.
     pub requests: Ledger,
@@ -123,10 +165,23 @@ pub trait Backend: Send + Sync {
     /// A short human label (`engine#2`, `remote 127.0.0.1:9200`, …).
     fn describe(&self) -> String;
 
-    /// Submits one routing unit. Never blocks on the unit itself;
-    /// rejection or unavailability surface as an already-terminal
-    /// ticket, not an error.
-    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket;
+    /// Submits a run of routing units sharing one deadline, returning
+    /// one ticket per unit in order. This is the one submission the
+    /// coordinator makes per shard per round: a remote backend sends
+    /// the run as `RouteBatch` frames and wakes its waiters once the
+    /// run is terminal. Never blocks on the units themselves;
+    /// rejection or unavailability surface as already-terminal
+    /// tickets, not an error.
+    fn submit_batch(
+        &self,
+        perms: Vec<Permutation>,
+        deadline: Option<Instant>,
+    ) -> Vec<UnitTicket>;
+
+    /// Submits one routing unit: a one-unit [`Backend::submit_batch`].
+    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
+        self.submit_batch(vec![perm], deadline).pop().expect("one ticket per unit")
+    }
 
     /// This backend's lifecycle + resilience ledger.
     fn ledger(&self) -> BackendLedger;
@@ -168,13 +223,22 @@ impl Backend for LocalShard {
         "local engine".to_string()
     }
 
-    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
+    fn submit_batch(
+        &self,
+        perms: Vec<Permutation>,
+        deadline: Option<Instant>,
+    ) -> Vec<UnitTicket> {
         // submit/submit_with_deadline resolve rejected admissions to
         // canceled tickets themselves, so this never blocks gather.
-        match deadline {
-            Some(dl) => UnitTicket::local(self.engine.submit_with_deadline(perm, dl)),
-            None => UnitTicket::local(self.engine.submit(perm)),
-        }
+        perms
+            .into_iter()
+            .map(|perm| {
+                UnitTicket::local(match deadline {
+                    Some(dl) => self.engine.submit_with_deadline(perm, dl),
+                    None => self.engine.submit(perm),
+                })
+            })
+            .collect()
     }
 
     fn ledger(&self) -> BackendLedger {
@@ -203,12 +267,24 @@ impl Backend for LocalShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use benes_engine::EngineError;
 
     #[test]
-    fn dropped_remote_sender_resolves_as_canceled() {
-        let (tx, rx) = mpsc::channel::<RequestOutcome>();
-        drop(tx);
-        assert_eq!(UnitTicket::remote(rx).wait().result, Err(EngineError::Canceled));
+    fn remote_tickets_wake_once_their_call_is_terminal() {
+        use std::time::Duration;
+        let outcomes = Outcomes::new(2);
+        let first = UnitTicket::remote(Arc::clone(&outcomes), 0);
+        let second = UnitTicket::remote(Arc::clone(&outcomes), 1);
+        let canceled =
+            RequestOutcome { result: Err(EngineError::Canceled), latency: Duration::ZERO };
+        outcomes.fill(1, canceled.clone());
+        let filler = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            outcomes.fill(0, canceled);
+        });
+        assert_eq!(first.wait().result, Err(EngineError::Canceled));
+        assert_eq!(second.wait().result, Err(EngineError::Canceled));
+        filler.join().unwrap();
     }
 
     #[test]

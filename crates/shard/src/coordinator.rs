@@ -395,39 +395,51 @@ impl ShardCoordinator {
         self.backends.iter().map(|b| b.drain(deadline)).collect()
     }
 
-    /// Scatters the decomposition's units to their shards, tagging each
-    /// ticket with its stage/index/shard for the gather.
+    /// Scatters the decomposition's units to their shards — one
+    /// [`Backend::submit_batch`] per shard carrying that shard's whole
+    /// share — and tags each ticket with its stage/index/shard for the
+    /// gather, in scatter order (stage 1 blocks, between colors,
+    /// stage 3 blocks).
     fn scatter(
         &self,
         d: &Decomposition,
         deadline: Option<Instant>,
     ) -> Vec<(Stage, usize, usize, UnitTicket)> {
-        let mut out = Vec::with_capacity(d.unit_count());
-        for (b, p) in d.stage1().iter().enumerate() {
-            let shard = self.shard_for_block(b);
-            out.push((Stage::SourceBlock, b, shard, self.submit(shard, p, deadline)));
+        let placed: Vec<(Stage, usize, usize, &Permutation)> =
+            (d.stage1().iter().enumerate())
+                .map(|(b, p)| (Stage::SourceBlock, b, self.shard_for_block(b), p))
+                .chain(
+                    d.between()
+                        .iter()
+                        .enumerate()
+                        .map(|(c, p)| (Stage::Between, c, self.shard_for_color(c), p)),
+                )
+                .chain(
+                    d.stage3()
+                        .iter()
+                        .enumerate()
+                        .map(|(b, p)| (Stage::DestBlock, b, self.shard_for_block(b), p)),
+                )
+                .collect();
+        let mut shares = vec![Vec::new(); self.backends.len()];
+        for &(_, _, shard, p) in &placed {
+            shares[shard].push(p.clone());
         }
-        for (c, p) in d.between().iter().enumerate() {
-            let shard = self.shard_for_color(c);
-            out.push((Stage::Between, c, shard, self.submit(shard, p, deadline)));
-        }
-        for (b, p) in d.stage3().iter().enumerate() {
-            let shard = self.shard_for_block(b);
-            out.push((Stage::DestBlock, b, shard, self.submit(shard, p, deadline)));
-        }
-        out
-    }
-
-    fn submit(
-        &self,
-        shard: usize,
-        p: &Permutation,
-        deadline: Option<Instant>,
-    ) -> UnitTicket {
         // Backends resolve rejected/unreachable admissions to
         // already-terminal tickets themselves, so this never blocks
         // gather.
-        self.backends[shard].submit(p.clone(), deadline)
+        let mut tickets: Vec<_> = shares
+            .into_iter()
+            .zip(&self.backends)
+            .map(|(share, backend)| backend.submit_batch(share, deadline).into_iter())
+            .collect();
+        placed
+            .into_iter()
+            .map(|(stage, index, shard, _)| {
+                let ticket = tickets[shard].next().expect("one ticket per unit");
+                (stage, index, shard, ticket)
+            })
+            .collect()
     }
 
     /// Counts routed elements and verifies recombination.

@@ -2,13 +2,16 @@
 //! wire protocol, wrapped in a full resilience layer.
 //!
 //! One background I/O thread owns the connections and all transport
-//! state; [`RemoteShard::submit`] just enqueues a unit and hands back
-//! a reply channel, so scatter never blocks on the network. The
-//! resilience ladder, from cheapest to most drastic:
+//! state; [`Backend::submit_batch`] just hands it the run of units in
+//! one event and returns their tickets, so scatter never blocks on the
+//! network. The resilience ladder, from cheapest to most drastic:
 //!
-//! 1. **Pipelining** — units are sent as they arrive (every unit queued
-//!    for an endpoint goes out in one write) and matched to replies by
-//!    request id, so one slow unit never stalls the rest.
+//! 1. **Batching and pipelining** — everything queued for an endpoint
+//!    goes out in one write as `RouteBatch` frames of at most
+//!    [`MAX_FRAME_LEN`] bytes each (a coordinator round's share of one
+//!    shard is one frame), is answered by one `RouteBatchReply` per
+//!    frame, and is matched to its units by per-unit request id, so
+//!    every unit keeps its own retries, failover and hedging.
 //! 2. **Timeouts** — connects are bounded by
 //!    [`RemoteConfig::connect_timeout`]; a unit with no reply after
 //!    [`RemoteConfig::request_timeout`] condemns its connection.
@@ -31,7 +34,7 @@
 //! # Threads and where each one blocks
 //!
 //! * **I/O thread** (`benes-remote-io-*`) — a receive on one bounded
-//!   channel carrying `Event`s: units and drains from callers, frames
+//!   channel carrying `Event`s: unit runs and drains from callers, frames
 //!   and closes from the readers, and stop. The receive times out at
 //!   the next timer the policy holds — a unit deadline, a request
 //!   timeout, a hedge delay, a reconnect backoff, or the heartbeat.
@@ -70,10 +73,13 @@ use benes_engine::{
 };
 use benes_obs::LedgerCell;
 use benes_perm::Permutation;
-use benes_serve::proto::{tier_from_code, Frame, Status};
+use benes_serve::proto::{
+    batch_item_len, tier_from_code, BatchItem, Frame, Status, MAX_FRAME_LEN,
+    ROUTE_BATCH_HEADER,
+};
 use benes_serve::Client;
 
-use crate::backend::{Backend, BackendDrain, BackendLedger, UnitTicket};
+use crate::backend::{Backend, BackendDrain, BackendLedger, Outcomes, UnitTicket};
 
 /// Capacity of the I/O thread's event channel. A full channel blocks
 /// submitters and readers until the I/O thread catches up.
@@ -161,11 +167,12 @@ impl Shared {
     }
 }
 
-/// A unit's reply channel, which cannot be forgotten: dropped without
-/// a reply (its event discarded with a closed channel, or the I/O
-/// thread gone), it books the unit canceled and tells the caller so.
+/// A unit's reply slot, which cannot be forgotten: dropped without a
+/// reply (its event discarded with a closed channel, or the I/O thread
+/// gone), it books the unit canceled and tells the caller so.
 struct Reply {
-    tx: Option<SyncSender<RequestOutcome>>,
+    /// The unit's slot in its call's outcomes.
+    slot: Option<(Arc<Outcomes>, usize)>,
     shared: Arc<Shared>,
 }
 
@@ -176,10 +183,9 @@ impl Reply {
     }
 
     fn deliver(&mut self, reply: RequestOutcome) {
-        let Some(tx) = self.tx.take() else { return };
+        let Some((outcomes, index)) = self.slot.take() else { return };
         self.shared.requests.finish(terminal(&reply.result));
-        // analyze:allow(discarded-result): the caller may have dropped its ticket
-        let _ = tx.send(reply);
+        outcomes.fill(index, reply);
     }
 }
 
@@ -194,14 +200,12 @@ impl Drop for Reply {
 
 /// Everything that can wake the I/O thread, on its one channel.
 enum Event {
-    /// A unit from [`Backend::submit`].
-    Unit {
-        /// The unit to route.
-        perm: Permutation,
-        /// Resolve it shed once this passes.
+    /// The units of one [`Backend::submit_batch`] call.
+    Units {
+        /// Each unit to route, with where its one terminal reply goes.
+        units: Vec<(Permutation, Reply)>,
+        /// Resolve them shed once this passes.
         deadline: Option<Instant>,
-        /// Where its one terminal reply goes.
-        reply: Reply,
     },
     /// A drain from [`Backend::drain`].
     Drain {
@@ -273,16 +277,30 @@ impl Backend for RemoteShard {
         format!("remote {}", self.addr)
     }
 
-    fn submit(&self, perm: Permutation, deadline: Option<Instant>) -> UnitTicket {
-        self.shared.requests.admit();
-        let (tx, rx) = mpsc::sync_channel(1);
-        let reply = Reply { tx: Some(tx), shared: Arc::clone(&self.shared) };
-        // With the I/O thread gone (drained or torn down) the send hands
-        // the event back, and dropping it resolves the unit canceled:
-        // terminal immediately, and still conserved.
-        // analyze:allow(discarded-result): a refused event cancels its unit on drop
-        let _ = self.events.send(Event::Unit { perm, deadline, reply });
-        UnitTicket::remote(rx)
+    fn submit_batch(
+        &self,
+        perms: Vec<Permutation>,
+        deadline: Option<Instant>,
+    ) -> Vec<UnitTicket> {
+        let count = perms.len();
+        let outcomes = Outcomes::new(count);
+        let units: Vec<(Permutation, Reply)> = perms
+            .into_iter()
+            .enumerate()
+            .map(|(index, perm)| {
+                self.shared.requests.admit();
+                let slot = Some((Arc::clone(&outcomes), index));
+                (perm, Reply { slot, shared: Arc::clone(&self.shared) })
+            })
+            .collect();
+        if count > 0 {
+            // With the I/O thread gone (drained or torn down) the send
+            // hands the event back, and dropping it resolves the units
+            // canceled: terminal immediately, and still conserved.
+            // analyze:allow(discarded-result): a refused event cancels its units on drop
+            let _ = self.events.send(Event::Units { units, deadline });
+        }
+        (0..count).map(|index| UnitTicket::remote(Arc::clone(&outcomes), index)).collect()
     }
 
     fn ledger(&self) -> BackendLedger {
@@ -566,14 +584,16 @@ impl IoThread {
     /// Applies one event. `false` means the thread should exit.
     fn handle(&mut self, event: Event) -> bool {
         match event {
-            Event::Unit { perm, deadline, reply } => {
-                if self.draining.is_some() {
-                    reply.send(RequestOutcome {
-                        result: Err(EngineError::Canceled),
-                        latency: Duration::ZERO,
-                    });
-                } else {
-                    self.admit_unit(perm, deadline, reply);
+            Event::Units { units, deadline } => {
+                for (perm, reply) in units {
+                    if self.draining.is_some() {
+                        reply.send(RequestOutcome {
+                            result: Err(EngineError::Canceled),
+                            latency: Duration::ZERO,
+                        });
+                    } else {
+                        self.admit_unit(perm, deadline, reply);
+                    }
                 }
                 true
             }
@@ -586,8 +606,15 @@ impl IoThread {
                 }
                 for frame in frames {
                     match frame {
-                        Frame::RouteReply { req_id, status, tier, .. } => {
-                            self.route_reply(endpoint, req_id, status, tier);
+                        Frame::RouteBatchReply { items } => {
+                            for item in items {
+                                self.route_reply(
+                                    endpoint,
+                                    item.req_id,
+                                    item.status,
+                                    item.tier,
+                                );
+                            }
                         }
                         Frame::StatsReply { .. } => {
                             let acked = self.draining.as_ref().is_some_and(|d| {
@@ -767,8 +794,10 @@ impl IoThread {
         }
     }
 
-    /// Sends every unit queued on endpoint `e`, in one write, once the
-    /// connection and pacing allow.
+    /// Sends every unit queued on endpoint `e` as `RouteBatch` frames of
+    /// at most [`MAX_FRAME_LEN`] bytes, in one write, once the
+    /// connection and pacing allow. This is the only way a unit goes
+    /// out.
     fn pump_sends(&mut self, e: usize) {
         if self.endpoints[e].sendq.is_empty() {
             return;
@@ -779,7 +808,10 @@ impl IoThread {
         {
             return;
         }
-        let mut frames = Vec::with_capacity(self.endpoints[e].sendq.len());
+        let tenant = self.cfg.tenant;
+        let mut frames = Vec::new();
+        let mut items: Vec<BatchItem> = Vec::new();
+        let mut frame_len = ROUTE_BATCH_HEADER;
         while let Some(id) = self.endpoints[e].sendq.pop_front() {
             let Some(unit) = self.units.get_mut(&id) else { continue };
             if let Some(dl) = unit.deadline {
@@ -798,9 +830,15 @@ impl IoThread {
                     u32::try_from(ms).unwrap_or(u32::MAX).max(1)
                 })
                 .unwrap_or(0);
-            frames.push(Frame::Route {
+            let item_len = batch_item_len(unit.perm.len());
+            if !items.is_empty() && frame_len + item_len > MAX_FRAME_LEN as usize {
+                frames
+                    .push(Frame::RouteBatch { tenant, items: std::mem::take(&mut items) });
+                frame_len = ROUTE_BATCH_HEADER;
+            }
+            frame_len += item_len;
+            items.push(BatchItem {
                 req_id,
-                tenant: self.cfg.tenant,
                 deadline_ms,
                 destinations: unit.perm.destinations().to_vec(),
             });
@@ -811,9 +849,10 @@ impl IoThread {
             self.by_req.insert(req_id, id);
             self.endpoints[e].inflight += 1;
         }
-        if frames.is_empty() {
+        if items.is_empty() {
             return;
         }
+        frames.push(Frame::RouteBatch { tenant, items });
         let conn = self.endpoints[e].conn.as_mut().expect("connected above");
         if conn.send_all(&frames).is_err() {
             self.endpoint_failed(e, now);
