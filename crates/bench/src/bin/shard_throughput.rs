@@ -4,8 +4,9 @@
 //! through `benes-shard`: three-stage decomposition, scatter of the
 //! `2B + S` sub-permutations across a fleet of engine shards, gather,
 //! and bitwise recombination verification. Reports wall time split into
-//! decompose vs. route+verify, element throughput, and the fleet's
-//! merged latency quantiles as the shard count scales. Decomposition
+//! decompose vs. route+verify, element throughput, and the round's unit
+//! latency quantiles (exact nearest-rank order statistics over the
+//! `ShardOutcome`'s units) as the shard count scales. Decomposition
 //! does not depend on the shard count: its column is the median of five
 //! runs per n, repeated on every row of that n.
 //!
@@ -21,7 +22,7 @@ use std::time::{Duration, Instant};
 use benes_engine::workload::{random_permutation, Rng64};
 use benes_engine::EngineConfig;
 use benes_perm::Permutation;
-use benes_shard::{ShardConfig, ShardCoordinator};
+use benes_shard::{ShardConfig, ShardCoordinator, ShardOutcome};
 
 use benes_bench::Table;
 
@@ -91,6 +92,17 @@ fn decompose_median(coord: &ShardCoordinator, pi: &Permutation) -> (Duration, us
     (walls[2], units)
 }
 
+/// The `q`-quantile (nearest rank) of the round's unit latencies, in
+/// nanoseconds.
+fn unit_latency_ns(outcome: &ShardOutcome, q: f64) -> u64 {
+    let mut ns: Vec<u64> = (outcome.units.iter())
+        .map(|u| u64::try_from(u.latency.as_nanos()).unwrap_or(u64::MAX))
+        .collect();
+    ns.sort_unstable();
+    let rank = (q * ns.len() as f64).ceil() as usize;
+    ns[rank.clamp(1, ns.len()) - 1]
+}
+
 fn main() {
     let (max_n, json_path) = parse_args();
     println!("== EXP-SHARD: block-decomposition coordinator throughput ==\n");
@@ -131,8 +143,8 @@ fn main() {
             assert!(outcome.verified, "recombination must verify: {}", outcome.summary());
 
             let total = decompose_wall + route_wall;
-            let stats = coord.stats();
-            let lat = stats.latency();
+            let (p50_ns, p99_ns) =
+                (unit_latency_ns(&outcome, 0.5), unit_latency_ns(&outcome, 0.99));
             table.row(vec![
                 n.to_string(),
                 (1u64 << n).to_string(),
@@ -141,8 +153,8 @@ fn main() {
                 format!("{:.2}", decompose_wall.as_secs_f64() * 1e3),
                 format!("{:.2}", route_wall.as_secs_f64() * 1e3),
                 format!("{:.0}", (1u64 << n) as f64 / total.as_secs_f64()),
-                format!("{:.2}", lat.quantile(0.5) as f64 / 1e6),
-                format!("{:.2}", lat.quantile(0.99) as f64 / 1e6),
+                format!("{:.2}", p50_ns as f64 / 1e6),
+                format!("{:.2}", p99_ns as f64 / 1e6),
             ]);
             runs.push(Run {
                 n,
@@ -151,8 +163,8 @@ fn main() {
                 decompose_ms: decompose_wall.as_secs_f64() * 1e3,
                 route_ms: route_wall.as_secs_f64() * 1e3,
                 elems_per_s: (1u64 << n) as f64 / total.as_secs_f64(),
-                p50_ns: lat.quantile(0.5),
-                p99_ns: lat.quantile(0.99),
+                p50_ns,
+                p99_ns,
             });
         }
     }

@@ -1,21 +1,20 @@
 //! The backend abstraction the coordinator scatters onto.
 //!
-//! PR 6's coordinator talked to a `Vec<Engine>` directly; this module
-//! generalizes one shard into a [`Backend`]: *any* fault domain that
-//! accepts a routing unit and guarantees a terminal [`RequestOutcome`].
-//! Two implementations exist — [`LocalShard`] wraps an in-process
-//! [`Engine`]; `RemoteShard` (see [`crate::remote`]) speaks the
-//! benes-serve wire protocol to a separate process. The coordinator's
-//! scatter/gather, degraded-mode accounting and fault-domain isolation
-//! are identical over both, which is exactly the point: a dead
-//! *process* degrades a permutation the same element-exact way a dark
-//! in-process engine does.
+//! A [`Backend`] is *any* fault domain that accepts routing units and
+//! guarantees each a terminal [`RequestOutcome`]. Two implementations
+//! exist — [`LocalShard`] wraps an in-process [`Engine`]; `RemoteShard`
+//! (see [`crate::remote`]) speaks the benes-serve wire protocol to a
+//! separate process. The trait is the coordinator's whole view of a
+//! shard: scatter/gather, degraded-mode accounting, fault-domain
+//! isolation and the [`BackendLedger`] are identical over both, which
+//! is exactly the point: a dead *process* degrades a permutation the
+//! same element-exact way a dark in-process engine does.
 
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use benes_engine::{Engine, EngineConfig, RequestOutcome};
+use benes_engine::{Engine, RequestOutcome};
 use benes_obs::Ledger;
 use benes_perm::Permutation;
 
@@ -162,7 +161,8 @@ pub struct BackendDrain {
 /// terminal state (the returned [`UnitTicket`] always resolves) and
 /// that the [`BackendLedger`] conserves at quiescence.
 pub trait Backend: Send + Sync {
-    /// A short human label (`engine#2`, `remote 127.0.0.1:9200`, …).
+    /// A short human label (`local engine`, `remote 127.0.0.1:9200`,
+    /// …).
     fn describe(&self) -> String;
 
     /// Submits a run of routing units sharing one deadline, returning
@@ -191,30 +191,28 @@ pub trait Backend: Send + Sync {
     /// `deadline` even when the backend is unreachable.
     fn drain(&self, deadline: Instant) -> BackendDrain;
 
-    /// The in-process engine behind this backend, when there is one
-    /// (fault injection and chaos arming need it; remote backends
-    /// return `None`).
-    fn engine(&self) -> Option<&Engine> {
-        None
-    }
-
     /// The backend's current health verdict.
     fn healthy(&self) -> bool {
         self.ledger().healthy
     }
 }
 
-/// The in-process backend: one [`Engine`], PR 6 semantics unchanged.
+/// The in-process backend: one [`Engine`].
+///
+/// The shard shares its engine with whoever built it: code that arms
+/// chaos, injects faults or reads breakers keeps its own
+/// `Arc<Engine>` and uses it directly. The coordinator sees only the
+/// [`Backend`] surface, exactly as it does for a remote shard.
 #[derive(Debug)]
 pub struct LocalShard {
-    engine: Engine,
+    engine: Arc<Engine>,
 }
 
 impl LocalShard {
-    /// Builds one engine shard from its own copy of `config`.
+    /// Wraps `engine` as a shard.
     #[must_use]
-    pub fn new(config: EngineConfig) -> Self {
-        Self { engine: Engine::new(config) }
+    pub fn new(engine: Arc<Engine>) -> Self {
+        Self { engine }
     }
 }
 
@@ -258,16 +256,12 @@ impl Backend for LocalShard {
             unreachable: false,
         }
     }
-
-    fn engine(&self) -> Option<&Engine> {
-        Some(&self.engine)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use benes_engine::EngineError;
+    use benes_engine::{EngineConfig, EngineError};
 
     #[test]
     fn remote_tickets_wake_once_their_call_is_terminal() {
@@ -289,7 +283,9 @@ mod tests {
 
     #[test]
     fn local_shard_routes_and_conserves() {
-        let shard = LocalShard::new(EngineConfig { workers: 2, ..EngineConfig::default() });
+        let engine =
+            Arc::new(Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() }));
+        let shard = LocalShard::new(Arc::clone(&engine));
         let perm = benes_perm::Permutation::identity(8);
         let reply = shard.submit(perm, None).wait();
         assert!(reply.result.is_ok());
@@ -298,7 +294,7 @@ mod tests {
         assert_eq!(ledger.requests.submitted, 1);
         assert_eq!(ledger.requests.completed, 1);
         assert!(ledger.requests.conserves_requests());
+        assert_eq!(ledger.requests, engine.stats().ledger());
         assert!(shard.healthy());
-        assert!(shard.engine().is_some());
     }
 }

@@ -2,9 +2,10 @@
 //! fleet of independent engines, gather the per-unit outcomes, and
 //! report exactly how much of the permutation was routed.
 //!
-//! Each shard is a full [`Engine`] — its own plan cache, fault
-//! registry, circuit breakers, worker pool, and stats recorder. That
-//! makes every shard an independent *fault domain*: a stuck switch, an
+//! Each shard is a [`Backend`] — an in-process [`Engine`] or a remote
+//! process fronting one — with its own plan cache, fault registry,
+//! circuit breakers, worker pool, and stats recorder. That makes every
+//! shard an independent *fault domain*: a stuck switch, an
 //! open breaker, or a chaos failpoint on shard `i` can only take down
 //! the routing units assigned to shard `i`; every other unit still
 //! completes and the [`ShardOutcome`] accounts for the difference
@@ -19,15 +20,15 @@
 //! that).
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use benes_engine::chaos::ChaosConfig;
 use benes_engine::{Engine, EngineConfig, EngineError, Tier};
 use benes_perm::Permutation;
 
 use crate::backend::{Backend, BackendDrain, LocalShard, UnitTicket};
 use crate::decompose::{balanced_block_bits, decompose, DecomposeError, Decomposition};
-use crate::stats::{FleetStats, ShardStats};
+use crate::stats::FleetStats;
 
 /// How the coordinator picks the block width `r` (blocks of `2^r`
 /// elements) for an incoming permutation of `2^n` elements.
@@ -247,8 +248,10 @@ pub struct ShardCoordinator {
 
 impl ShardCoordinator {
     /// Builds an all-local fleet: `config.shards` in-process engines,
-    /// each from its own copy of `config.engine` (PR 6 semantics,
-    /// unchanged).
+    /// each from its own copy of `config.engine`. A caller that needs
+    /// the engines themselves (to arm chaos, inject faults or read
+    /// breakers) builds them and passes [`LocalShard`]s to
+    /// [`ShardCoordinator::with_backends`] instead.
     ///
     /// # Panics
     ///
@@ -258,7 +261,10 @@ impl ShardCoordinator {
     pub fn new(config: ShardConfig) -> Self {
         assert!(config.shards > 0, "shard fleet needs at least one engine");
         let backends = (0..config.shards)
-            .map(|_| Box::new(LocalShard::new(config.engine.clone())) as Box<dyn Backend>)
+            .map(|_| {
+                let engine = Arc::new(Engine::new(config.engine.clone()));
+                Box::new(LocalShard::new(engine)) as Box<dyn Backend>
+            })
             .collect();
         Self { config, backends }
     }
@@ -295,22 +301,6 @@ impl ShardCoordinator {
         self.backends[shard].as_ref()
     }
 
-    /// Direct access to one shard's in-process engine — the
-    /// fault-injection and inspection surface (`engine.inject_fault`,
-    /// `engine.stats`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shard `shard` is a remote backend (a remote process
-    /// has no in-process engine to inspect; use
-    /// [`ShardCoordinator::backend`] and its ledger instead).
-    #[must_use]
-    pub fn engine(&self, shard: usize) -> &Engine {
-        self.backends[shard]
-            .engine()
-            .unwrap_or_else(|| panic!("shard {shard} is remote: no in-process engine"))
-    }
-
     /// The shard that owns block `b`'s stage-1 and stage-3 units.
     #[must_use]
     pub fn shard_for_block(&self, block: usize) -> usize {
@@ -321,18 +311,6 @@ impl ShardCoordinator {
     #[must_use]
     pub fn shard_for_color(&self, color: usize) -> usize {
         color % self.backends.len()
-    }
-
-    /// Arms a chaos configuration on **one** (local) shard only — the
-    /// other shards keep running clean. This is the shard-targeted
-    /// failpoint used by the isolation soak.
-    pub fn set_chaos_on(&self, shard: usize, chaos: ChaosConfig) {
-        self.engine(shard).set_chaos(chaos);
-    }
-
-    /// Disarms chaos on one (local) shard.
-    pub fn clear_chaos_on(&self, shard: usize) {
-        self.engine(shard).clear_chaos();
     }
 
     /// Routes `pi` across the fleet: decompose → scatter → gather →
@@ -364,18 +342,6 @@ impl ShardCoordinator {
             return Err(DecomposeError::TooSmall { len: pi.len() }.into());
         }
         Ok(decompose(pi, self.config.block_policy.block_bits(n))?)
-    }
-
-    /// Aggregated engine statistics across the **local** shards of the
-    /// fleet, with per-shard breakdowns preserved. Remote shards keep
-    /// their engine stats in their own process (scrape them there);
-    /// their coordinator-side transport ledgers are in
-    /// [`ShardCoordinator::fleet_stats`].
-    #[must_use]
-    pub fn stats(&self) -> ShardStats {
-        ShardStats::new(
-            self.backends.iter().filter_map(|b| b.engine().map(Engine::stats)).collect(),
-        )
     }
 
     /// Per-backend lifecycle + resilience ledgers for the whole fleet —
@@ -521,12 +487,28 @@ fn gather(tickets: Vec<(Stage, usize, usize, UnitTicket)>) -> Vec<UnitOutcome> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use benes_engine::chaos::ChaosConfig;
     use benes_engine::workload::{random_permutation, Rng64};
 
     fn small_engine() -> EngineConfig {
         EngineConfig { workers: 2, ..EngineConfig::default() }
+    }
+
+    /// A fleet of `shards` local engines built from `engine`, with the
+    /// engines handed back for chaos arming and breaker inspection.
+    pub(crate) fn local_fleet(
+        shards: usize,
+        engine: &EngineConfig,
+    ) -> (ShardCoordinator, Vec<Arc<Engine>>) {
+        let engines: Vec<_> =
+            (0..shards).map(|_| Arc::new(Engine::new(engine.clone()))).collect();
+        let backends = engines
+            .iter()
+            .map(|e| Box::new(LocalShard::new(Arc::clone(e))) as Box<dyn Backend>)
+            .collect();
+        (ShardCoordinator::with_backends(ShardConfig::default(), backends), engines)
     }
 
     fn coordinator(shards: usize) -> ShardCoordinator {
@@ -548,9 +530,9 @@ mod tests {
             assert_eq!(out.routed_elements, out.total_elements);
             assert!(out.degraded_blocks.is_empty());
         }
-        let stats = coord.stats();
-        assert!(stats.conserves_requests());
-        assert_eq!(stats.ledger().failed, 0);
+        let fleet = coord.fleet_stats();
+        assert!(fleet.conserves_requests(), "{}", fleet.report());
+        assert!(fleet.per_shard().iter().all(|(_, l)| l.requests.failed == 0));
     }
 
     #[test]
@@ -597,12 +579,8 @@ mod tests {
         // shard 0 (that is the point — its fault domain), so failures
         // there can be FaultDetected, Injected, or BreakerOpen; what
         // matters is *where* they land.
-        let coord = ShardCoordinator::new(ShardConfig {
-            shards: 4,
-            engine: small_engine(),
-            ..ShardConfig::default()
-        });
-        coord.set_chaos_on(0, ChaosConfig::always_fail(7));
+        let (coord, engines) = local_fleet(4, &small_engine());
+        engines[0].set_chaos(ChaosConfig::always_fail(7));
         let pi = random_permutation(&mut Rng64::new(3), 1 << 10);
         let out = coord.route(&pi).unwrap();
         assert!(!out.is_complete());
@@ -621,16 +599,17 @@ mod tests {
         assert!(out.routed_elements < out.total_elements);
         assert!(!out.degraded_blocks.is_empty());
         // Recovery: disarm chaos and the same permutation verifies.
-        coord.clear_chaos_on(0);
+        engines[0].clear_chaos();
         let healed = coord.route(&pi).unwrap();
         assert!(healed.verified, "post-heal: {}", healed.summary());
-        // Other shards never saw a failure in their own stats either.
-        let stats = coord.stats();
+        // Other shards never saw a failure in their own ledgers either.
+        let fleet = coord.fleet_stats();
+        let ledgers: Vec<_> = fleet.per_shard().iter().map(|(_, l)| l.requests).collect();
         for shard in 1..4 {
-            assert_eq!(stats.per_shard()[shard].failed, 0);
+            assert_eq!(ledgers[shard].failed, 0);
         }
-        assert!(stats.per_shard()[0].failed > 0);
-        assert!(stats.conserves_requests());
+        assert!(ledgers[0].failed > 0);
+        assert!(fleet.conserves_requests());
     }
 
     #[test]
@@ -639,9 +618,9 @@ mod tests {
         // 2 with a failpoint until its breaker opens, and check the
         // open breaker's shedding stays inside shard 2's fault domain.
         use benes_engine::{BreakerConfig, BreakerState};
-        let coord = ShardCoordinator::new(ShardConfig {
-            shards: 4,
-            engine: EngineConfig {
+        let (coord, engines) = local_fleet(
+            4,
+            &EngineConfig {
                 workers: 2,
                 breaker: BreakerConfig {
                     failure_threshold: 2,
@@ -650,18 +629,17 @@ mod tests {
                 },
                 ..EngineConfig::default()
             },
-            ..ShardConfig::default()
-        });
-        coord.set_chaos_on(2, ChaosConfig::always_fail(13));
+        );
+        engines[2].set_chaos(ChaosConfig::always_fail(13));
         let pi = random_permutation(&mut Rng64::new(17), 1 << 10);
         let first = coord.route(&pi).unwrap();
         assert_eq!(first.failed_shards(), vec![2]);
         // r = 5 → shard 2 serves order-5 units; its breaker must now be
         // open (threshold 2, far more failures than that).
-        assert_eq!(coord.engine(2).breaker_state(5), Some(BreakerState::Open));
+        assert_eq!(engines[2].breaker_state(5), Some(BreakerState::Open));
         // Chaos off, breaker still open (30s backoff): shard 2 sheds
         // with BreakerOpen, every other shard still completes.
-        coord.clear_chaos_on(2);
+        engines[2].clear_chaos();
         let second = coord.route(&pi).unwrap();
         assert_eq!(second.failed_shards(), vec![2], "{}", second.summary());
         assert!(second
@@ -669,11 +647,12 @@ mod tests {
             .iter()
             .all(|u| matches!(u.result, Err(EngineError::BreakerOpen))));
         assert!(second.routed_elements > 0);
-        let stats = coord.stats();
-        assert!(stats.conserves_requests());
+        let fleet = coord.fleet_stats();
+        assert!(fleet.conserves_requests());
         for shard in [0usize, 1, 3] {
-            assert_eq!(stats.per_shard()[shard].failed, 0);
-            assert_eq!(stats.per_shard()[shard].shed, 0);
+            let ledger = fleet.per_shard()[shard].1.requests;
+            assert_eq!(ledger.failed, 0);
+            assert_eq!(ledger.shed, 0);
         }
     }
 

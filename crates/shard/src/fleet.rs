@@ -1,15 +1,15 @@
 //! The fleet soak: route a stream of random permutations across a
-//! coordinator whose backends may be **remote processes**, while an
-//! external killer (a test thread, or `scripts/fleet.sh` with `kill
-//! -9`) takes shards down mid-stream — then check the invariants the
-//! remote fleet promises.
+//! coordinator whose backends may be in-process engines or **remote
+//! processes**, while something outside the soak takes shards down
+//! mid-stream — a test thread, `scripts/fleet.sh` with `kill -9`, or
+//! an `on_round` callback arming a chaos failpoint on a local shard's
+//! engine (`benes-cli shard soak`, behind `scripts/shard.sh`) — then
+//! check the invariants the fleet promises.
 //!
-//! The shard soak ([`crate::soak`]) proves fault-domain isolation for
-//! in-process chaos; this soak proves the same contract survives the
-//! wire. The killer is deliberately *outside* the soak: the whole
-//! point is that shard death arrives asynchronously, between or during
-//! rounds, not at a cooperative failpoint. The soak only declares
-//! which shards are *allowed* to die ([`FleetSoakConfig::killable`])
+//! The fault is deliberately *outside* the soak: shard death arrives
+//! asynchronously, between or during rounds, and the soak treats an
+//! in-process failpoint and a dead process alike. It only declares
+//! which shards are *allowed* to fail ([`FleetSoakConfig::killable`])
 //! and classifies every failure against that set:
 //!
 //! * **contamination** — a failed unit on a shard outside the killable
@@ -204,16 +204,13 @@ pub fn run_fleet_soak(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coordinator::ShardConfig;
+    use crate::coordinator::tests::local_fleet;
     use benes_engine::chaos::ChaosConfig;
-    use benes_engine::EngineConfig;
+    use benes_engine::{Engine, EngineConfig};
+    use std::sync::Arc;
 
-    fn local_coord(shards: usize) -> ShardCoordinator {
-        ShardCoordinator::new(ShardConfig {
-            shards,
-            engine: EngineConfig { workers: 2, ..EngineConfig::default() },
-            ..ShardConfig::default()
-        })
+    fn local_coord(shards: usize) -> (ShardCoordinator, Vec<Arc<Engine>>) {
+        local_fleet(shards, &EngineConfig { workers: 2, ..EngineConfig::default() })
     }
 
     fn quick(seed: u64) -> FleetSoakConfig {
@@ -227,7 +224,7 @@ mod tests {
 
     #[test]
     fn clean_fleet_soak_is_healthy() {
-        let coord = local_coord(3);
+        let (coord, _) = local_coord(3);
         let mut seen = 0;
         let report = run_fleet_soak(&coord, &quick(1), |_, out| {
             assert!(out.verified);
@@ -242,8 +239,8 @@ mod tests {
 
     #[test]
     fn chaos_on_a_killable_shard_degrades_without_contamination() {
-        let coord = local_coord(4);
-        coord.set_chaos_on(1, ChaosConfig::always_fail(99));
+        let (coord, engines) = local_coord(4);
+        engines[1].set_chaos(ChaosConfig::always_fail(99));
         let cfg = FleetSoakConfig { killable: vec![1], ..quick(2) };
         let report = run_fleet_soak(&coord, &cfg, |_, _| {});
         assert!(report.degraded_rounds > 0);
@@ -255,8 +252,8 @@ mod tests {
 
     #[test]
     fn chaos_outside_the_killable_set_is_contamination() {
-        let coord = local_coord(4);
-        coord.set_chaos_on(2, ChaosConfig::always_fail(7));
+        let (coord, engines) = local_coord(4);
+        engines[2].set_chaos(ChaosConfig::always_fail(7));
         let cfg = FleetSoakConfig { killable: vec![0], ..quick(3) };
         let report = run_fleet_soak(&coord, &cfg, |_, _| {});
         assert!(report.contaminated_units > 0);

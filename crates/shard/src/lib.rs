@@ -23,20 +23,20 @@
 //!   across a fleet of shards, gathers the per-unit outcomes over the
 //!   normal ticket lifecycle, and reports partial completion
 //!   element-exactly when shards degrade;
-//! * [`backend`] is what a shard *is*: the [`Backend`] trait, with
-//!   [`LocalShard`] wrapping an in-process [`benes_engine::Engine`]
-//!   (its own cache, fault registry, breakers, and stats — an
-//!   independent **fault domain**) and [`remote::RemoteShard`]
-//!   speaking the `benes-serve` wire protocol to a shard that is a
-//!   separate *process*, with retries, backoff, reconnection,
-//!   per-endpoint circuit breakers, spare failover, optional request
-//!   hedging, and heartbeat health probes;
-//! * [`stats`] rolls the per-shard [`benes_engine::EngineStats`] up
-//!   into fleet aggregates and a combined exposition that keeps a
-//!   `shard` label on every drill-down sample; [`FleetStats`] adds the
-//!   per-backend transport ledgers (conservation checked per shard,
-//!   never summed) and the `benes_fleet_*` exposition;
-//! * [`fleet`] is the chaos drill behind `scripts/fleet.sh`:
+//! * [`backend`] is what a shard *is*, and all the coordinator sees of
+//!   it: the [`Backend`] trait, with [`LocalShard`] wrapping a shared
+//!   in-process [`benes_engine::Engine`] (its own cache, fault
+//!   registry, breakers, and stats — an independent **fault domain**)
+//!   and [`remote::RemoteShard`] speaking the `benes-serve` wire
+//!   protocol to a shard that is a separate *process*, with retries,
+//!   backoff, reconnection, per-endpoint circuit breakers, spare
+//!   failover, optional request hedging, and heartbeat health probes;
+//! * [`stats`] holds [`FleetStats`]: one [`BackendLedger`] per shard,
+//!   local or remote (conservation checked per shard, never summed),
+//!   and the `benes_fleet_*` exposition; per-unit tiers and latencies
+//!   ride on each [`ShardOutcome`];
+//! * [`fleet`] is the soak behind `scripts/shard.sh` (in-process
+//!   chaos on one shard) and `scripts/fleet.sh` (real process death):
 //!   [`run_fleet_soak`] classifies every failure against a declared
 //!   killable set and fails on cross-shard contamination or a bitwise
 //!   recombination mismatch.
@@ -66,7 +66,6 @@ pub mod coordinator;
 pub mod decompose;
 pub mod fleet;
 pub mod remote;
-pub mod soak;
 pub mod stats;
 
 pub use backend::{Backend, BackendDrain, BackendLedger, LocalShard, UnitTicket};
@@ -77,5 +76,4 @@ pub use coordinator::{
 pub use decompose::{balanced_block_bits, decompose, DecomposeError, Decomposition};
 pub use fleet::{run_fleet_soak, FleetSoakConfig, FleetSoakReport};
 pub use remote::{RemoteConfig, RemoteShard};
-pub use soak::{run_shard_soak, ShardSoakConfig, ShardSoakReport};
-pub use stats::{FleetStats, ShardStats};
+pub use stats::FleetStats;

@@ -1,171 +1,18 @@
-//! Fleet-wide statistics: per-shard [`EngineStats`] rolled up into
-//! aggregate counters, a merged latency histogram, and a combined
-//! exposition that keeps the per-shard breakdown as a `shard` label —
-//! plus [`FleetStats`], the backend-level transport ledger roll-up
-//! (`benes_fleet_*`: retries, failovers, hedges, reconnects, health).
+//! Fleet-wide statistics: [`FleetStats`], one [`BackendLedger`] per
+//! shard — local and remote alike — rolled up into the `benes_fleet_*`
+//! exposition (lifecycle counts per shard; retries, failovers, hedges,
+//! reconnects and health fleet-wide).
+//!
+//! Per-unit tiers and latencies are not here: every routed permutation
+//! carries them in its [`crate::ShardOutcome::units`]. A shard's own
+//! engine statistics live with its engine — in-process, read them from
+//! the `Arc<Engine>` the shard was built from; remote, scrape the
+//! daemon.
 
-use std::ops::Add;
-
-use benes_engine::EngineStats;
 use benes_obs::ledger::push_states;
-use benes_obs::{Exposition, HistogramSnapshot, Ledger, MetricKind, Sample};
+use benes_obs::{Exposition, MetricKind, Sample};
 
 use crate::backend::BackendLedger;
-
-/// Statistics for a whole shard fleet.
-///
-/// The per-shard snapshots are preserved verbatim — aggregation never
-/// discards the fault-domain breakdown, because "which shard is
-/// degraded" is the question this subsystem exists to answer.
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    per_shard: Vec<EngineStats>,
-}
-
-impl ShardStats {
-    /// Wraps one snapshot per shard (index = shard id).
-    #[must_use]
-    pub fn new(per_shard: Vec<EngineStats>) -> Self {
-        Self { per_shard }
-    }
-
-    /// The per-shard snapshots, indexed by shard id.
-    #[must_use]
-    pub fn per_shard(&self) -> &[EngineStats] {
-        &self.per_shard
-    }
-
-    /// Number of shards in the fleet.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.per_shard.len()
-    }
-
-    /// The fleet-wide request ledger: every shard's ledger summed.
-    #[must_use]
-    pub fn ledger(&self) -> Ledger {
-        self.per_shard.iter().map(EngineStats::ledger).fold(Ledger::default(), Add::add)
-    }
-
-    /// Whether **every** shard's lifecycle ledger balances
-    /// (`completed + failed + shed + canceled == submitted`,
-    /// per shard — a fleet-level sum could hide two shards
-    /// miscounting in opposite directions).
-    #[must_use]
-    pub fn conserves_requests(&self) -> bool {
-        self.per_shard.iter().all(EngineStats::conserves_requests)
-    }
-
-    /// Whether any shard is serving around injected/detected faults.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.per_shard.iter().any(EngineStats::is_degraded)
-    }
-
-    /// Fleet-wide completed-request latency: every shard's histogram
-    /// merged into one snapshot (log-bucketed, so the merge is exact).
-    #[must_use]
-    pub fn latency(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for s in &self.per_shard {
-            merged.merge(&s.latency);
-        }
-        merged
-    }
-
-    /// Multi-line human report: one line per shard plus the fleet
-    /// aggregate.
-    #[must_use]
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        for (i, s) in self.per_shard.iter().enumerate() {
-            out.push_str(&format!(
-                "shard {i}: submitted={} completed={} failed={} shed={} canceled={}{}\n",
-                s.submitted,
-                s.completed,
-                s.failed,
-                s.shed,
-                s.canceled,
-                if s.is_degraded() { " DEGRADED" } else { "" },
-            ));
-        }
-        let lat = self.latency();
-        let l = self.ledger();
-        out.push_str(&format!(
-            "fleet: shards={} submitted={} completed={} failed={} shed={} canceled={} \
-             p50={}ns p99={}ns conserved={}\n",
-            self.shard_count(),
-            l.submitted,
-            l.completed,
-            l.failed,
-            l.shed,
-            l.canceled,
-            lat.quantile(0.5),
-            lat.quantile(0.99),
-            self.conserves_requests(),
-        ));
-        out
-    }
-
-    /// Combined exposition: fleet-level `benes_shard_*` families plus
-    /// every shard's full engine exposition re-emitted with a
-    /// `shard="<id>"` label, so one scrape answers both "how is the
-    /// fleet" and "which shard is sick".
-    #[must_use]
-    pub fn exposition(&self) -> Exposition {
-        let mut expo = Exposition::new();
-        expo.describe(
-            "benes_shard_fleet_size",
-            MetricKind::Gauge,
-            "Number of engine shards in the fleet.",
-        );
-        expo.push(Sample::new("benes_shard_fleet_size", self.shard_count() as f64));
-        expo.describe(
-            "benes_shard_requests_total",
-            MetricKind::Counter,
-            "Fleet-wide request lifecycle counts by terminal state.",
-        );
-        push_states(
-            &mut expo,
-            &Sample::new("benes_shard_requests_total", 0.0),
-            &self.ledger().states(),
-        );
-        expo.describe(
-            "benes_shard_degraded",
-            MetricKind::Gauge,
-            "Per-shard degraded flag (1 = serving around faults).",
-        );
-        for (i, s) in self.per_shard.iter().enumerate() {
-            expo.push(
-                Sample::new("benes_shard_degraded", f64::from(u8::from(s.is_degraded())))
-                    .label("shard", i.to_string()),
-            );
-        }
-        let lat = self.latency();
-        expo.describe(
-            "benes_shard_latency_ns",
-            MetricKind::Summary,
-            "Fleet-wide completed-request latency (merged across shards).",
-        );
-        if !lat.is_empty() {
-            for q in [0.5, 0.9, 0.99] {
-                expo.push(
-                    Sample::new("benes_shard_latency_ns", lat.quantile(q) as f64)
-                        .label("quantile", format!("{q}")),
-                );
-            }
-        }
-        expo.push(Sample::new("benes_shard_latency_ns_sum", lat.sum() as f64));
-        expo.push(Sample::new("benes_shard_latency_ns_count", lat.count() as f64));
-        // Per-shard drill-down: the full engine exposition, labeled.
-        for (i, s) in self.per_shard.iter().enumerate() {
-            for sample in s.exposition().samples() {
-                expo.push(sample.clone().label("shard", i.to_string()));
-            }
-        }
-        expo
-    }
-}
 
 /// Backend-level statistics for the whole fleet: one
 /// [`BackendLedger`] per shard (local or remote) plus its description,
@@ -225,9 +72,10 @@ impl FleetStats {
         self.total(|l| l.reconnects)
     }
 
-    /// Whether **every** shard's lifecycle ledger balances (per shard,
-    /// never just fleet-wide — exactly like
-    /// [`ShardStats::conserves_requests`]).
+    /// Whether **every** shard's lifecycle ledger balances
+    /// (`completed + failed + shed + canceled == submitted`, per shard —
+    /// a fleet-level sum could hide two shards miscounting in opposite
+    /// directions).
     #[must_use]
     pub fn conserves_requests(&self) -> bool {
         self.per_shard.iter().all(|(_, l)| l.requests.conserves_requests())
@@ -349,66 +197,7 @@ impl FleetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use benes_engine::workload::mixed_workload;
-    use benes_engine::{Engine, EngineConfig};
-    use benes_obs::parse_prometheus;
-
-    fn fleet_stats() -> ShardStats {
-        let stats = (0..2)
-            .map(|seed| {
-                let e = Engine::new(EngineConfig { workers: 2, ..Default::default() });
-                let outcomes = e.run_batch(mixed_workload(4, 20, seed));
-                assert!(outcomes.iter().all(|o| o.result.is_ok()));
-                e.stats()
-            })
-            .collect();
-        ShardStats::new(stats)
-    }
-
-    #[test]
-    fn aggregates_sum_per_shard_counters() {
-        let stats = fleet_stats();
-        assert_eq!(stats.shard_count(), 2);
-        let ledger = stats.ledger();
-        assert_eq!(ledger.submitted, 40);
-        assert_eq!(ledger.completed, 40);
-        assert_eq!(ledger.failed, 0);
-        assert!(stats.conserves_requests());
-        assert!(!stats.is_degraded());
-        assert_eq!(stats.latency().count(), 40);
-        assert!(stats.report().contains("fleet: shards=2"));
-    }
-
-    #[test]
-    fn exposition_round_trips_and_labels_shards() {
-        let stats = fleet_stats();
-        let expo = stats.exposition();
-        let text = expo.to_prometheus();
-        let parsed = parse_prometheus(&text).expect("own exposition must parse");
-        assert_eq!(parsed.len(), expo.samples().len());
-        // Fleet aggregate present...
-        let submitted = parsed
-            .iter()
-            .find(|s| {
-                s.name == "benes_shard_requests_total"
-                    && s.labels.contains(&("state".into(), "submitted".into()))
-                    && !s.labels.iter().any(|(k, _)| k == "shard")
-            })
-            .expect("fleet submitted sample");
-        assert_eq!(submitted.value, 40.0);
-        // ...and every engine sample is re-emitted with its shard id.
-        for shard in ["0", "1"] {
-            let per = parsed
-                .iter()
-                .find(|s| {
-                    s.name == "benes_requests_total"
-                        && s.labels.contains(&("state".into(), "submitted".into()))
-                        && s.labels.contains(&("shard".into(), (*shard).into()))
-                })
-                .unwrap_or_else(|| panic!("shard {shard} drill-down sample"));
-            assert_eq!(per.value, 20.0);
-        }
-    }
+    use benes_obs::{parse_prometheus, Ledger};
 
     #[test]
     fn fleet_ledger_exposition_carries_resilience_counters_and_health() {

@@ -6,12 +6,12 @@
 //! hedged, and a fleet drain returns even when a shard is already gone.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use benes_engine::chaos::ChaosConfig;
 use benes_engine::workload::{random_permutation, Rng64};
-use benes_engine::{BreakerConfig, EngineConfig};
+use benes_engine::{BreakerConfig, Engine, EngineConfig};
 use benes_serve::{ServeConfig, Server};
 use benes_shard::{
     run_fleet_soak, Backend, FleetSoakConfig, LocalShard, RemoteConfig, RemoteShard,
@@ -96,11 +96,15 @@ fn remote_fleet_routes_and_verifies() {
 fn mixed_local_and_remote_fleet_routes() {
     let server = spawn_server();
     let addr = server.local_addr().to_string();
-    let engine_cfg = EngineConfig { workers: 2, ..EngineConfig::default() };
+    let engines: Vec<_> = (0..2)
+        .map(|_| {
+            Arc::new(Engine::new(EngineConfig { workers: 2, ..EngineConfig::default() }))
+        })
+        .collect();
     let backends: Vec<Box<dyn Backend>> = vec![
-        Box::new(LocalShard::new(engine_cfg.clone())),
+        Box::new(LocalShard::new(Arc::clone(&engines[0]))),
         Box::new(RemoteShard::new(remote_cfg(addr), 1)),
-        Box::new(LocalShard::new(engine_cfg)),
+        Box::new(LocalShard::new(Arc::clone(&engines[1]))),
     ];
     let coord = ShardCoordinator::with_backends(ShardConfig::default(), backends);
     assert_eq!(coord.shard_count(), 3);
@@ -109,14 +113,14 @@ fn mixed_local_and_remote_fleet_routes() {
     let out = coord.route(&pi).expect("decomposes");
     assert!(out.verified, "{}", out.summary());
 
-    // Local shards are reachable through the engine escape hatch,
-    // remote ones are not (that is the whole point of the trait).
-    assert!(coord.backend(0).engine().is_some());
-    assert!(coord.backend(1).engine().is_none());
+    // One ledger per shard, whatever its kind; a local shard's is
+    // exactly its engine's.
     let fleet = coord.fleet_stats();
     assert!(fleet.conserves_requests(), "{}", fleet.report());
-    assert_eq!(fleet.per_shard()[0].1.kind, "local");
-    assert_eq!(fleet.per_shard()[1].1.kind, "remote");
+    let kinds: Vec<_> = fleet.per_shard().iter().map(|(_, l)| l.kind).collect();
+    assert_eq!(kinds, ["local", "remote", "local"]);
+    assert_eq!(fleet.per_shard()[0].1.requests, engines[0].stats().ledger());
+    assert_eq!(fleet.per_shard()[2].1.requests, engines[1].stats().ledger());
     drop(coord);
     kill(server);
 }

@@ -42,9 +42,13 @@ fn two_to_the_twenty_routes_across_four_shards_bitwise() {
         }
     }
 
-    // Fleet ledger: 3072 requests admitted, all completed, conserved.
-    let stats = coord.stats();
-    assert_eq!(stats.ledger().submitted, 3072);
-    assert_eq!(stats.ledger().completed, 3072);
-    assert!(stats.conserves_requests());
+    // Fleet ledgers: 3072 requests admitted, all completed, conserved
+    // on every shard.
+    let fleet = coord.fleet_stats();
+    let sum = |f: fn(&benes_obs::Ledger) -> u64| -> u64 {
+        fleet.per_shard().iter().map(|(_, l)| f(&l.requests)).sum()
+    };
+    assert_eq!(sum(|l| l.submitted), 3072);
+    assert_eq!(sum(|l| l.completed), 3072);
+    assert!(fleet.conserves_requests(), "{}", fleet.report());
 }

@@ -1,20 +1,21 @@
 //! Scrape golden test: pins the byte-exact operator-facing output of
 //! every request ledger in the stack — the engine's Prometheus text
-//! (with tenants, sheds and breaker activity), `ShardStats` and
-//! `FleetStats` exposition plus `report()` (which `scripts/fleet.sh`
-//! greps), and the wire bytes of a `StatsReply`.
+//! (with tenants, sheds and breaker activity), the `FleetStats`
+//! exposition plus `report()` (which `scripts/fleet.sh` greps), and
+//! the wire bytes of a `StatsReply`.
 //!
 //! Every input is fixed, so any change to a metric name, a label, the
 //! sample order, a report line or the wire encoding shows up here as a
 //! diff against the files under `tests/golden/`.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use benes_engine::{BreakerState, EngineConfig, EngineStats, Tier};
+use benes_engine::{BreakerState, Engine, EngineConfig, EngineStats, Tier};
 use benes_obs::{Histogram, HistogramSnapshot};
 use benes_perm::Permutation;
 use benes_serve::{Frame, TenantRow};
-use benes_shard::{Backend, FleetStats, LocalShard, ShardStats};
+use benes_shard::{Backend, FleetStats, LocalShard};
 
 fn hist(values: &[u64]) -> HistogramSnapshot {
     let h = Histogram::new();
@@ -91,7 +92,7 @@ fn fleet_stats() -> FleetStats {
     let past = Instant::now() - Duration::from_millis(1);
     let per_shard = (0..2u64)
         .map(|i| {
-            let shard = LocalShard::new(config.clone());
+            let shard = LocalShard::new(Arc::new(Engine::new(config.clone())));
             let mut tickets = Vec::new();
             for _ in 0..3 + i {
                 tickets.push(shard.submit(Permutation::identity(8), None));
@@ -130,13 +131,6 @@ fn golden(name: &str, actual: &str) {
 #[test]
 fn engine_prometheus_text_is_pinned() {
     golden("engine.prom", &engine_stats(1).exposition().to_prometheus());
-}
-
-#[test]
-fn shard_stats_exposition_and_report_are_pinned() {
-    let stats = ShardStats::new(vec![engine_stats(1), engine_stats(2)]);
-    golden("shard.prom", &stats.exposition().to_prometheus());
-    golden("shard_report.txt", &stats.report());
 }
 
 #[test]

@@ -12,9 +12,7 @@ use benes_engine::EngineConfig;
 use benes_perm::bpc::Bpc;
 use benes_perm::omega::{is_inverse_omega, is_omega};
 use benes_perm::Permutation;
-use benes_shard::{
-    decompose, Backend, Decomposition, LocalShard, ShardConfig, ShardCoordinator,
-};
+use benes_shard::{decompose, Decomposition, ShardConfig, ShardCoordinator};
 use proptest::prelude::*;
 
 /// Decomposes `pi` at block width `r` and checks that it recombines and
@@ -142,16 +140,17 @@ fn planner_matches_the_oracle_ladder_on_every_unit_of_a_round() {
 
 #[test]
 fn fleet_serves_the_outer_units_on_zero_setup_tiers() {
-    let engine = EngineConfig { workers: 1, ..EngineConfig::default() };
-    let backends: Vec<Box<dyn Backend>> =
-        vec![Box::new(LocalShard::new(engine.clone())), Box::new(LocalShard::new(engine))];
-    let coord = ShardCoordinator::with_backends(ShardConfig::default(), backends);
+    let coord = ShardCoordinator::new(ShardConfig {
+        shards: 2,
+        engine: EngineConfig { workers: 1, ..EngineConfig::default() },
+        ..ShardConfig::default()
+    });
     let pi = random_permutation(&mut Rng64::new(12), 1 << 12);
     let outcome = coord.route(&pi).unwrap();
     assert!(outcome.verified, "{}", outcome.summary());
     assert_eq!(outcome.units.len(), 192);
-    let stats = coord.stats();
-    let zero_setup: u64 =
-        stats.per_shard().iter().map(|s| s.self_route + s.omega_bit).sum();
+    let zero_setup = (outcome.units.iter())
+        .filter(|u| matches!(u.result, Ok(Tier::SelfRoute | Tier::OmegaBit)))
+        .count();
     assert!(zero_setup >= 128, "only {zero_setup} of 192 units on zero-set-up tiers");
 }
