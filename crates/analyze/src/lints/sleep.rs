@@ -7,18 +7,19 @@
 //! timeouts run on the jiffy clock, so a "1 ms" read timeout returns
 //! after up to 8 ms. Every wait there must be a blocking receive or
 //! read that the event itself ends. This lint flags every
-//! `thread::sleep(` and every `set_read_timeout(Some(..))` whose
-//! literal duration is under 10 ms; a deliberate pause carries
+//! `thread::sleep(` and every literal `Duration::from_*(N)` under
+//! 10 ms — a read timeout, a `recv_timeout` budget or any other timer
+//! that short is a poll; a deliberate pause carries
 //! `// analyze:allow(sleep-poll): <reason>`.
 
 use crate::report::{Finding, Pillar};
 
 use super::source::SourceFile;
 
-/// Read timeouts at or above this are real deadlines, not polls.
+/// Durations at or above this are real deadlines, not polls.
 const POLL_FLOOR_NS: u128 = 10_000_000;
 
-/// Scans one file for sleeps and short read timeouts outside tests.
+/// Scans one file for sleeps and short literal durations outside tests.
 #[must_use]
 pub fn scan_sleep_polls(display: &str, file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -30,18 +31,11 @@ pub fn scan_sleep_polls(display: &str, file: &SourceFile) -> Vec<Finding> {
             "thread::sleep on the wire path: block on the event instead (a channel \
              receive or a blocking read), or state why the pause is needed with an \
              analyze:allow(sleep-poll) marker"
-        } else if let Some(at) = line.code.find("set_read_timeout(Some(") {
-            // rustfmt may move the argument onto the next line.
-            let next = file.lines.get(idx + 1).map_or("", |l| l.code.as_str());
-            let arg = format!("{}{next}", &line.code[at..]);
-            match literal_duration_ns(&arg) {
-                Some(ns) if ns < POLL_FLOOR_NS => {
-                    "read timeout under 10 ms on the wire path: it polls the socket \
-                     (and fires late on the jiffy clock); block in the read, or state \
-                     why with an analyze:allow(sleep-poll) marker"
-                }
-                _ => continue,
-            }
+        } else if literal_durations_ns(&line.code).any(|ns| ns < POLL_FLOOR_NS) {
+            "literal duration under 10 ms on the wire path: a read timeout or \
+             recv_timeout budget this short polls (and a socket timeout fires late \
+             on the jiffy clock); block on the event, or state why with an \
+             analyze:allow(sleep-poll) marker"
         } else {
             continue;
         };
@@ -56,11 +50,16 @@ pub fn scan_sleep_polls(display: &str, file: &SourceFile) -> Vec<Finding> {
     findings
 }
 
-/// The first `Duration::from_{secs,millis,micros,nanos}(<integer>)` in
-/// `code`, in nanoseconds. `None` when there is none or its argument is
-/// not an integer literal.
-fn literal_duration_ns(code: &str) -> Option<u128> {
-    let rest = &code[code.find("Duration::from_")? + "Duration::from_".len()..];
+/// Every `Duration::from_{secs,millis,micros,nanos}(<integer>)` in
+/// `code`, in nanoseconds; arguments that are not integer literals are
+/// skipped.
+fn literal_durations_ns(code: &str) -> impl Iterator<Item = u128> + '_ {
+    code.split("Duration::from_").skip(1).filter_map(literal_duration_ns)
+}
+
+/// The duration `unit(<integer>)…` spells (the text after
+/// `Duration::from_`), in nanoseconds.
+fn literal_duration_ns(rest: &str) -> Option<u128> {
     let (unit, rest) = rest.split_once('(')?;
     let scale = match unit {
         "secs" => 1_000_000_000,
@@ -87,7 +86,22 @@ mod tests {
     fn sleeps_and_short_read_timeouts_are_flagged() {
         let text = "fn f(s: &TcpStream) {\n    std::thread::sleep(Duration::from_micros(200));\n    s.set_read_timeout(Some(Duration::from_millis(1)));\n    s.set_read_timeout(Some(\n        Duration::from_micros(9_999),\n    ));\n}\n";
         let lines: Vec<usize> = scan(text).iter().map(|f| f.line).collect();
-        assert_eq!(lines, vec![2, 3, 4]);
+        // The split call is flagged where its literal is.
+        assert_eq!(lines, vec![2, 3, 5]);
+    }
+
+    #[test]
+    fn short_timed_waits_are_flagged() {
+        // The handler's old retry timer: a 1 ms `recv_timeout` budget.
+        let text = "fn f() {\n    let budget = match drain {\n        None if starved => Some(Duration::from_millis(1)),\n        None => None,\n    };\n    rx.recv_timeout(Duration::from_nanos(500));\n    let t = (Duration::from_secs(1), Duration::from_micros(50));\n}\n";
+        let lines: Vec<usize> = scan(text).iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 6, 7]);
+    }
+
+    #[test]
+    fn the_floor_and_a_marked_line_pass() {
+        let text = "fn f() {\n    rx.recv_timeout(Duration::from_millis(10));\n    // analyze:allow(sleep-poll): a bounded back-off after an error\n    let pause = Duration::from_millis(1);\n    let pace = Duration::from_micros(100); // analyze:allow(sleep-poll): paced on purpose\n}\n";
+        assert!(scan(text).is_empty(), "{:#?}", scan(text));
     }
 
     #[test]
@@ -98,13 +112,12 @@ mod tests {
 
     #[test]
     fn durations_parse_in_every_unit() {
-        assert_eq!(literal_duration_ns("Duration::from_secs(2))"), Some(2_000_000_000));
-        assert_eq!(
-            literal_duration_ns("Duration::from_millis(1_000)"),
-            Some(1_000_000_000)
-        );
-        assert_eq!(literal_duration_ns("Duration::from_nanos(5)"), Some(5));
-        assert_eq!(literal_duration_ns("Duration::from_millis(ms)"), None);
-        assert_eq!(literal_duration_ns("timeout"), None);
+        let all = |code| literal_durations_ns(code).collect::<Vec<_>>();
+        assert_eq!(all("Duration::from_secs(2))"), [2_000_000_000]);
+        assert_eq!(all("Duration::from_millis(1_000)"), [1_000_000_000]);
+        assert_eq!(all("Duration::from_nanos(5)"), [5]);
+        assert_eq!(all("Duration::from_millis(ms)"), []);
+        assert_eq!(all("timeout"), []);
+        assert_eq!(all("(Duration::from_millis(ms), Duration::from_micros(3))"), [3_000]);
     }
 }

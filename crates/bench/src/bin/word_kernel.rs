@@ -17,8 +17,10 @@
 //! how the engine serves a Waksman plan. Every word replay is
 //! cross-checked against the scalar walk before timing.
 //!
-//! Every table cell is the median of five timed passes over its stream,
-//! so one pass disturbed by the host does not move the table.
+//! Each cell is the median of five timed rounds. A row's routes run
+//! back to back in every round, in alternating order, and a speed-up
+//! is the median of its per-round ratios, so a host stall slows both
+//! sides of a round instead of one side of the comparison.
 //!
 //! Usage: `word_kernel [--perms N] [--assert-speedup FACTOR]`
 //!
@@ -61,24 +63,38 @@ fn parse_args() -> (usize, Option<f64>) {
     (perms, assert_speedup)
 }
 
-/// Timed passes per table cell; a cell reports their median.
+/// Timed rounds per table cell; a cell reports their median.
 const PASSES: usize = 5;
 
-/// Times `route` over the whole stream [`PASSES`] times, returning the
-/// median pass's seconds and the successes of one pass. `route` gets
-/// each permutation's index in the stream with it.
-fn time_over(
+/// A timed route; it gets each permutation's index in the stream too.
+type Route<'a> = &'a mut dyn FnMut(usize, &Permutation) -> bool;
+
+/// One route's timed rounds: (seconds, successes) of each pass.
+type Rounds = [(f64, usize); PASSES];
+
+/// Times each of `routes` over the whole stream in [`PASSES`] rounds,
+/// one pass of each per round, in reverse order in odd rounds.
+fn time_rounds<const K: usize>(
     stream: &[Permutation],
-    mut route: impl FnMut(usize, &Permutation) -> bool,
-) -> (f64, usize) {
-    let mut passes = [(0.0, 0); PASSES];
-    for pass in &mut passes {
-        let start = Instant::now();
-        let ok = stream.iter().enumerate().filter(|&(i, d)| route(i, d)).count();
-        *pass = (start.elapsed().as_secs_f64(), ok);
+    mut routes: [Route; K],
+) -> [Rounds; K] {
+    let mut rounds = [[(0.0, 0); PASSES]; K];
+    for round in 0..PASSES {
+        for k in 0..K {
+            let k = if round % 2 == 0 { k } else { K - 1 - k };
+            let start = Instant::now();
+            let ok = stream.iter().enumerate().filter(|&(i, d)| routes[k](i, d)).count();
+            rounds[k][round] = (start.elapsed().as_secs_f64(), ok);
+        }
     }
-    passes.sort_by(|a, b| a.0.total_cmp(&b.0));
-    passes[PASSES / 2]
+    rounds
+}
+
+/// The median over the rounds of `of(round)`.
+fn median(of: impl FnMut(usize) -> f64) -> f64 {
+    let mut xs: [f64; PASSES] = std::array::from_fn(of);
+    xs.sort_by(f64::total_cmp);
+    xs[PASSES / 2]
 }
 
 /// Required Settings-tier speed-up (set-up + execute) at `n = 6`.
@@ -121,23 +137,30 @@ fn settings_table(perms: usize, rng: &mut StdRng) -> f64 {
             );
         }
 
-        let (setup_s, _) = time_over(&stream, |_, d| waksman::setup(d).is_ok());
-        let (scalar_exec_s, _) =
-            time_over(&stream, |i, d| net.realized_permutation(&plans[i]).unwrap() == *d);
-        let (word_exec_s, _) = time_over(&stream, |i, d| {
-            word::route(n, d, Control::Settings(&plans[i]), None).unwrap().is_success()
-        });
-        let (scalar_s, scalar_ok) = time_over(&stream, |_, d| {
-            net.realized_permutation(&waksman::setup(d).unwrap()).unwrap() == *d
-        });
-        let (word_s, word_ok) = time_over(&stream, |_, d| {
-            word::route(n, d, Control::Settings(&waksman::setup(d).unwrap()), None)
-                .unwrap()
-                .is_success()
-        });
-        assert_eq!((scalar_ok, word_ok), (perms, perms));
+        // The last two are the compared pair, adjacent in either order.
+        let [setup, scalar_exec, word_exec, scalar, word] = time_rounds(
+            &stream,
+            [
+                &mut |_, d| waksman::setup(d).is_ok(),
+                &mut |i, d| net.realized_permutation(&plans[i]).unwrap() == *d,
+                &mut |i, d| {
+                    word::route(n, d, Control::Settings(&plans[i]), None)
+                        .unwrap()
+                        .is_success()
+                },
+                &mut |_, d| {
+                    net.realized_permutation(&waksman::setup(d).unwrap()).unwrap() == *d
+                },
+                &mut |_, d| {
+                    word::route(n, d, Control::Settings(&waksman::setup(d).unwrap()), None)
+                        .unwrap()
+                        .is_success()
+                },
+            ],
+        );
+        assert!(scalar.iter().chain(&word).all(|&(_, ok)| ok == perms));
 
-        let speedup = scalar_s / word_s;
+        let speedup = median(|r| scalar[r].0 / word[r].0);
         if n == 6 {
             speedup_at_6 = speedup;
         }
@@ -146,11 +169,11 @@ fn settings_table(perms: usize, rng: &mut StdRng) -> f64 {
             n.to_string(),
             (1u64 << n).to_string(),
             perms.to_string(),
-            us(setup_s),
-            us(scalar_exec_s),
-            us(word_exec_s),
-            format!("{:.0}", perms as f64 / scalar_s),
-            format!("{:.0}", perms as f64 / word_s),
+            us(median(|r| setup[r].0)),
+            us(median(|r| scalar_exec[r].0)),
+            us(median(|r| word_exec[r].0)),
+            format!("{:.0}", perms as f64 / median(|r| scalar[r].0)),
+            format!("{:.0}", perms as f64 / median(|r| word[r].0)),
             format!("{speedup:.1}x"),
         ]);
     }
@@ -192,17 +215,19 @@ fn main() {
             );
         }
 
-        let (scalar_s, scalar_ok) =
-            time_over(&stream, |_, d| net.self_route(d).is_success());
-        let (word_s, word_ok) =
-            time_over(&stream, |_, d| net.self_route_fast(d).unwrap().is_success());
-        assert_eq!(scalar_ok, word_ok);
-        let (oscalar_s, _) =
-            time_over(&stream, |_, d| net.self_route_omega(d).is_success());
-        let (oword_s, _) =
-            time_over(&stream, |_, d| net.self_route_omega_fast(d).unwrap().is_success());
+        // Each compared pair is adjacent in either order.
+        let [scalar, word, oscalar, oword] = time_rounds(
+            &stream,
+            [
+                &mut |_, d| net.self_route(d).is_success(),
+                &mut |_, d| net.self_route_fast(d).unwrap().is_success(),
+                &mut |_, d| net.self_route_omega(d).is_success(),
+                &mut |_, d| net.self_route_omega_fast(d).unwrap().is_success(),
+            ],
+        );
+        assert_eq!(scalar.map(|r| r.1), word.map(|r| r.1));
 
-        let speedup = scalar_s / word_s;
+        let speedup = median(|r| scalar[r].0 / word[r].0);
         if n == 8 {
             speedup_at_8 = speedup;
         }
@@ -210,12 +235,12 @@ fn main() {
             n.to_string(),
             (1u64 << n).to_string(),
             perms.to_string(),
-            format!("{:.0}", perms as f64 / scalar_s),
-            format!("{:.0}", perms as f64 / word_s),
+            format!("{:.0}", perms as f64 / median(|r| scalar[r].0)),
+            format!("{:.0}", perms as f64 / median(|r| word[r].0)),
             format!("{speedup:.1}x"),
-            format!("{:.0}", perms as f64 / oscalar_s),
-            format!("{:.0}", perms as f64 / oword_s),
-            format!("{:.1}x", oscalar_s / oword_s),
+            format!("{:.0}", perms as f64 / median(|r| oscalar[r].0)),
+            format!("{:.0}", perms as f64 / median(|r| oword[r].0)),
+            format!("{:.1}x", median(|r| oscalar[r].0 / oword[r].0)),
         ]);
     }
     println!("{}", table.render());

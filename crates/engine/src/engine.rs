@@ -68,6 +68,9 @@ pub struct SubmitOpts {
     pub tenant: Option<u64>,
 }
 
+/// How many recent route attempts the flight recorder keeps.
+const FLIGHT_CAPACITY: usize = 256;
+
 /// Tuning knobs for [`Engine::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
@@ -82,9 +85,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// The expensive tier used for permutations outside `F(n) ∪ Ω(n)`.
     pub fallback: Fallback,
-    /// How many recent route attempts the flight recorder keeps
-    /// (rounded up to a power of two).
-    pub flight_capacity: usize,
     /// Bounded admission: the deepest the submission queue may grow.
     /// `None` (the default) keeps the historical unbounded behaviour;
     /// `Some(d)` makes [`Engine::try_submit`] reject with
@@ -104,7 +104,6 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             cache_shards: 8,
             fallback: Fallback::Waksman,
-            flight_capacity: 256,
             max_queue_depth: None,
             breaker: BreakerConfig::default(),
         }
@@ -330,7 +329,7 @@ impl Engine {
             batch_size: config.batch_size,
             faults: Mutex::new(HashMap::new()),
             degraded: AtomicBool::new(false),
-            flight: FlightRecorder::new(config.flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
             breaker_cfg: config.breaker.clone(),
             breakers: Mutex::new(HashMap::new()),
             chaos: ChaosState::default(),

@@ -65,7 +65,13 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
     let EngineConfig { workers, .. } = args.config.engine;
-    let server = Server::start(&args.addr, args.config).expect("bind and start the server");
+    let server = match Server::start(&args.addr, args.config) {
+        Ok(server) => server,
+        Err(err) => {
+            eprintln!("benes-serve: cannot start on {}: {err}", args.addr);
+            std::process::exit(2);
+        }
+    };
     println!("listening on {}", server.local_addr());
     println!("engine: {workers} workers; send a Drain frame to stop (if --allow-drain)");
 

@@ -29,15 +29,16 @@
 //!   errors, idle reports, engine completions, and stop. After each
 //!   wake it drains the channel, takes the outcomes the engine
 //!   finished, pumps its DRR scheduler into
-//!   [`Engine::try_submit_all_to`] (backpressure: a full engine queue
-//!   hands the refused tail back to the front of its tenants' backlogs
-//!   and pauses the pump, an over-quota tenant is refused on the spot),
-//!   and hands each connection's pending replies to its writer once. It
-//!   never blocks anywhere else. The engine's workers finish a request
-//!   by pushing its outcome onto the handler's done list and, unless a
-//!   wake-up is already pending, sending a token into the same channel
-//!   with `try_send` — so nothing polls a ticket, and no worker ever
-//!   waits on a handler.
+//!   [`Engine::try_submit_all_to`] (backpressure: it admits at most its
+//!   share `max_queue_depth / threads` of the engine queue, so it never
+//!   meets a full queue, and the rest waits for its own completions; an
+//!   over-quota tenant is refused on the spot), and hands each
+//!   connection's pending replies to its writer once. It never blocks
+//!   anywhere else. The engine's workers finish a request by pushing
+//!   its outcome onto the handler's done list and, unless a wake-up is
+//!   already pending, sending a token into the same channel with
+//!   `try_send` — so nothing polls a ticket, and no worker ever waits
+//!   on a handler.
 //!
 //! A [`Frame::RouteBatch`] enters the scheduler one entry per item, so
 //! cost, quota and fairness stay per item. The batch is answered once,
@@ -101,9 +102,8 @@ const CONTROL_EVENTS: usize = 2;
 /// server's memory without bound.
 const OUTBOX_LIMIT: usize = 4 << 20;
 
-/// Most requests the pump hands the engine in one admission. While
-/// the engine's queue is full it hands them over one at a time, so a
-/// refusal hands back at most one.
+/// Most requests the pump hands the engine in one admission (one shard
+/// lock); a longer backlog goes over in several.
 const PUMP_RUN: usize = 256;
 
 /// Tuning knobs for [`Server::start`].
@@ -115,7 +115,8 @@ pub struct ServeConfig {
     pub threads: usize,
     /// The engine the server fronts. The default bounds the queue
     /// (`max_queue_depth`) — unbounded admission would turn a flood
-    /// into unbounded memory instead of `Rejected` replies.
+    /// into unbounded memory. It must be at least `threads`: each
+    /// handler admits at most `max_queue_depth / threads`.
     pub engine: EngineConfig,
     /// Reap a connection idle this long with nothing in flight. Also
     /// bounds how long a connection's writer may block on a client
@@ -230,8 +231,19 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any I/O error from binding the listener or spawning a thread.
+    /// [`std::io::ErrorKind::InvalidInput`] when the engine's
+    /// `max_queue_depth` is below `threads` (some handler would get no
+    /// share of it); any I/O error from binding the listener or
+    /// spawning a thread.
     pub fn start(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
+        let handlers = config.threads.max(1);
+        let share = config.engine.max_queue_depth.map_or(usize::MAX, |d| d / handlers);
+        if share == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "the engine queue depth is below the handler thread count",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(config.engine.clone()));
@@ -239,7 +251,7 @@ impl Server {
         let counters = Arc::new(ServerCounters::default());
         let mut threads = Vec::new();
         let mut inboxes = Vec::new();
-        for index in 0..config.threads.max(1) {
+        for index in 0..handlers {
             let (tx, rx) = sync_channel(EVENT_QUEUE);
             inboxes.push(tx.clone());
             let handler = Handler {
@@ -256,6 +268,8 @@ impl Server {
                 conns: HashMap::new(),
                 sched: DrrScheduler::new(config.quantum, config.quota),
                 next_conn: 0,
+                share,
+                in_engine: 0,
             };
             threads.push(
                 std::thread::Builder::new()
@@ -539,8 +553,9 @@ struct DoneList {
     /// Set by the worker that sends a token, cleared by the handler
     /// just before it takes the list.
     wake_pending: AtomicBool,
-    /// Requests wait in the handler's scheduler for engine queue space,
-    /// which every finished request frees: each one wakes the handler.
+    /// Requests wait in the handler's scheduler for room in its share
+    /// of the engine queue, which every finished request of its own
+    /// frees: each one wakes the handler.
     backlogged: AtomicBool,
 }
 
@@ -708,34 +723,29 @@ struct Handler {
     conns: HashMap<u64, Conn>,
     sched: DrrScheduler<Pending>,
     next_conn: u64,
+    /// Most requests this handler may have in the engine: the shares
+    /// add up to no more than the engine's queue bound.
+    share: usize,
+    /// Requests admitted and not yet taken off the done list, whether
+    /// or not their connection is still here.
+    in_engine: usize,
 }
 
 impl Handler {
     fn run(mut self, rx: Receiver<Event>) {
         let mut drain_started: Option<Instant> = None;
-        // Whether the last pump left requests queued behind a full
-        // engine with none of ours in flight to wake us when it frees.
-        let mut starved = false;
         loop {
-            let budget = match drain_started {
-                Some(started) => {
-                    Some(self.ctx.config.drain_grace.saturating_sub(started.elapsed()))
-                }
-                // The one timer outside drain: engine queue space freed
-                // by another handler's requests sends us no event.
-                None if starved => Some(Duration::from_millis(1)),
-                None => None,
+            let first = match drain_started {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                // The one timed wait: the drain grace.
+                Some(started) => rx.recv_timeout(
+                    self.ctx.config.drain_grace.saturating_sub(started.elapsed()),
+                ),
             };
-            let first = match budget {
-                None => match rx.recv() {
-                    Ok(event) => Some(event),
-                    Err(_) => return,
-                },
-                Some(budget) => match rx.recv_timeout(budget) {
-                    Ok(event) => Some(event),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                },
+            let first = match first {
+                Ok(event) => Some(event),
+                Err(RecvTimeoutError::Timeout) => None,
+                Err(RecvTimeoutError::Disconnected) => return,
             };
             let stopping = self.ctx.stop.load(Ordering::Acquire);
             if stopping && drain_started.is_none() {
@@ -746,14 +756,13 @@ impl Handler {
                 self.handle(event, stopping);
             }
             self.take_done();
-            starved = self.pump();
+            self.pump();
             self.flush_and_close();
 
             // Drain exit: backlog refused/pumped, in-flight resolved
             // (or the grace expired), replies flushed.
             if let Some(started) = drain_started {
-                let inflight: usize = self.conns.values().map(|c| c.inflight).sum();
-                if (self.sched.is_empty() && inflight == 0)
+                if (self.sched.is_empty() && self.in_engine == 0)
                     || started.elapsed() >= self.ctx.config.drain_grace
                 {
                     let threads: Vec<JoinHandle<()>> = self
@@ -838,6 +847,7 @@ impl Handler {
         let done = std::mem::take(
             &mut *self.ctx.done.outcomes.lock().unwrap_or_else(PoisonError::into_inner),
         );
+        self.in_engine -= done.len();
         for Done { conn, slot, outcome } in done {
             // Conn already gone: the reply is dropped, but the engine
             // still booked the tenant's terminal state — conservation
@@ -909,20 +919,30 @@ impl Handler {
     }
 
     /// Pumps the scheduler into the engine, one admission per run of
-    /// requests, until it is empty or the engine pushes back. Returns whether requests stay queued behind a full
-    /// engine with none of this handler's in flight.
-    fn pump(&mut self) -> bool {
+    /// requests, until the scheduler is empty or this handler's share
+    /// of the engine queue is full. Stopping at the share sets
+    /// `backlogged`, so each of its requests that finishes wakes the
+    /// handler to pump again.
+    fn pump(&mut self) {
         loop {
+            let room = self.share - self.in_engine;
+            if room == 0 && !self.sched.is_empty() {
+                if self.ctx.done.backlogged.swap(true, Ordering::SeqCst) {
+                    return;
+                }
+                // From here every finished request wakes us; the ones
+                // that finished before are on the list now.
+                self.take_done();
+                continue;
+            }
             let (mut run, mut keys) = (Vec::new(), Vec::new());
-            let most =
-                if self.ctx.done.backlogged.load(Ordering::SeqCst) { 1 } else { PUMP_RUN };
-            while run.len() < most {
-                let Some((tenant, cost, Pending { conn, slot, deadline, perm })) =
+            while run.len() < room.min(PUMP_RUN) {
+                let Some((tenant, _, Pending { conn, slot, deadline, perm })) =
                     self.sched.dequeue()
                 else {
                     break;
                 };
-                keys.push((tenant, cost, conn, slot.clone()));
+                keys.push((conn, slot.clone()));
                 let (list, tx) = (Arc::clone(&self.ctx.done), self.ctx.tx.clone());
                 let done = Completion::new(move |outcome| {
                     // Counted under the list's lock: the wake of a
@@ -945,59 +965,37 @@ impl Handler {
             }
             if run.is_empty() {
                 self.ctx.done.backlogged.store(false, Ordering::SeqCst);
-                return false;
+                return;
             }
-            let (refused, tail) = match self.ctx.engine.try_submit_all_to(run) {
-                Ok(()) => (None, Vec::new()),
-                Err((err, tail)) => (Some(err), tail),
-            };
-            let admitted = keys.len() - tail.len();
+            let refused = self.ctx.engine.try_submit_all_to(run).err();
+            let admitted = keys.len() - refused.as_ref().map_or(0, |(_, tail)| tail.len());
+            self.in_engine += admitted;
             let mut keys = keys.into_iter();
-            for (_, _, conn, _) in keys.by_ref().take(admitted) {
+            for (conn, _) in keys.by_ref().take(admitted) {
                 if let Some(conn) = self.conns.get_mut(&conn) {
                     conn.inflight += 1;
                 }
             }
-            match refused {
-                None => {}
-                Some(SubmitError::QueueFull { .. }) => {
-                    // Back to the front of their backlogs, last first,
-                    // so each tenant keeps its order.
-                    let back: Vec<_> = keys.zip(tail).collect();
-                    for ((tenant, cost, conn, slot), (perm, opts, _)) in
-                        back.into_iter().rev()
-                    {
-                        let deadline = opts.deadline;
-                        self.sched.requeue_front(
-                            tenant,
-                            cost,
-                            Pending { conn, slot, deadline, perm },
-                        );
-                    }
-                    // From here every finished request wakes us; the
-                    // ones that finished before are on the list now.
-                    self.ctx.done.backlogged.store(true, Ordering::SeqCst);
-                    self.take_done();
-                    return self.conns.values().all(|c| c.inflight == 0);
-                }
-                Some(_) => {
-                    // Engine shutting down: everything still queued is
-                    // refused as Draining.
-                    let queued =
-                        self.sched.drain_all().into_iter().map(|(_, p)| (p.conn, p.slot));
-                    for (conn, slot) in
-                        keys.map(|(_, _, conn, slot)| (conn, slot)).chain(queued)
-                    {
-                        if let Some(conn) = self.conns.get_mut(&conn) {
-                            conn.refuse(&self.ctx.counters, &slot, Status::Draining);
-                        }
-                    }
-                    // A refusal can finish a batch whose other items
-                    // the engine finished without waking us.
-                    self.take_done();
-                    return false;
+            let Some((err, _)) = refused else { continue };
+            // The shares keep the handlers' admissions within the bound,
+            // so a full queue means requests submitted around the server
+            // (through `Server::engine`): the refused run is answered
+            // Rejected. A shutting-down engine refuses everything still
+            // queued as Draining.
+            let (status, queued) = match err {
+                SubmitError::QueueFull { .. } => (Status::Rejected, Vec::new()),
+                _ => (Status::Draining, self.sched.drain_all()),
+            };
+            for (conn, slot) in
+                keys.chain(queued.into_iter().map(|(_, p)| (p.conn, p.slot)))
+            {
+                if let Some(conn) = self.conns.get_mut(&conn) {
+                    conn.refuse(&self.ctx.counters, &slot, status);
                 }
             }
+            // A refusal can finish a batch whose other items the engine
+            // finished without waking us.
+            self.take_done();
         }
     }
 

@@ -66,22 +66,10 @@ impl<T> DrrScheduler<T> {
         }
     }
 
-    /// Total queued entries across all tenants.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether no work is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The number of entries tenant `t` has queued.
-    #[must_use]
-    pub fn tenant_backlog(&self, t: u64) -> usize {
-        self.queues.get(&t).map_or(0, VecDeque::len)
     }
 
     /// Queues `item` for tenant `tenant` at `cost` (clamped to
@@ -108,20 +96,6 @@ impl<T> DrrScheduler<T> {
         queue.push_back(Entry { cost: cost.clamp(1, self.quantum), item });
         self.len += 1;
         Ok(())
-    }
-
-    /// Returns `item` to the *front* of its tenant's backlog without a
-    /// quota check — the un-pop for work the engine refused
-    /// (`QueueFull`); it will be the tenant's next candidate.
-    pub fn requeue_front(&mut self, tenant: u64, cost: u32, item: T) {
-        let queue = self.queues.entry(tenant).or_default();
-        if queue.is_empty() && !self.ring.contains(&tenant) {
-            // Serve the returned item before starting anyone's fresh
-            // round: the engine already charged this tenant a turn.
-            self.ring.push_front(tenant);
-        }
-        queue.push_front(Entry { cost: cost.clamp(1, self.quantum), item });
-        self.len += 1;
     }
 
     /// The next item under DRR order, with its tenant, or `None` when
@@ -251,22 +225,11 @@ mod tests {
         s.enqueue(5, 1, "b").unwrap();
         let (QuotaExceeded, item) = s.enqueue(5, 1, "c").unwrap_err();
         assert_eq!(item, "c");
-        assert_eq!(s.tenant_backlog(5), 2);
         // Another tenant is unaffected by 5's full backlog.
         s.enqueue(6, 1, "d").unwrap();
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn requeue_front_is_served_next_for_that_tenant() {
-        let mut s = DrrScheduler::new(8, 10);
-        s.enqueue(1, 2, "first").unwrap();
-        s.enqueue(1, 2, "second").unwrap();
-        let (t, cost, item) = s.dequeue().unwrap();
-        assert_eq!((t, item), (1, "first"));
-        s.requeue_front(t, cost, item);
-        assert_eq!(s.dequeue().unwrap().2, "first", "requeued item goes first");
-        assert_eq!(s.dequeue().unwrap().2, "second");
+        let mut queued: Vec<_> = std::iter::from_fn(|| s.dequeue().map(|e| e.2)).collect();
+        queued.sort_unstable();
+        assert_eq!(queued, ["a", "b", "d"]);
     }
 
     #[test]

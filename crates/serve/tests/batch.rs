@@ -1,9 +1,9 @@
 //! `RouteBatch` end to end over real sockets: one `RouteBatchReply`
 //! per batch with exactly one status per item, in item order, whatever
-//! each item's fate — served after waiting for engine queue space,
-//! refused as a non-permutation, over its tenant's quota, or refused by
-//! a draining server — and per-tenant conservation when the connection
-//! dies mid-batch.
+//! each item's fate — served after waiting for room in the handler's
+//! share of the engine queue, refused as a non-permutation, over its
+//! tenant's quota, or refused by a draining server — and per-tenant
+//! conservation when the connection dies mid-batch.
 
 use std::time::{Duration, Instant};
 
@@ -78,9 +78,9 @@ fn await_conservation(client: &mut Client, tenant: u64, deadline: Instant) -> Te
 
 #[test]
 fn a_batch_deeper_than_the_engine_queue_completes_in_one_reply() {
-    // 20 items against 8 free slots: the refused tail goes back to the
-    // scheduler and is pumped as the worker frees space — no livelock,
-    // one reply, one status per item.
+    // 20 items against a handler share of 8: the 12 past the share wait
+    // in the scheduler and are admitted as the worker finishes the
+    // first ones — no refusal, one reply, one status per item.
     let server = Server::start("127.0.0.1:0", config(8)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -89,7 +89,7 @@ fn a_batch_deeper_than_the_engine_queue_completes_in_one_reply() {
     assert!(reply.iter().all(|i| i.tier.is_some() && i.latency_ns > 0));
     let row = await_conservation(&mut client, 1, Instant::now() + Duration::from_secs(5));
     assert_eq!(row.completed, 20);
-    assert!(row.rejected >= 12, "the tail past the 8 free slots was refused once: {row:?}");
+    assert_eq!(row.rejected, 0, "the items past the share waited, never refused: {row:?}");
     assert_eq!(server.counters().replies.load(std::sync::atomic::Ordering::Relaxed), 20);
     server.shutdown(Instant::now() + Duration::from_secs(5));
 }
@@ -171,6 +171,44 @@ fn a_drained_engine_refuses_every_queued_item() {
     client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let reply = round_trip(&mut client, 1, items(6));
     assert_eq!(statuses(&reply), vec![Status::Draining; 6]);
+    server.shutdown(Instant::now() + Duration::from_secs(5));
+}
+
+#[test]
+fn a_queue_filled_around_the_server_answers_rejected() {
+    // The handlers' shares never fill the engine queue, but requests
+    // submitted straight to the engine can: the pump then answers each
+    // refused item `Rejected` and puts none of them back.
+    let server = Server::start("127.0.0.1:0", config(2)).unwrap();
+    server.engine().set_chaos(ChaosConfig {
+        delay_per_1024: 1024,
+        delay: Duration::from_millis(400),
+        ..ChaosConfig::default()
+    });
+    // Fill the queue, let the worker take those and stall on them, then
+    // fill the queue again behind it.
+    let mut tickets = Vec::new();
+    let mut fill = || {
+        let direct = |k| benes_perm::Permutation::from_destinations(perm(k)).unwrap();
+        while let Ok(ticket) = server.engine().try_submit(direct(tickets.len() as u32)) {
+            tickets.push(ticket);
+        }
+    };
+    fill();
+    std::thread::sleep(Duration::from_millis(100));
+    fill();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let reply = round_trip(&mut client, 3, items(3));
+    assert_eq!(statuses(&reply), vec![Status::Rejected; 3]);
+    server.engine().set_chaos(ChaosConfig::default());
+    for ticket in tickets {
+        assert!(ticket.wait().result.is_ok());
+    }
+    let reply = round_trip(&mut client, 3, items(3));
+    assert_eq!(statuses(&reply), vec![Status::Ok; 3]);
+    let row = await_conservation(&mut client, 3, Instant::now() + Duration::from_secs(5));
+    assert_eq!((row.completed, row.rejected), (3, 3), "{row:?}");
     server.shutdown(Instant::now() + Duration::from_secs(5));
 }
 

@@ -436,11 +436,12 @@ fn a_client_that_stops_reading_stalls_no_one_else() {
 
 #[test]
 fn a_backlog_behind_another_handlers_flood_still_drains() {
-    // Two handlers share one engine whose queue holds two requests. The
-    // flood on handler 0 keeps that queue full, so handler 1's first
-    // pump meets QueueFull with none of its own requests in flight: no
-    // completion of its own will wake it, and only its retry timer
-    // gets the burst into the engine.
+    // Two handlers share one engine whose queue holds two requests, so
+    // each handler's share is one. The flood on handler 0 keeps its own
+    // share full but cannot take handler 1's: the burst on handler 1
+    // goes in one request at a time, each admitted when the last one's
+    // completion wakes its handler, and neither handler is ever refused
+    // by the engine.
     let mut config = small_config();
     config.threads = 2;
     config.engine.workers = 1;
@@ -506,8 +507,19 @@ fn a_backlog_behind_another_handlers_flood_still_drains() {
 
     let row2 = await_conservation(&mut burst, 2, Instant::now() + Duration::from_secs(15));
     assert_eq!(row2.completed, BURST);
-    await_conservation(&mut flood, 1, Instant::now() + Duration::from_secs(15));
+    assert_eq!(row2.rejected, 0, "{row2:?}");
+    let row1 = await_conservation(&mut flood, 1, Instant::now() + Duration::from_secs(15));
+    assert_eq!(row1.rejected, 0, "{row1:?}");
     drop(flood);
     drop(burst);
     server.shutdown(Instant::now() + Duration::from_secs(5));
+}
+
+#[test]
+fn a_queue_depth_below_the_handler_count_is_refused_at_start() {
+    let mut config = small_config();
+    config.threads = 2;
+    config.engine.max_queue_depth = Some(1);
+    let err = Server::start("127.0.0.1:0", config).err().expect("no share for handler 1");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }

@@ -30,40 +30,11 @@ use crate::backend::{Backend, BackendDrain, LocalShard, UnitTicket};
 use crate::decompose::{balanced_block_bits, decompose, DecomposeError, Decomposition};
 use crate::stats::FleetStats;
 
-/// How the coordinator picks the block width `r` (blocks of `2^r`
-/// elements) for an incoming permutation of `2^n` elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BlockPolicy {
-    /// Balanced split `r = ⌈n/2⌉`: both stage networks are as small as
-    /// possible (`B(⌈n/2⌉)` and `B(⌊n/2⌋)`), which is also the split
-    /// that maximizes scatter width for a given `n`.
-    #[default]
-    Balanced,
-    /// Fixed block width, clamped into the valid range `1..=n−1` per
-    /// request (a 2^20 deployment tuned for `r = 10` should not reject
-    /// an occasional 2^4 request).
-    BlockBits(u32),
-}
-
-impl BlockPolicy {
-    /// The block width this policy picks for index width `n` (assumed
-    /// `>= 2`).
-    #[must_use]
-    pub fn block_bits(self, n: u32) -> u32 {
-        match self {
-            Self::Balanced => balanced_block_bits(n),
-            Self::BlockBits(r) => r.clamp(1, n - 1),
-        }
-    }
-}
-
 /// Configuration for a [`ShardCoordinator`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of engine shards in the fleet (`>= 1`).
     pub shards: usize,
-    /// Block-width policy for incoming permutations.
-    pub block_policy: BlockPolicy,
     /// Configuration applied to every per-shard engine.
     pub engine: EngineConfig,
     /// Optional per-unit deadline: each scattered sub-request carries
@@ -74,12 +45,7 @@ pub struct ShardConfig {
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        Self {
-            shards: 4,
-            block_policy: BlockPolicy::Balanced,
-            engine: EngineConfig::default(),
-            deadline: None,
-        }
+        Self { shards: 4, engine: EngineConfig::default(), deadline: None }
     }
 }
 
@@ -331,7 +297,8 @@ impl ShardCoordinator {
     }
 
     /// Runs just the decomposition step this coordinator would use for
-    /// `pi` (policy-chosen block width).
+    /// `pi`: the balanced block width `r = ⌈n/2⌉`, so both stage
+    /// networks are as small as they can be.
     ///
     /// # Errors
     ///
@@ -341,7 +308,7 @@ impl ShardCoordinator {
         if n < 2 {
             return Err(DecomposeError::TooSmall { len: pi.len() }.into());
         }
-        Ok(decompose(pi, self.config.block_policy.block_bits(n))?)
+        Ok(decompose(pi, balanced_block_bits(n))?)
     }
 
     /// Per-backend lifecycle + resilience ledgers for the whole fleet —
@@ -462,7 +429,6 @@ impl fmt::Debug for ShardCoordinator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardCoordinator")
             .field("shards", &self.backends.len())
-            .field("block_policy", &self.config.block_policy)
             .finish_non_exhaustive()
     }
 }
@@ -554,6 +520,10 @@ pub(crate) mod tests {
     fn placement_is_deterministic_round_robin() {
         let coord = coordinator(3);
         let pi = random_permutation(&mut Rng64::new(9), 1 << 6);
+        // Balanced blocks: r = ⌈n/2⌉ at odd and even n.
+        assert_eq!(coord.decompose_for(&pi).unwrap().block_bits(), 3);
+        let odd = random_permutation(&mut Rng64::new(9), 1 << 5);
+        assert_eq!(coord.decompose_for(&odd).unwrap().block_bits(), 3);
         let out = coord.route(&pi).unwrap();
         for u in &out.units {
             let expect = match u.stage {
@@ -562,14 +532,6 @@ pub(crate) mod tests {
             };
             assert_eq!(u.shard, expect);
         }
-    }
-
-    #[test]
-    fn block_policy_clamps_fixed_width() {
-        assert_eq!(BlockPolicy::BlockBits(10).block_bits(4), 3);
-        assert_eq!(BlockPolicy::BlockBits(0).block_bits(4), 1);
-        assert_eq!(BlockPolicy::BlockBits(2).block_bits(4), 2);
-        assert_eq!(BlockPolicy::Balanced.block_bits(5), 3);
     }
 
     #[test]
@@ -662,7 +624,6 @@ pub(crate) mod tests {
             shards: 2,
             engine: small_engine(),
             deadline: Some(Duration::from_secs(30)),
-            ..ShardConfig::default()
         });
         let pi = random_permutation(&mut Rng64::new(11), 1 << 8);
         let out = coord.route(&pi).unwrap();

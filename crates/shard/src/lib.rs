@@ -70,8 +70,7 @@ pub mod stats;
 
 pub use backend::{Backend, BackendDrain, BackendLedger, LocalShard, UnitTicket};
 pub use coordinator::{
-    BlockPolicy, ShardConfig, ShardCoordinator, ShardError, ShardOutcome, Stage,
-    UnitOutcome,
+    ShardConfig, ShardCoordinator, ShardError, ShardOutcome, Stage, UnitOutcome,
 };
 pub use decompose::{balanced_block_bits, decompose, DecomposeError, Decomposition};
 pub use fleet::{run_fleet_soak, FleetSoakConfig, FleetSoakReport};
