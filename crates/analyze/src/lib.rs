@@ -28,7 +28,7 @@
 //!   narrowing index casts and discarded `Result`s in hot paths.
 //! * **Pillar 3 — concurrency and kernel proofs** ([`model`], [`sym`],
 //!   [`wordproof`]): an exhaustive-interleaving model checker over a
-//!   faithful abstraction of the engine's sharded submission queue
+//!   faithful abstraction of the engine's one-lock run queue
 //!   (request conservation, deadlock freedom, no lost wakeups — with
 //!   seeded-mutant self-tests and counterexample traces), and a
 //!   symbolic bit-plane prover that certifies the word-parallel

@@ -1,9 +1,9 @@
 //! Pillar 3, part (a): a small exhaustive-interleaving model checker.
 //!
-//! The engine's sharded submission queue (`engine/queue.rs`) is the one
-//! place in the workspace where correctness rests on a concurrency
-//! *protocol* — a lock-free admission counter, two condvar parking lots
-//! and a lock-then-notify discipline — rather than on types. Seeded
+//! The engine's run queue (`engine/queue.rs`) is the one place in the
+//! workspace where correctness rests on a concurrency *protocol* — one
+//! mutex, two condvars on it, and which wake each transition owes whom
+//! — rather than on types. Seeded
 //! tests exercise a handful of schedules; this module enumerates **all**
 //! of them over an abstract model of the protocol (see [`queue`]),
 //! checking request conservation, deadlock freedom and the absence of

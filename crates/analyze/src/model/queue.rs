@@ -1,136 +1,131 @@
 //! A faithful abstract model of `engine/queue.rs`'s submission protocol.
 //!
-//! The model tracks exactly the state the real protocol synchronizes
-//! on: per-shard queue lengths, the CAS-reserved admission depth
-//! (reserved slots count toward `depth` *before* their job is pushed,
-//! which is what lets the real workers spin instead of parking while a
-//! push is in flight), the `draining`/`shutdown` flags, and the two
-//! condvar parking lots — workers on `idle`/`available`, submitters on
-//! `gate`/`space`, plus the drain waiter. Each transition is one
-//! lock-protected step of the real code; the racy windows between steps
-//! (reserve→push, scan→park, take→wake) are exactly the interleavings
-//! the explorer enumerates.
+//! The real queue is one mutex over the jobs and the
+//! `draining`/`shutdown` flags, with two condvars on it: workers wait
+//! on `available`, bounded submitters and the drain waiter on `space`.
+//! The model tracks exactly that state — the queue length, the flags,
+//! and who is parked on which condvar — plus the conservation counters.
+//! Each transition is one critical section of the real code (a condvar
+//! wait releases the lock and parks in the same step, so no check can
+//! be separated from its park); the interleavings of those sections are
+//! what the explorer enumerates. The real code issues some notifies
+//! just after unlocking; the model folds them into the section, which
+//! is equivalent: a waiter either parked before the section and gets
+//! the notify, or re-checks the new state when it next takes the lock.
 //!
 //! # Wake semantics
 //!
 //! Two admission-wake models are checked. [`AdmitWake::PerPush`] is the
-//! literal code: every push notifies one parked worker (a condvar
+//! literal code: a one-job push notifies one parked worker (a condvar
 //! `notify_one` delivered to a nondeterministically chosen waiter, lost
-//! if nobody waits). [`AdmitWake::CoalescedBurst`] is an *adversarial
-//! weakening*: during a burst, only the push that makes a shard
-//! non-empty delivers a wake. This models the physical fact that a
-//! `notify_one` issued while every sibling is already awake (taking,
-//! serving, or merely runnable-but-unscheduled) lands in an empty wait
-//! set and is lost forever — the exact regime of PR 7's burst bug.
-//! Certifying the protocol under `CoalescedBurst` proves the post-take
-//! `notify_all` is what re-engages parked workers once a burst's
-//! coalesced wakes are gone; dropping it (the seeded mutant) yields a
-//! lost-wakeup counterexample.
+//! if nobody waits), a longer run notifies all. [`AdmitWake::CoalescedBurst`]
+//! is an *adversarial weakening*: during a burst, only the push that
+//! makes the queue non-empty delivers a wake. This models the physical
+//! fact that a `notify_one` issued while every sibling is already awake
+//! (taking, serving, or merely runnable-but-unscheduled) lands in an
+//! empty wait set and is lost forever. Certifying the protocol under
+//! `CoalescedBurst` proves the post-take `notify_all` is what re-engages
+//! parked workers once a burst's coalesced wakes are gone; dropping it
+//! (a seeded mutant) yields a lost-wakeup counterexample.
 //!
 //! # Batch admission
 //!
 //! A submitter may admit a run of jobs the way
-//! `SubmissionQueue::admit_all` does: one depth update reserves as many
-//! slots as fit (up to its `admit_batch`), one push puts the run on one
-//! shard, and one wake follows — `notify_all` for a run longer than one
-//! job. A push that finds admission closed hands the whole run back and
-//! releases every slot it reserved.
+//! `SubmissionQueue::admit_all` does: under one lock it pushes as many
+//! as fit (up to its `admit_batch`) and wakes once; what does not fit
+//! waits on `space`. A call that finds admission closed hands its whole
+//! run back, every job of it counted rejected.
 //!
 //! # Properties
 //!
-//! * **conservation** — at full quiescence every job was served or
-//!   rejected, every queue is empty and no admission slot leaks; and
-//!   at every step the reserved depth equals the slots the submitters
-//!   hold.
+//! * **conservation** — at every step each job is exactly one of: not
+//!   yet submitted, rejected, queued, in a worker's hand, or served; at
+//!   full quiescence every job was served or rejected.
 //! * **deadlock** — no reachable state stalls with a thread neither
-//!   finished nor wakeable (covers the `gate`/`space` drain choreography
-//!   and bounded-admission parking).
+//!   finished nor wakeable (covers the `space` drain choreography and
+//!   bounded-admission parking).
 //! * **lost-wakeup** — no reachable state in which a parked worker can
 //!   only ever be engaged by a busy sibling finishing service while
-//!   unstarted work (queued in a shard, or hoarded behind the head of a
-//!   sibling's batch) already exists. This is the engagement property
-//!   whose violation *is* a lost wakeup: the wake that should have
-//!   paired the idle worker with the waiting job was never delivered.
+//!   unstarted work (queued, or hoarded behind the head of a sibling's
+//!   batch) already exists. This is the engagement property whose
+//!   violation *is* a lost wakeup: the wake that should have paired the
+//!   idle worker with the waiting job was never delivered.
 
 use super::{explore, Exploration};
 use crate::report::{Finding, Pillar};
 
-/// How admission (`admit`, after its push) wakes parked workers.
+/// How admission wakes parked workers after its push.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmitWake {
-    /// Every push delivers a `notify_one` to some parked worker (lost
-    /// only when nobody is parked) — the literal code.
+    /// Every push delivers its wake (`notify_one` for one job, lost
+    /// only when nobody is parked; `notify_all` for a run) — the literal
+    /// code.
     PerPush,
-    /// Only the push that turns a shard non-empty delivers a wake; the
-    /// rest of the burst's notifies are adversarially coalesced (they
-    /// model `notify_one` calls landing in an empty wait set).
+    /// Only the push that turns the queue non-empty delivers a wake;
+    /// the rest of the burst's notifies are adversarially coalesced
+    /// (they model `notify_one` calls landing in an empty wait set).
     CoalescedBurst,
 }
 
-/// What a worker does after taking a batch that leaves `depth > 0`.
+/// What a worker does after taking a batch that leaves jobs queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PostTakeWake {
-    /// `wake_workers(true)` — every parked sibling wakes (current code,
-    /// the PR 7 fix).
+    /// `available.notify_all()` — every parked sibling wakes (the
+    /// shipped code).
     NotifyAll,
-    /// `notify_one` — the pre-PR-7 one-at-a-time wake chain.
+    /// `notify_one` — a one-at-a-time wake chain.
     NotifyOne,
     /// No post-take wake at all (the seeded lost-wakeup mutant).
     Nothing,
 }
 
-/// One protocol configuration: sizes plus the wake-policy knobs that
-/// distinguish the shipped code from its seeded mutants.
+/// One protocol configuration: sizes plus the knobs that distinguish
+/// the shipped code from its seeded mutants.
 #[derive(Debug, Clone)]
 pub struct Protocol {
-    /// Number of queue shards.
-    pub shards: usize,
     /// Number of worker threads.
     pub workers: usize,
     /// Number of submitter threads.
     pub submitters: usize,
     /// Jobs each submitter admits.
     pub jobs_each: u8,
-    /// Per submitter, the most admission slots one reservation takes
-    /// (1 = single admission, more = batch admission).
+    /// Per submitter, the most jobs one admission call carries (1 =
+    /// single admission, more = batch admission).
     pub admit_batch: Vec<u8>,
-    /// Whether a push that finds admission closed releases every slot
-    /// it reserved (the shipped code) or one fewer (a seeded mutant).
-    pub release_whole_run: bool,
-    /// Worker batch size (jobs drained per shard-lock acquisition).
+    /// Whether a refused call counts every job of its tail rejected
+    /// (the shipped code) or a run of two or more one short (a seeded
+    /// mutant).
+    pub count_whole_tail: bool,
+    /// Worker batch size (jobs taken per lock acquisition).
     pub batch: u8,
-    /// Bounded-admission depth, `None` for unbounded.
-    pub max_depth: Option<u8>,
+    /// The queue bound.
+    pub max_depth: u8,
     /// Admission wake model.
     pub admit_wake: AdmitWake,
     /// Post-take wake policy.
     pub post_take_wake: PostTakeWake,
-    /// Whether `admit` re-checks `draining` under the shard lock before
-    /// pushing (the shipped shutdown race guard).
-    pub recheck_draining_on_push: bool,
-    /// Whether `release_slots` pulses the `gate`/`space` parking lot
-    /// (wakes blocked submitters and the drain waiter).
-    pub release_notifies_space: bool,
+    /// Whether a take pulses `space` (wakes blocked submitters and the
+    /// drain waiter).
+    pub take_pulses_space: bool,
 }
 
 impl Protocol {
     /// The shipped protocol at the latency-critical `batch_size = 1`
-    /// configuration, under literal per-push wake delivery.
+    /// configuration, under literal per-push wake delivery, with a
+    /// bound no admission reaches.
     #[must_use]
     pub fn current() -> Self {
         Self {
-            shards: 2,
             workers: 2,
             submitters: 2,
             jobs_each: 2,
             admit_batch: vec![1, 1],
-            release_whole_run: true,
+            count_whole_tail: true,
             batch: 1,
-            max_depth: None,
+            max_depth: 4,
             admit_wake: AdmitWake::PerPush,
             post_take_wake: PostTakeWake::NotifyAll,
-            recheck_draining_on_push: true,
-            release_notifies_space: true,
+            take_pulses_space: true,
         }
     }
 
@@ -141,74 +136,79 @@ impl Protocol {
         Self { admit_wake: AdmitWake::CoalescedBurst, ..Self::current() }
     }
 
-    /// The shipped protocol with bounded admission, exercising the
-    /// `gate`/`space` submitter parking and release choreography, with
-    /// one batch submitter (runs of up to two jobs) beside one single
-    /// submitter.
+    /// The shipped protocol with a bound admission reaches, exercising
+    /// submitter parking on `space`, with one batch submitter (runs of
+    /// up to two jobs) beside one single submitter.
     #[must_use]
     pub fn current_bounded() -> Self {
-        Self { max_depth: Some(2), admit_batch: vec![2, 1], ..Self::current() }
+        Self { max_depth: 2, admit_batch: vec![2, 1], ..Self::current() }
     }
 
-    /// Seeded mutant: PR 7's lost-wakeup bug — the post-take
-    /// `notify_all` dropped while depth stays positive.
+    /// Seeded mutant: the post-take `notify_all` dropped while jobs
+    /// stay queued.
     #[must_use]
     pub fn mutant_dropped_post_take_wake() -> Self {
         Self { post_take_wake: PostTakeWake::Nothing, ..Self::current_burst() }
     }
 
-    /// Seeded mutant: the pre-PR-7 design — one global queue, batched
-    /// drains under a single lock, and a one-at-a-time post-take wake
-    /// chain. Its signature failure is a worker left parked while a
-    /// sibling's batch hoards runnable jobs (the flat scaling curve).
+    /// Seeded mutant: a one-at-a-time `notify_one` post-take wake chain
+    /// behind batch drains of two, with three workers. Its failure is a
+    /// worker left parked while a sibling's batch hoards runnable jobs:
+    /// the hoarding trips the engagement property, so the same
+    /// configuration with the shipped `notify_all` is flagged too, and
+    /// a `notify_one` chain at batch 1 certifies.
     #[must_use]
-    pub fn mutant_single_global_queue() -> Self {
+    pub fn mutant_notify_one_chain() -> Self {
         Self {
-            shards: 1,
             workers: 3,
-            submitters: 2,
-            jobs_each: 2,
-            admit_batch: vec![1, 1],
-            release_whole_run: true,
             batch: 2,
-            max_depth: None,
-            admit_wake: AdmitWake::PerPush,
             post_take_wake: PostTakeWake::NotifyOne,
-            recheck_draining_on_push: true,
-            release_notifies_space: true,
+            ..Self::current()
         }
     }
 
-    /// Seeded mutant for the drain choreography: `release_slots` stops
-    /// pulsing `space`, so the drain waiter sleeps through the moment
-    /// the queue empties.
+    /// Seeded mutant for the drain choreography: a take stops pulsing
+    /// `space`, so the drain waiter sleeps through the moment the queue
+    /// empties.
     #[must_use]
-    pub fn mutant_silent_release() -> Self {
-        Self { release_notifies_space: false, ..Self::current() }
+    pub fn mutant_silent_take() -> Self {
+        Self { take_pulses_space: false, ..Self::current() }
     }
 
-    /// Seeded mutant for batch admission: a push that finds admission
-    /// closed hands its run back but releases one slot fewer than it
-    /// reserved.
+    /// Seeded mutant for batch admission: a call refused by a draining
+    /// queue counts its run of two one job short.
     #[must_use]
-    pub fn mutant_short_tail_release() -> Self {
-        Self { release_whole_run: false, ..Self::current_bounded() }
+    pub fn mutant_short_tail_count() -> Self {
+        Self { count_whole_tail: false, ..Self::current_bounded() }
     }
 
     fn total_jobs(&self) -> u16 {
         self.submitters as u16 * u16::from(self.jobs_each)
     }
+
+    /// How many of a `run` of jobs one admission pushes onto a queue
+    /// holding `queued` of at most `max_depth` — the rule the model and
+    /// the model↔engine bridge test (`tests/bridge.rs`) share with
+    /// `SubmissionQueue::admit_all`.
+    #[must_use]
+    pub fn fit(queued: u8, max_depth: u8, run: u8) -> u8 {
+        run.min(max_depth.saturating_sub(queued))
+    }
+
+    /// How many jobs one take of at most `batch` removes from a queue
+    /// holding `queued` (`SubmissionQueue::try_take`).
+    #[must_use]
+    pub fn take_count(queued: u8, batch: u8) -> u8 {
+        batch.min(queued)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Worker {
-    /// Scanning the shards (or spinning on the reserved-slot yield
-    /// loop); always runnable.
+    /// At the top of the drain loop, about to lock; always runnable.
     Scan,
     /// Asleep on `available`; runnable only via a delivered wake.
     Parked,
-    /// Woken (notify delivered) but yet to re-evaluate the predicate.
-    Woken,
     /// Serving a batch; the `u8` counts unserved jobs in hand.
     Busy(u8),
     /// Exited after observing shutdown with an empty queue.
@@ -217,15 +217,11 @@ enum Worker {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Sub {
-    /// Ready to admit; the `u8` counts jobs still to submit.
+    /// About to call (or re-enter) admission; the `u8` counts jobs
+    /// still to submit.
     Ready(u8),
-    /// Holds `.1` reserved admission slots for the next push (`.0`
-    /// jobs still to submit, the reserved ones included).
-    Reserved(u8, u8),
     /// Asleep on `space` (queue full); runnable only via a wake.
-    GateParked(u8),
-    /// Woken from the gate, about to retry admission.
-    GateWoken(u8),
+    Parked(u8),
     /// All jobs admitted or rejected.
     Done,
 }
@@ -234,8 +230,9 @@ enum Sub {
 enum Drainer {
     /// Shutdown not yet requested.
     Idle,
-    /// `draining` set, waiting for `depth == 0`. `woken` records a
-    /// pending `space` pulse; without one the waiter is asleep.
+    /// `draining` set, waiting on `space` for the queue to empty.
+    /// `woken` records a pending pulse; without one the waiter is
+    /// asleep.
     Waiting { woken: bool },
     /// `shutdown` set, drain complete.
     Done,
@@ -245,8 +242,7 @@ enum Drainer {
 /// `engine/queue.rs`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QState {
-    shards: Vec<u8>,
-    reserved: u8,
+    queued: u8,
     submitted: u8,
     served: u8,
     rejected: u8,
@@ -258,18 +254,21 @@ pub struct QState {
 }
 
 impl QState {
-    fn depth(&self) -> u16 {
-        u16::from(self.reserved) + self.shards.iter().map(|&q| u16::from(q)).sum::<u16>()
+    /// Jobs taken off the queue and not yet served.
+    fn in_hand(&self) -> u16 {
+        self.workers
+            .iter()
+            .map(|w| match w {
+                Worker::Busy(t) => u16::from(*t),
+                _ => 0,
+            })
+            .sum()
     }
 
-    fn queued(&self) -> u16 {
-        self.shards.iter().map(|&q| u16::from(q)).sum()
-    }
-
-    /// Jobs that exist but have not begun service: queued in a shard,
-    /// or hoarded behind the head of a busy worker's batch.
+    /// Jobs that exist but have not begun service: queued, or hoarded
+    /// behind the head of a busy worker's batch.
     fn unstarted(&self) -> u16 {
-        self.queued()
+        u16::from(self.queued)
             + self
                 .workers
                 .iter()
@@ -278,6 +277,17 @@ impl QState {
                     _ => 0,
                 })
                 .sum::<u16>()
+    }
+
+    /// Jobs the submitters still hold.
+    fn pending(&self) -> u16 {
+        self.subs
+            .iter()
+            .map(|s| match s {
+                Sub::Ready(l) | Sub::Parked(l) => u16::from(*l),
+                Sub::Done => 0,
+            })
+            .sum()
     }
 
     fn all_done(&self) -> bool {
@@ -293,7 +303,6 @@ impl QState {
             .map(|w| match w {
                 Worker::Scan => "scan".to_string(),
                 Worker::Parked => "parked".to_string(),
-                Worker::Woken => "woken".to_string(),
                 Worker::Busy(t) => format!("busy({t})"),
                 Worker::Done => "done".to_string(),
             })
@@ -303,16 +312,13 @@ impl QState {
             .iter()
             .map(|s| match s {
                 Sub::Ready(l) => format!("ready({l})"),
-                Sub::Reserved(l, k) => format!("reserved({l}, {k} slots)"),
-                Sub::GateParked(l) => format!("gate-parked({l})"),
-                Sub::GateWoken(l) => format!("gate-woken({l})"),
+                Sub::Parked(l) => format!("space-parked({l})"),
                 Sub::Done => "done".to_string(),
             })
             .collect();
         format!(
-            "shards={:?} reserved={} submitted={} served={} rejected={} draining={} shutdown={} workers=[{}] submitters=[{}] drainer={:?}",
-            self.shards,
-            self.reserved,
+            "queued={} submitted={} served={} rejected={} draining={} shutdown={} workers=[{}] submitters=[{}] drainer={:?}",
+            self.queued,
             self.submitted,
             self.served,
             self.rejected,
@@ -333,12 +339,12 @@ fn sub_next(left: u8) -> Sub {
     }
 }
 
-/// Wakes every gate-parked submitter and pends the drain waiter — the
-/// model of `release_slots`' gate-touch plus `space.notify_all()`.
+/// `space.notify_all()`: wakes every parked submitter and pends the
+/// drain waiter.
 fn pulse_space(s: &mut QState) {
     for sub in &mut s.subs {
-        if let Sub::GateParked(l) = *sub {
-            *sub = Sub::GateWoken(l);
+        if let Sub::Parked(l) = *sub {
+            *sub = Sub::Ready(l);
         }
     }
     if let Drainer::Waiting { .. } = s.drainer {
@@ -346,25 +352,40 @@ fn pulse_space(s: &mut QState) {
     }
 }
 
-/// Wakes every parked worker — `wake_workers(true)`.
+/// `available.notify_all()`: wakes every parked worker.
 fn wake_all_workers(s: &mut QState) -> usize {
     let mut woken = 0;
     for w in &mut s.workers {
         if *w == Worker::Parked {
-            *w = Worker::Woken;
+            *w = Worker::Scan;
             woken += 1;
         }
     }
     woken
 }
 
+/// `available.notify_one()`: one successor per parked worker it may
+/// reach, or one with the notify lost when nobody is parked.
+fn wake_one_worker(s: QState, label: &str, out: &mut Vec<(String, QState)>) {
+    let parked: Vec<usize> =
+        (0..s.workers.len()).filter(|&j| s.workers[j] == Worker::Parked).collect();
+    if parked.is_empty() {
+        out.push((format!("{label} notify_one lost (no waiter)"), s));
+        return;
+    }
+    for j in parked {
+        let mut n = s.clone();
+        n.workers[j] = Worker::Scan;
+        out.push((format!("{label} notify_one wakes W{j}"), n));
+    }
+}
+
 impl Protocol {
-    /// The initial state: everyone running, queues empty.
+    /// The initial state: everyone running, the queue empty.
     #[must_use]
     pub fn initial(&self) -> QState {
         QState {
-            shards: vec![0; self.shards],
-            reserved: 0,
+            queued: 0,
             submitted: 0,
             served: 0,
             rejected: 0,
@@ -376,206 +397,124 @@ impl Protocol {
         }
     }
 
-    /// One submitter's attempt to reserve admission slots — as many as
-    /// fit, up to its `admit_batch`, in one depth update (the shared
-    /// front half of `admit_all`), from `Ready` or `GateWoken`.
-    fn reserve(&self, s: &QState, i: usize, left: u8, out: &mut Vec<(String, QState)>) {
-        // One admission call carries up to `admit_batch` jobs; a refused
-        // call hands all of them back.
+    /// One submitter's admission call under the queue lock: refused
+    /// whole while draining; otherwise push what fits, wake, and wait
+    /// on `space` if some of the call did not fit.
+    fn admit(&self, s: &QState, i: usize, left: u8, out: &mut Vec<(String, QState)>) {
         let call = left.min(self.admit_batch[i]);
         if s.draining {
+            let counted = if self.count_whole_tail || call < 2 { call } else { call - 1 };
             let mut n = s.clone();
-            n.rejected += call;
+            n.rejected += counted;
             n.subs[i] = sub_next(left - call);
-            out.push((
-                format!("S{i}: admission refused (draining), {call} job(s) rejected"),
-                n,
-            ));
-            return;
-        }
-        let free =
-            self.max_depth.map_or(u16::MAX, |max| u16::from(max).saturating_sub(s.depth()));
-        if free == 0 {
-            let mut n = s.clone();
-            n.subs[i] = Sub::GateParked(left);
-            out.push((format!("S{i}: queue full (depth={}), park on gate", s.depth()), n));
-            return;
-        }
-        let k = u8::try_from(u16::from(call).min(free)).expect("at most `call` slots");
-        let mut n = s.clone();
-        n.reserved += k;
-        n.subs[i] = Sub::Reserved(left, k);
-        out.push((
-            format!(
-                "S{i}: reserve {k} admission slot(s) (depth {}->{})",
-                s.depth(),
-                s.depth() + u16::from(k)
-            ),
-            n,
-        ));
-    }
-
-    /// A reserved submitter's push of its run of `run` jobs onto one
-    /// shard, one successor per target shard (the scatter placement is
-    /// adversarially nondeterministic) and, under `PerPush` wake
-    /// delivery of a one-job run, per parked wake target.
-    fn push(
-        &self,
-        s: &QState,
-        i: usize,
-        left: u8,
-        run: u8,
-        out: &mut Vec<(String, QState)>,
-    ) {
-        if self.recheck_draining_on_push && s.draining {
-            // The run goes back to the caller whole; every slot it
-            // reserved is released.
-            let released = if self.release_whole_run { run } else { run - 1 };
-            let call = left.min(self.admit_batch[i]).max(run);
-            let mut n = s.clone();
-            n.reserved -= released;
-            n.rejected += call;
-            n.subs[i] = sub_next(left - call);
-            if self.release_notifies_space {
-                pulse_space(&mut n);
-            }
             let mut label = format!(
-                "S{i}: push aborted (draining re-check), {released} of {run} slot(s) released, {call} job(s) rejected"
+                "S{i}: admission refused (draining), {counted} of {call} job(s) rejected"
             );
-            if !self.release_whole_run {
+            if counted != call {
                 label.push_str(" [mutant]");
             }
             out.push((label, n));
             return;
         }
-        for k in 0..self.shards {
+        let fit = Self::fit(s.queued, self.max_depth, call);
+        if fit == 0 {
             let mut n = s.clone();
-            let was_empty = n.shards[k] == 0;
-            n.shards[k] += run;
-            n.reserved -= run;
-            n.submitted += run;
-            n.subs[i] = sub_next(left - run);
-            let deliver = match self.admit_wake {
-                AdmitWake::PerPush => true,
-                AdmitWake::CoalescedBurst => was_empty,
-            };
-            let base = format!("S{i}: push {run} job(s) -> shard {k}");
-            if deliver && run > 1 {
-                let woken = wake_all_workers(&mut n);
-                out.push((format!("{base}; notify_all wakes {woken}"), n));
-            } else if deliver {
-                let parked: Vec<usize> = n
-                    .workers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| **w == Worker::Parked)
-                    .map(|(j, _)| j)
-                    .collect();
-                if parked.is_empty() {
-                    out.push((format!("{base}; notify_one lost (no waiter)"), n));
-                } else {
-                    for j in parked {
-                        let mut m = n.clone();
-                        m.workers[j] = Worker::Woken;
-                        out.push((format!("{base}; notify_one wakes W{j}"), m));
-                    }
-                }
-            } else {
-                out.push((format!("{base}; wake coalesced (shard already backlogged)"), n));
-            }
+            n.subs[i] = Sub::Parked(left);
+            out.push((format!("S{i}: queue full ({}), wait on space", s.queued), n));
+            return;
+        }
+        let mut n = s.clone();
+        n.queued += fit;
+        n.submitted += fit;
+        n.subs[i] = if fit < call { Sub::Parked(left - fit) } else { sub_next(left - fit) };
+        let mut base =
+            format!("S{i}: push {fit} job(s) (queue {}->{})", s.queued, n.queued);
+        if fit < call {
+            base.push_str(&format!(", {} wait on space", call - fit));
+        }
+        let deliver = match self.admit_wake {
+            AdmitWake::PerPush => true,
+            AdmitWake::CoalescedBurst => s.queued == 0,
+        };
+        if !deliver {
+            out.push((format!("{base}; wake coalesced (queue already backlogged)"), n));
+        } else if fit > 1 {
+            let woken = wake_all_workers(&mut n);
+            out.push((format!("{base}; notify_all wakes {woken}"), n));
+        } else {
+            wake_one_worker(n, &format!("{base};"), out);
         }
     }
 
-    /// One worker scan: take from the first non-empty shard (own shard
-    /// first, then stealing), exit on shutdown, or park.
+    /// One pass of a worker's drain loop under the queue lock: take a
+    /// batch, exit on shutdown, or park on `available`.
     fn scan(&self, s: &QState, w: usize, out: &mut Vec<(String, QState)>) {
-        if let Some((j, take)) = Self::scan_take(&s.shards, self.batch, w) {
+        if s.queued > 0 {
+            let take = Self::take_count(s.queued, self.batch);
             let mut n = s.clone();
-            n.shards[j] -= take;
+            n.queued -= take;
             n.workers[w] = Worker::Busy(take);
-            if self.release_notifies_space {
+            if self.take_pulses_space {
                 pulse_space(&mut n);
             }
-            let depth_after = n.depth();
-            let mut label = format!(
-                "W{w}: take {take} from shard {j} (depth {}->{})",
-                s.depth(),
-                depth_after
-            );
-            if depth_after > 0 {
-                match self.post_take_wake {
-                    PostTakeWake::NotifyAll => {
-                        let woken = wake_all_workers(&mut n);
-                        label.push_str(&format!(
-                            "; backlog remains -> notify_all wakes {woken}"
-                        ));
-                        out.push((label, n));
-                    }
-                    PostTakeWake::NotifyOne => {
-                        let parked: Vec<usize> = n
-                            .workers
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, ws)| **ws == Worker::Parked)
-                            .map(|(j, _)| j)
-                            .collect();
-                        if parked.is_empty() {
-                            label.push_str(
-                                "; backlog remains -> notify_one lost (no waiter)",
-                            );
-                            out.push((label, n));
-                        } else {
-                            for t in parked {
-                                let mut m = n.clone();
-                                m.workers[t] = Worker::Woken;
-                                out.push((
-                                    format!(
-                                        "{label}; backlog remains -> notify_one wakes W{t}"
-                                    ),
-                                    m,
-                                ));
-                            }
-                        }
-                    }
-                    PostTakeWake::Nothing => {
-                        label.push_str("; backlog remains, no post-take wake [mutant]");
-                        out.push((label, n));
-                    }
-                }
-            } else {
+            let label = format!("W{w}: take {take} (queue {}->{})", s.queued, n.queued);
+            if n.queued == 0 {
                 out.push((label, n));
+                return;
+            }
+            match self.post_take_wake {
+                PostTakeWake::NotifyAll => {
+                    let woken = wake_all_workers(&mut n);
+                    out.push((
+                        format!("{label}; jobs remain -> notify_all wakes {woken}"),
+                        n,
+                    ));
+                }
+                PostTakeWake::NotifyOne => {
+                    wake_one_worker(n, &format!("{label}; jobs remain ->"), out);
+                }
+                PostTakeWake::Nothing => {
+                    out.push((
+                        format!("{label}; jobs remain, no post-take wake [mutant]"),
+                        n,
+                    ));
+                }
             }
             return;
         }
-        if s.shutdown && s.depth() == 0 {
-            let mut n = s.clone();
+        let mut n = s.clone();
+        if s.shutdown {
             n.workers[w] = Worker::Done;
             out.push((format!("W{w}: shutdown with empty queue, exit"), n));
-            return;
-        }
-        if s.depth() == 0 {
-            let mut n = s.clone();
+        } else {
             n.workers[w] = Worker::Parked;
-            out.push((format!("W{w}: all shards empty, depth 0 -> park on idle"), n));
+            out.push((format!("W{w}: queue empty -> wait on available"), n));
         }
-        // depth > 0 with empty shards: a submitter holds a reserved,
-        // unpushed slot — the real worker spins on the yield loop, which
-        // adds no new state; the submitter's push is the progress step.
     }
 
-    /// The dequeue rule shared by the model's worker scan and the
-    /// model↔engine bridge test (`tests/bridge.rs`): take up to `batch`
-    /// jobs from the first non-empty shard in own-shard-then-steal
-    /// order, mirroring `SubmissionQueue::try_take`. Returns the shard
-    /// index and how many jobs come off it, or `None` when every shard
-    /// is empty.
-    #[must_use]
-    pub fn scan_take(shards: &[u8], batch: u8, worker: usize) -> Option<(usize, u8)> {
-        let count = shards.len();
-        (0..count)
-            .map(|k| (worker + k) % count)
-            .find(|&j| shards[j] > 0)
-            .map(|j| (j, batch.min(shards[j])))
+    /// The drain waiter's check under the queue lock: shut down once
+    /// the queue is empty, otherwise wait on `space`.
+    fn drain_check(
+        s: &QState,
+        n: &mut QState,
+        what: &str,
+        out: &mut Vec<(String, QState)>,
+    ) {
+        if s.queued == 0 {
+            n.shutdown = true;
+            let woken = wake_all_workers(n);
+            n.drainer = Drainer::Done;
+            out.push((
+                format!("D: {what}, queue empty -> shutdown, wake {woken} workers"),
+                n.clone(),
+            ));
+        } else {
+            n.drainer = Drainer::Waiting { woken: false };
+            out.push((
+                format!("D: {what}, queue {} -> wait on space", s.queued),
+                n.clone(),
+            ));
+        }
     }
 
     /// Enabled transitions of `s`.
@@ -583,34 +522,13 @@ impl Protocol {
     pub fn successors(&self, s: &QState) -> Vec<(String, QState)> {
         let mut out = Vec::new();
         for i in 0..self.submitters {
-            match s.subs[i] {
-                Sub::Ready(left) => self.reserve(s, i, left, &mut out),
-                Sub::Reserved(left, run) => self.push(s, i, left, run, &mut out),
-                Sub::GateWoken(left) => {
-                    // Re-entry into the admission loop after a space
-                    // pulse; same three-way branch as Ready.
-                    let mut retries = Vec::new();
-                    self.reserve(s, i, left, &mut retries);
-                    for (label, n) in retries {
-                        out.push((format!("{label} (after gate wake)"), n));
-                    }
-                }
-                Sub::GateParked(_) | Sub::Done => {}
+            if let Sub::Ready(left) = s.subs[i] {
+                self.admit(s, i, left, &mut out);
             }
         }
         for w in 0..self.workers {
             match s.workers[w] {
                 Worker::Scan => self.scan(s, w, &mut out),
-                Worker::Woken => {
-                    let mut n = s.clone();
-                    if s.depth() > 0 || s.shutdown {
-                        n.workers[w] = Worker::Scan;
-                        out.push((format!("W{w}: wake, predicate passes -> rescan"), n));
-                    } else {
-                        n.workers[w] = Worker::Parked;
-                        out.push((format!("W{w}: wake, depth still 0 -> wait again"), n));
-                    }
-                }
                 Worker::Busy(t) => {
                     let mut n = s.clone();
                     n.served += 1;
@@ -628,41 +546,11 @@ impl Protocol {
                 let mut n = s.clone();
                 n.draining = true;
                 pulse_space(&mut n);
-                if n.depth() == 0 {
-                    n.shutdown = true;
-                    let woken = wake_all_workers(&mut n);
-                    n.drainer = Drainer::Done;
-                    out.push((
-                        format!("D: drain begins; queue already empty -> shutdown, wake {woken} workers"),
-                        n,
-                    ));
-                } else {
-                    n.drainer = Drainer::Waiting { woken: false };
-                    out.push((
-                        format!("D: drain begins (depth={}), wait on space", n.depth()),
-                        n,
-                    ));
-                }
+                Self::drain_check(s, &mut n, "drain begins", &mut out);
             }
             Drainer::Waiting { woken: true } => {
                 let mut n = s.clone();
-                if s.depth() == 0 {
-                    n.shutdown = true;
-                    let woken = wake_all_workers(&mut n);
-                    n.drainer = Drainer::Done;
-                    out.push((
-                        format!(
-                            "D: space pulse, depth 0 -> shutdown, wake {woken} workers"
-                        ),
-                        n,
-                    ));
-                } else {
-                    n.drainer = Drainer::Waiting { woken: false };
-                    out.push((
-                        format!("D: space pulse, depth={} -> wait again", s.depth()),
-                        n,
-                    ));
-                }
+                Self::drain_check(s, &mut n, "space pulse", &mut out);
             }
             Drainer::Waiting { woken: false } | Drainer::Done => {}
         }
@@ -672,29 +560,10 @@ impl Protocol {
     /// Whether any transition other than a busy worker finishing a job
     /// (and other than the *start* of a drain, which is an environment
     /// decision, not protocol progress) is enabled in `s`.
-    fn has_non_service_progress(&self, s: &QState) -> bool {
-        for sub in &s.subs {
-            match sub {
-                Sub::Ready(_) | Sub::Reserved(..) | Sub::GateWoken(_) => return true,
-                Sub::GateParked(_) | Sub::Done => {}
-            }
-        }
-        for (w, ws) in s.workers.iter().enumerate() {
-            match ws {
-                Worker::Woken => return true,
-                Worker::Scan => {
-                    let has_work =
-                        (0..self.shards).any(|k| s.shards[(w + k) % self.shards] > 0);
-                    let can_exit = s.shutdown && s.depth() == 0;
-                    let can_park = s.depth() == 0;
-                    if has_work || can_exit || can_park {
-                        return true;
-                    }
-                }
-                Worker::Parked | Worker::Busy(_) | Worker::Done => {}
-            }
-        }
-        matches!(s.drainer, Drainer::Waiting { woken: true })
+    fn has_non_service_progress(s: &QState) -> bool {
+        s.subs.iter().any(|sub| matches!(sub, Sub::Ready(_)))
+            || s.workers.contains(&Worker::Scan)
+            || matches!(s.drainer, Drainer::Waiting { woken: true })
     }
 
     /// The property oracle for [`explore`].
@@ -704,49 +573,38 @@ impl Protocol {
         s: &QState,
         succs: &[(String, QState)],
     ) -> Option<(String, String)> {
-        let held: u16 = s
-            .subs
-            .iter()
-            .map(|sub| match sub {
-                Sub::Reserved(_, run) => u16::from(*run),
-                _ => 0,
-            })
-            .sum();
-        if u16::from(s.reserved) != held {
+        let total = self.total_jobs();
+        let admitted = u16::from(s.submitted);
+        let accounted = admitted + u16::from(s.rejected) + s.pending();
+        let held = u16::from(s.served) + u16::from(s.queued) + s.in_hand();
+        if accounted != total || held != admitted {
             return Some((
                 "conservation".to_string(),
                 format!(
-                    "admission slot leak: {} reserved but submitters hold {held} — {}",
-                    s.reserved,
+                    "jobs unaccounted: {total} in, submitted={} rejected={} pending={} served={} queued={} in hand={} — {}",
+                    s.submitted,
+                    s.rejected,
+                    s.pending(),
+                    s.served,
+                    s.queued,
+                    s.in_hand(),
                     s.render()
                 ),
             ));
         }
         if s.all_done() {
-            let total = self.total_jobs();
-            let balanced = u16::from(s.served) + u16::from(s.rejected) == total
-                && s.submitted == s.served
-                && s.queued() == 0
-                && s.reserved == 0;
-            if !balanced {
+            if s.queued != 0 || s.submitted != s.served {
                 return Some((
                     "conservation".to_string(),
-                    format!(
-                        "quiescent but unbalanced: {} jobs in, served={} rejected={} submitted={} — {}",
-                        total,
-                        s.served,
-                        s.rejected,
-                        s.submitted,
-                        s.render()
-                    ),
+                    format!("quiescent with jobs left unserved — {}", s.render()),
                 ));
             }
             return None;
         }
         if succs.is_empty() {
-            let parked_with_work = s.workers.contains(&Worker::Parked) && s.depth() > 0;
+            let parked_with_work = s.workers.contains(&Worker::Parked) && s.queued > 0;
             let drain_asleep =
-                matches!(s.drainer, Drainer::Waiting { woken: false }) && s.depth() == 0;
+                matches!(s.drainer, Drainer::Waiting { woken: false }) && s.queued == 0;
             let property =
                 if parked_with_work || drain_asleep { "lost-wakeup" } else { "deadlock" };
             return Some((
@@ -761,7 +619,7 @@ impl Protocol {
         // finishing jobs, a parked worker must not coexist with
         // unstarted work — the wake that would have paired them was
         // lost.
-        if !self.has_non_service_progress(s)
+        if !Self::has_non_service_progress(s)
             && s.workers.contains(&Worker::Parked)
             && s.unstarted() > 0
         {
@@ -829,43 +687,42 @@ pub struct ProtocolReport {
 pub fn concurrency_findings(budget: usize) -> (Vec<Finding>, Vec<ProtocolReport>) {
     let runs: Vec<(String, Protocol, Expectation)> = vec![
         (
-            "sharded queue, per-push wake delivery".to_string(),
+            "run queue, per-push wake delivery".to_string(),
             Protocol::current(),
             Expectation::Certify,
         ),
         (
-            "sharded queue, adversarial coalesced-burst wakes".to_string(),
+            "run queue, adversarial coalesced-burst wakes".to_string(),
             Protocol::current_burst(),
             Expectation::Certify,
         ),
         (
-            "sharded queue, bounded admission (gate park/wake, one batch submitter)"
+            "run queue, bounded admission (space park/wake, one batch submitter)"
                 .to_string(),
             Protocol::current_bounded(),
             Expectation::Certify,
         ),
         (
-            "mutant: post-take notify_all dropped (reseeded PR 7 bug)".to_string(),
+            "mutant: post-take notify_all dropped".to_string(),
             Protocol::mutant_dropped_post_take_wake(),
             Expectation::Flag("lost-wakeup"),
         ),
         (
-            "mutant: single global queue, notify_one chain (pre-PR 7 design)".to_string(),
-            Protocol::mutant_single_global_queue(),
+            "mutant: post-take notify_one chain, batch drains hoard jobs".to_string(),
+            Protocol::mutant_notify_one_chain(),
             Expectation::Flag("lost-wakeup"),
         ),
         (
-            "mutant: slot release without the space pulse".to_string(),
-            Protocol::mutant_silent_release(),
+            "mutant: take without the space pulse".to_string(),
+            Protocol::mutant_silent_take(),
             Expectation::FlagAny,
         ),
         (
-            "mutant: batch push hands its run back but releases a slot short".to_string(),
-            Protocol::mutant_short_tail_release(),
+            "mutant: refused batch counts its tail one short".to_string(),
+            Protocol::mutant_short_tail_count(),
             Expectation::Flag("conservation"),
         ),
     ];
-
     let mut findings = Vec::new();
     let mut reports = Vec::new();
     for (name, protocol, expectation) in runs {
@@ -958,15 +815,34 @@ mod tests {
 
     const BUDGET: usize = 2_000_000;
 
-    #[test]
-    fn current_protocol_is_certified_under_per_push_wakes() {
-        let result = Protocol::current().check(BUDGET);
+    fn assert_certified(p: &Protocol) {
+        let result = p.check(BUDGET);
         assert!(
             result.certified(),
             "expected certification, got {:?} after {} states",
             result.counterexample.map(|c| c.render()),
             result.states
         );
+    }
+
+    /// Follows a counterexample's labels from the initial state and
+    /// returns the state they reach.
+    fn replay(p: &Protocol, trace: &[String]) -> QState {
+        let mut state = p.initial();
+        for step in trace {
+            let (_, next) = p
+                .successors(&state)
+                .into_iter()
+                .find(|(label, _)| label == step)
+                .unwrap_or_else(|| panic!("trace step not enabled: {step}"));
+            state = next;
+        }
+        state
+    }
+
+    #[test]
+    fn current_protocol_is_certified_under_per_push_wakes() {
+        assert_certified(&Protocol::current());
     }
 
     #[test]
@@ -974,34 +850,20 @@ mod tests {
         // The adversarial wake model: only the first push of a backlog
         // delivers a notify. The post-take notify_all must carry the
         // engagement on its own.
-        let result = Protocol::current_burst().check(BUDGET);
-        assert!(
-            result.certified(),
-            "expected certification, got {:?} after {} states",
-            result.counterexample.map(|c| c.render()),
-            result.states
-        );
+        assert_certified(&Protocol::current_burst());
     }
 
     #[test]
     fn current_protocol_is_certified_with_bounded_admission() {
-        let result = Protocol::current_bounded().check(BUDGET);
-        assert!(
-            result.certified(),
-            "expected certification, got {:?} after {} states",
-            result.counterexample.map(|c| c.render()),
-            result.states
-        );
+        assert_certified(&Protocol::current_bounded());
     }
 
     #[test]
     fn mutant_dropping_the_post_take_notify_all_loses_a_wakeup() {
-        // Satellite: PR 7's lost-wakeup bug re-introduced. The checker
-        // must produce a readable counterexample trace.
-        let result = Protocol::mutant_dropped_post_take_wake().check(BUDGET);
-        let cex = result.counterexample.expect("mutant must be flagged");
+        // The checker must produce a readable, replayable trace.
+        let p = Protocol::mutant_dropped_post_take_wake();
+        let cex = p.check(BUDGET).counterexample.expect("mutant must be flagged");
         assert_eq!(cex.property, "lost-wakeup");
-        assert!(!cex.trace.is_empty());
         let rendered = cex.render();
         assert!(
             rendered.contains("no post-take wake [mutant]"),
@@ -1011,30 +873,29 @@ mod tests {
             rendered.contains("parked"),
             "state must show the stranded worker:\n{rendered}"
         );
+        let state = replay(&p, &cex.trace);
+        assert!(cex.detail.contains(&state.render()), "final state must match the detail");
     }
 
     #[test]
-    fn mutant_single_global_queue_starves_a_parked_worker() {
-        // Satellite: the pre-PR-7 design — global queue, batch drains,
-        // one-at-a-time wake chain. Its counterexample is the flat
-        // scaling curve in miniature: a worker sleeps while a sibling's
-        // batch hoards runnable jobs.
-        let result = Protocol::mutant_single_global_queue().check(BUDGET);
-        let cex = result.counterexample.expect("mutant must be flagged");
+    fn mutant_notify_one_chain_starves_a_parked_worker() {
+        // A worker sleeps while a sibling's batch hoards runnable jobs.
+        let cex = Protocol::mutant_notify_one_chain()
+            .check(BUDGET)
+            .counterexample
+            .expect("mutant must be flagged");
         assert_eq!(cex.property, "lost-wakeup");
-        assert!(
-            cex.detail.contains("unstarted"),
-            "detail must describe the hoarded work: {}",
-            cex.detail
-        );
+        assert!(cex.detail.contains("unstarted"), "{}", cex.detail);
     }
 
     #[test]
-    fn mutant_silent_release_deadlocks_the_drain() {
-        // release_slots without the space pulse: the drain waiter sleeps
+    fn mutant_silent_take_strands_the_drain() {
+        // A take without the space pulse: the drain waiter sleeps
         // through the queue emptying.
-        let result = Protocol::mutant_silent_release().check(BUDGET);
-        let cex = result.counterexample.expect("mutant must be flagged");
+        let cex = Protocol::mutant_silent_take()
+            .check(BUDGET)
+            .counterexample
+            .expect("mutant must be flagged");
         assert!(
             cex.property == "lost-wakeup" || cex.property == "deadlock",
             "got {}",
@@ -1043,47 +904,37 @@ mod tests {
     }
 
     #[test]
-    fn batch_submitters_reserve_runs_in_one_step() {
-        // The bounded batch configuration really exercises runs: some
-        // reachable step reserves two slots at once and pushes both.
+    fn batch_submitters_push_runs_in_one_step() {
+        // The bounded batch configuration really exercises runs: the
+        // first step can push two jobs at once, and a run that finds
+        // one free slot pushes one and waits on space with the other.
         let p = Protocol::current_bounded();
         let first = p.successors(&p.initial());
-        assert!(first
-            .iter()
-            .any(|(label, _)| label == "S0: reserve 2 admission slot(s) (depth 0->2)"));
-        let (_, reserved) =
-            first.iter().find(|(label, _)| label.starts_with("S0: reserve 2")).unwrap();
-        assert!(p.successors(reserved).iter().any(
-            |(label, _)| label.starts_with("S0: push 2 job(s) -> shard 0; notify_all")
+        assert!(first.iter().any(
+            |(label, _)| label == "S0: push 2 job(s) (queue 0->2); notify_all wakes 0"
         ));
+        let (_, one) =
+            first.iter().find(|(label, _)| label.starts_with("S1: push 1")).unwrap();
+        assert!(p.successors(one).iter().any(|(label, _)| label
+            .starts_with("S0: push 1 job(s) (queue 1->2), 1 wait on space")));
     }
 
     #[test]
-    fn mutant_short_tail_release_leaks_a_slot_with_a_replayable_trace() {
-        let p = Protocol::mutant_short_tail_release();
+    fn mutant_short_tail_count_breaks_conservation_with_a_replayable_trace() {
+        let p = Protocol::mutant_short_tail_count();
         let cex = p.check(BUDGET).counterexample.expect("mutant must be flagged");
         assert_eq!(cex.property, "conservation");
-        assert!(cex.detail.contains("slot leak"), "{}", cex.detail);
-        let mut state = p.initial();
-        for step in &cex.trace {
-            let succs = p.successors(&state);
-            let (_, next) = succs
-                .into_iter()
-                .find(|(label, _)| label == step)
-                .unwrap_or_else(|| panic!("trace step not enabled: {step}"));
-            state = next;
-        }
-        assert!(cex.render().contains("[mutant]"), "trace must show the short release");
+        assert!(cex.render().contains("[mutant]"), "trace must show the short count");
+        let state = replay(&p, &cex.trace);
         assert!(cex.detail.contains(&state.render()), "final state must match the detail");
     }
 
     #[test]
     fn conservation_catches_a_job_dropping_mutant() {
-        // A worker that drops its batch on shutdown instead of serving
-        // it must surface as a conservation violation. Simulated by
-        // post-processing: serve fewer jobs than taken is not
-        // expressible through Protocol knobs, so check the property
-        // function directly on a corrupted quiescent state.
+        // A worker that drops a job instead of serving it must surface
+        // as a conservation violation. Not expressible through Protocol
+        // knobs, so check the property function directly on a
+        // corrupted quiescent state.
         let p = Protocol::current();
         let mut s = p.initial();
         s.workers = vec![Worker::Done; p.workers];
@@ -1091,26 +942,7 @@ mod tests {
         s.drainer = Drainer::Done;
         s.submitted = 4;
         s.served = 3; // one job vanished
-        s.rejected = 0;
         let (property, _) = p.violation(&s, &[]).expect("must flag");
         assert_eq!(property, "conservation");
-    }
-
-    #[test]
-    fn traces_replay_step_by_step() {
-        // Every reported trace must be replayable: following the labels
-        // from the initial state reaches the violating state.
-        let p = Protocol::mutant_dropped_post_take_wake();
-        let cex = p.check(BUDGET).counterexample.expect("mutant must be flagged");
-        let mut state = p.initial();
-        for step in &cex.trace {
-            let succs = p.successors(&state);
-            let (_, next) = succs
-                .into_iter()
-                .find(|(label, _)| label == step)
-                .unwrap_or_else(|| panic!("trace step not enabled: {step}"));
-            state = next;
-        }
-        assert!(cex.detail.contains(&state.render()), "final state must match the detail");
     }
 }

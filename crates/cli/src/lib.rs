@@ -91,8 +91,8 @@ COMMANDS:
   analyze workspace [root]   workspace invariant linter + domain self-checks;
                              add --json for JSON-lines findings; exits
                              nonzero when any finding survives
-  analyze concurrency        exhaustive model check of the sharded
-                             submission queue (conservation, deadlock
+  analyze concurrency        exhaustive model check of the engine's
+                             run queue (conservation, deadlock
                              freedom, no lost wakeups) plus the seeded-
                              mutant self-test; --budget N caps states
                              (default 4000000, exhaustion fails), --json
@@ -722,8 +722,8 @@ fn analyze_workspace(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Pillar 3, gate 1: the concurrency model checker over the sharded
-/// submission-queue protocol, plus its seeded-mutant self-test.
+/// Pillar 3, gate 1: the concurrency model checker over the engine's
+/// run-queue protocol, plus its seeded-mutant self-test.
 /// Returns `Err` (nonzero exit) on any counterexample against the
 /// current protocol, on budget exhaustion (nothing proven), or when a
 /// seeded mutant goes unflagged (the checker itself is broken).
@@ -2007,7 +2007,7 @@ mod extension_tests {
         let out = run_str("analyze concurrency").unwrap();
         assert!(out.contains("concurrency model check: certified"), "{out}");
         // All three current-protocol abstractions certify exhaustively.
-        assert_eq!(out.matches("certified: sharded queue").count(), 3, "{out}");
+        assert_eq!(out.matches("certified: run queue").count(), 3, "{out}");
         // All four seeded mutants are flagged, with a readable trace.
         assert_eq!(out.matches("flagged as expected: mutant").count(), 4, "{out}");
         assert!(out.contains("counterexample trace"), "{out}");

@@ -21,7 +21,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use benes_perm::Permutation;
 
 use crate::plan::Plan;
-use crate::queue::mix64;
+
+/// splitmix64 finalizer: avalanches every input bit over every output
+/// bit, so any subset of fingerprint bits picks shards uniformly.
+fn mix64(mut h: u64) -> u64 {
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
 
 struct Entry {
     perm: Permutation,

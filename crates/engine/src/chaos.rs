@@ -251,7 +251,7 @@ impl SoakConfig {
             quiesce_timeout: Duration::from_secs(10),
             engine: EngineConfig {
                 workers: 4,
-                max_queue_depth: Some(64),
+                max_queue_depth: 64,
                 breaker: BreakerConfig {
                     failure_threshold: 5,
                     base_backoff: Duration::from_millis(5),

@@ -6,14 +6,10 @@
 //! drain (`crate::worker`) → deadline check → circuit-breaker
 //! admission → tier planning / cache lookup → execution on the worker's
 //! memoized `B(n)` → outcome sent to the caller's [`Ticket`]. The queue
-//! is *sharded*: one `Mutex<VecDeque>` per worker, submissions placed
-//! by re-mixed fingerprint plus a round-robin nonce, workers draining
-//! their own shard first and **stealing** from siblings when it runs
-//! dry (`crate::queue`). Admission depth is a single lock-free atomic,
-//! so submitters get **backpressure** instead of unbounded memory
-//! growth when [`EngineConfig::max_queue_depth`] is set without ever
-//! taking a shard lock on the reject path. Workers still drain
-//! *batches* under one lock acquisition — per shard, not per engine.
+//! is one bounded `Mutex<VecDeque>` with two condvars
+//! (`crate::queue`): submitters get **backpressure** instead of
+//! unbounded memory growth once [`EngineConfig::max_queue_depth`] jobs
+//! are queued, and workers drain *batches* under one lock acquisition.
 //!
 //! The request lifecycle has four terminal states, and every admitted
 //! request reaches exactly one of them — the conservation invariant
@@ -85,12 +81,11 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// The expensive tier used for permutations outside `F(n) ∪ Ω(n)`.
     pub fallback: Fallback,
-    /// Bounded admission: the deepest the submission queue may grow.
-    /// `None` (the default) keeps the historical unbounded behaviour;
-    /// `Some(d)` makes [`Engine::try_submit`] reject with
-    /// [`SubmitError::QueueFull`] and [`Engine::submit`] block for
-    /// space once `d` requests are queued.
-    pub max_queue_depth: Option<usize>,
+    /// Bounded admission: the deepest the submission queue may grow
+    /// (4096 by default). Once that many requests are queued,
+    /// [`Engine::try_submit`] rejects with [`SubmitError::QueueFull`]
+    /// and [`Engine::submit`] blocks for space.
+    pub max_queue_depth: usize,
     /// Per-order circuit breaker over the fault-reroute ladder;
     /// disabled by default (`failure_threshold == 0`).
     pub breaker: BreakerConfig,
@@ -104,7 +99,7 @@ impl Default for EngineConfig {
             cache_capacity: 1024,
             cache_shards: 8,
             fallback: Fallback::Waksman,
-            max_queue_depth: None,
+            max_queue_depth: 4096,
             breaker: BreakerConfig::default(),
         }
     }
@@ -315,14 +310,14 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `workers`, `batch_size`, `cache_capacity` or
-    /// `cache_shards` is zero.
+    /// Panics if `workers`, `batch_size`, `max_queue_depth`,
+    /// `cache_capacity` or `cache_shards` is zero.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
         assert!(config.batch_size > 0, "batch size must be at least 1");
         let shared = Arc::new(Shared {
-            sub: SubmissionQueue::new(config.workers, config.max_queue_depth),
+            sub: SubmissionQueue::new(config.max_queue_depth),
             cache: PlanCache::new(config.cache_capacity, config.cache_shards),
             recorder: Recorder::new(),
             fallback: config.fallback,
@@ -339,17 +334,11 @@ impl Engine {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("benes-engine-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn engine worker")
             })
             .collect();
         Self { shared, workers: Mutex::new(workers), config }
-    }
-
-    /// An engine with [`EngineConfig::default`] settings.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(EngineConfig::default())
     }
 
     /// The configuration the engine was built with.
@@ -360,8 +349,8 @@ impl Engine {
 
     /// Enqueues one routing request and returns its [`Ticket`].
     ///
-    /// With [`EngineConfig::max_queue_depth`] set and the queue full,
-    /// this **blocks** until a worker makes space (use
+    /// With the queue at [`EngineConfig::max_queue_depth`], this
+    /// **blocks** until a worker makes space (use
     /// [`Engine::try_submit`] to be rejected instead, or
     /// [`Engine::submit_wait`] to bound the block). On a draining
     /// engine the returned ticket is already resolved with
@@ -395,12 +384,12 @@ impl Engine {
     /// Non-blocking admission of a run of requests, each carrying its
     /// own [`SubmitOpts`] and completing through its own sink instead
     /// of a [`Ticket`] — the wire service's submission path. The run
-    /// crosses the queue once: one depth reservation for as many
-    /// requests as fit, one shard lock, one wake. The requests stay
-    /// separate jobs, so idle workers steal them from that shard. The
-    /// worker that finishes a request runs its sink with the outcome; a
-    /// caller that already blocks on a channel (the wire server's
-    /// handler) passes sinks that wake it, so a reply needs no polling.
+    /// crosses the queue once: one lock for as many requests as fit,
+    /// one wake. The requests stay separate jobs, so every idle worker
+    /// can take some. The worker that finishes a request runs its sink
+    /// with the outcome; a caller that already blocks on a channel (the
+    /// wire server's handler) passes sinks that wake it, so a reply
+    /// needs no polling.
     ///
     /// # Errors
     ///
@@ -485,7 +474,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.shared.recorder.snapshot();
         stats.breaker_states = self.shared.breaker_states();
-        stats.queue_depths = self.shared.sub.shard_depths();
+        stats.queue_depth = self.shared.sub.depth() as u64;
         stats
     }
 
@@ -737,7 +726,7 @@ mod tests {
 
     #[test]
     fn run_batch_preserves_submission_order_and_mixed_sizes() {
-        let engine = Engine::with_defaults();
+        let engine = Engine::new(EngineConfig::default());
         let batch = vec![
             Bpc::bit_reversal(3).to_permutation(), // n = 3, self-route
             hard_witness(),                        // n = 3, waksman
@@ -779,15 +768,12 @@ mod tests {
         let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
         let shared = Arc::clone(&engine.shared);
         std::thread::spawn(move || {
-            let _guard = shared.sub.shards[0].queue.lock().unwrap();
+            let _guard = shared.sub.queue.lock().unwrap();
             panic!("poison the engine queue on purpose");
         })
         .join()
         .unwrap_err();
-        assert!(
-            engine.shared.sub.shards[0].queue.is_poisoned(),
-            "setup must actually poison"
-        );
+        assert!(engine.shared.sub.queue.is_poisoned(), "setup must actually poison");
         // Submit still works through the poisoned (but consistent) lock…
         let outcome = engine.submit(Bpc::bit_reversal(3).to_permutation()).wait();
         assert_eq!(outcome.tier(), Some(Tier::SelfRoute));
@@ -1257,6 +1243,7 @@ mod tests {
         // unique to this test (hook statics are process-wide).
         use std::sync::atomic::Ordering::SeqCst;
         const W: usize = 4;
+        let _guard = test_hooks::hold_guard();
         let trap = Permutation::from_fn(32, |i| (i + 13) % 32).unwrap();
         test_hooks::ENGAGED.store(0, SeqCst);
         test_hooks::RELEASE.store(false, SeqCst);
@@ -1266,8 +1253,6 @@ mod tests {
             batch_size: 1,
             ..EngineConfig::default()
         });
-        // Same fingerprint every time: the submit-side round-robin
-        // nonce must still spread the burst across all W shards.
         let tickets = engine.submit_all((0..W).map(|_| trap.clone()));
         let deadline = Instant::now() + Duration::from_secs(30);
         while test_hooks::ENGAGED.load(SeqCst) < W {
@@ -1290,12 +1275,55 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_sweep_covers_every_shard() {
-        // Satellite: with the queue sharded per worker, the post-join
-        // sweep must collect strands from *every* shard, not just one.
-        // Kill all W workers (each bomb lands on a distinct shard via
-        // the round-robin nonce; batch_size 1 means one bomb kills
-        // exactly one worker), then strand one job per shard and drop.
+    fn default_engine_refuses_at_4096_queued() {
+        // Every engine queue is bounded: a default engine whose workers
+        // are all trapped in the hold hook fills to 4096 queued jobs and
+        // then refuses `try_submit` with `QueueFull`.
+        use std::sync::atomic::Ordering::SeqCst;
+        let _guard = test_hooks::hold_guard();
+        let trap = Permutation::from_fn(32, |i| (i + 11) % 32).unwrap();
+        test_hooks::ENGAGED.store(0, SeqCst);
+        test_hooks::RELEASE.store(false, SeqCst);
+        test_hooks::HOLD_ON_FINGERPRINT.store(trap.fingerprint(), SeqCst);
+        let engine = Engine::new(EngineConfig::default());
+        let workers = engine.config().workers;
+        // Each worker takes at most one batch of traps before it is
+        // held, so fewer than this many submissions fill the queue.
+        let most = 4096 + workers * engine.config().batch_size;
+        let mut tickets = Vec::new();
+        let fill = |tickets: &mut Vec<Ticket>| loop {
+            match engine.try_submit(trap.clone()) {
+                Ok(t) if tickets.len() <= most => tickets.push(t),
+                other => break other.err(),
+            }
+        };
+        let first = fill(&mut tickets);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while test_hooks::ENGAGED.load(SeqCst) < workers && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        // Every worker is held now: refill what their batches took.
+        let refused = fill(&mut tickets);
+        let depth = engine.stats().queue_depth;
+        test_hooks::RELEASE.store(true, SeqCst);
+        test_hooks::HOLD_ON_FINGERPRINT.store(0, SeqCst);
+        assert_eq!(first, Some(SubmitError::QueueFull { depth: 4096 }));
+        assert_eq!(refused, Some(SubmitError::QueueFull { depth: 4096 }));
+        assert_eq!(depth, 4096);
+        for t in tickets {
+            assert!(t.wait().is_ok(), "released jobs serve normally");
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.rejected, 2);
+        assert!(stats.conserves_requests());
+    }
+
+    #[test]
+    fn dead_worker_sweep_cancels_every_strand() {
+        // The post-join sweep must collect every job left queued once
+        // no worker is alive. Kill all W workers (batch_size 1 means
+        // one bomb kills exactly one worker), then strand W jobs and
+        // drop.
         let _guard = test_hooks::kill_guard();
         const W: usize = 4;
         let bomb = Permutation::from_fn(32, |i| (i + 17) % 32).unwrap();
@@ -1313,7 +1341,7 @@ mod tests {
                 "every bomb takes its worker down"
             );
         }
-        // All workers dead: one strand per shard, no one to serve them.
+        // All workers dead: no one to serve the strands.
         let strands = engine.submit_all([
             Bpc::bit_reversal(3).to_permutation(),
             Bpc::unshuffle(3).to_permutation(),
@@ -1326,7 +1354,7 @@ mod tests {
             assert_eq!(
                 s.wait().result,
                 Err(EngineError::Canceled),
-                "strand {i} must be swept from its shard"
+                "strand {i} must be swept"
             );
         }
     }

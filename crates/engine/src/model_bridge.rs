@@ -8,17 +8,16 @@
 //! bridge test lives over there — and the queue internals are
 //! `pub(crate)`, so this module exposes exactly the deterministic
 //! single-threaded surface that test needs: admit and batch admit
-//! (non-blocking), take-by-worker, drain, the scatter function, and the
-//! conservation counters. Nothing here is public API; it is
-//! `#[doc(hidden)]` and exists solely so the analyze crate can replay
-//! model schedules against the real type.
+//! (non-blocking), take, drain, and the conservation counters. Nothing
+//! here is public API; it is `#[doc(hidden)]` and exists solely so the
+//! analyze crate can replay model schedules against the real type.
 
 use std::time::Instant;
 
 use benes_obs::Terminal;
 use benes_perm::Permutation;
 
-use crate::queue::{mix64, Block, SubmissionQueue};
+use crate::queue::{Block, SubmissionQueue};
 use crate::stats::Recorder;
 use crate::{Completion, EngineStats, SubmitOpts};
 
@@ -30,20 +29,10 @@ pub struct BridgeQueue {
 }
 
 impl BridgeQueue {
-    /// A fresh queue with `shards` shards and an optional depth bound.
+    /// A fresh queue bounded at `max_depth` jobs.
     #[must_use]
-    pub fn new(shards: usize, max_depth: Option<usize>) -> Self {
-        Self { queue: SubmissionQueue::new(shards, max_depth), recorder: Recorder::new() }
-    }
-
-    /// The shard index `admit` scatters to for a given fingerprint and
-    /// round-robin nonce — exposed so the bridge test can predict
-    /// placement (the nonce increments once per successful
-    /// reservation, starting from zero; a batch's run lands on the
-    /// shard its first permutation's fingerprint picks).
-    #[must_use]
-    pub fn scatter_shard(fingerprint: u64, nonce: u64, shards: usize) -> usize {
-        (mix64(fingerprint ^ nonce) % shards as u64) as usize // analyze:allow(truncating-cast): modulo the shard count fits usize by construction
+    pub fn new(max_depth: usize) -> Self {
+        Self { queue: SubmissionQueue::new(max_depth), recorder: Recorder::new() }
     }
 
     /// Non-blocking admission; `true` if the job was enqueued, `false`
@@ -53,9 +42,9 @@ impl BridgeQueue {
         self.admit_all(vec![perm]) == 1
     }
 
-    /// Non-blocking batch admission (one reservation for as many slots
-    /// as fit, one shard, one wake); returns how many of `perms` were
-    /// enqueued — a prefix — and drops the refused tail.
+    /// Non-blocking batch admission (one lock for as many jobs as fit,
+    /// one wake); returns how many of `perms` were enqueued — a prefix
+    /// — and drops the refused tail.
     pub fn admit_all(&self, perms: Vec<Permutation>) -> usize {
         let total = perms.len();
         let jobs = perms
@@ -68,11 +57,11 @@ impl BridgeQueue {
         }
     }
 
-    /// One `try_take` scan as worker `worker`; every job taken is
-    /// immediately marked completed (the bridge has no planner).
+    /// One non-blocking take of at most `batch` jobs; every job taken
+    /// is immediately marked completed (the bridge has no planner).
     /// Returns how many jobs came off.
-    pub fn take(&self, batch: usize, worker: usize) -> usize {
-        match self.queue.try_take(&self.recorder, batch, worker) {
+    pub fn take(&self, batch: usize) -> usize {
+        match self.queue.try_take(&self.recorder, batch) {
             Some(jobs) => {
                 for _ in &jobs {
                     self.recorder.note_terminal(None, Terminal::Completed);
@@ -83,16 +72,10 @@ impl BridgeQueue {
         }
     }
 
-    /// Total reserved depth.
+    /// Current queue depth.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.queue.queued_depth()
-    }
-
-    /// Per-shard queued lengths.
-    #[must_use]
-    pub fn shard_depths(&self) -> Vec<u64> {
-        self.queue.shard_depths()
+        self.queue.depth()
     }
 
     /// Immediate shutdown: closes admission, strands everything still

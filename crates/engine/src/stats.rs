@@ -281,7 +281,7 @@ impl Recorder {
             queue_wait: self.queue_wait.snapshot(),
             service: self.service.snapshot(),
             breaker_states: Vec::new(),
-            queue_depths: Vec::new(),
+            queue_depth: 0,
             tenants,
         }
     }
@@ -377,7 +377,7 @@ pub struct EngineStats {
     /// shed decision), nanoseconds.
     pub shed_latency: HistogramSnapshot,
     /// Queue-wait distribution: how long worker-served requests sat in
-    /// their shard between submit and dequeue, nanoseconds.
+    /// the queue between submit and dequeue, nanoseconds.
     pub queue_wait: HistogramSnapshot,
     /// Service-time distribution: dequeue → terminal state for
     /// worker-served requests, nanoseconds. `latency ≈ queue_wait +
@@ -386,10 +386,9 @@ pub struct EngineStats {
     /// Current breaker state per served network order (filled by
     /// [`crate::Engine::stats`]; empty on a bare recorder snapshot).
     pub breaker_states: Vec<(u32, BreakerState)>,
-    /// Current per-shard submission-queue depths (one entry per worker
-    /// shard, filled by [`crate::Engine::stats`]; empty on a bare
-    /// recorder snapshot).
-    pub queue_depths: Vec<u64>,
+    /// Current submission-queue depth (filled by
+    /// [`crate::Engine::stats`]; 0 on a bare recorder snapshot).
+    pub queue_depth: u64,
     /// Per-tenant request ledgers, sorted by tenant id. Only requests
     /// submitted through [`crate::Engine::try_submit_to`] with a tenant
     /// tag land here; untagged traffic leaves this empty.
@@ -522,14 +521,10 @@ impl EngineStats {
             "zero-set-up service rate: {:.1}%\n",
             100.0 * self.zero_setup_rate()
         ));
-        out.push_str(&format!("queue depth high-water mark: {}\n", self.queue_high_water));
-        if !self.queue_depths.is_empty() {
-            out.push_str("per-shard queue depth:");
-            for (i, d) in self.queue_depths.iter().enumerate() {
-                out.push_str(&format!(" [{i}]={d}"));
-            }
-            out.push('\n');
-        }
+        out.push_str(&format!(
+            "queue depth: {} (high-water mark {})\n",
+            self.queue_depth, self.queue_high_water
+        ));
         if !self.queue_wait.is_empty() {
             out.push_str(&format!(
                 "queue wait (ns): p50 {} / p99 {} ({} requests)\n",
@@ -731,19 +726,12 @@ impl EngineStats {
             "Deepest observed submission-queue depth.",
         );
         e.push(Sample::new("benes_queue_high_water", self.queue_high_water as f64));
-        if !self.queue_depths.is_empty() {
-            e.describe(
-                "benes_queue_depth",
-                MetricKind::Gauge,
-                "Current submission-queue depth per shard.",
-            );
-            for (i, d) in self.queue_depths.iter().enumerate() {
-                e.push(
-                    Sample::new("benes_queue_depth", *d as f64)
-                        .label("shard", i.to_string()),
-                );
-            }
-        }
+        e.describe(
+            "benes_queue_depth",
+            MetricKind::Gauge,
+            "Current submission-queue depth.",
+        );
+        e.push(Sample::new("benes_queue_depth", self.queue_depth as f64));
         e.describe(
             "benes_zero_setup_rate",
             MetricKind::Gauge,

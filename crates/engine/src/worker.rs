@@ -23,15 +23,11 @@ use crate::flightrec::{LadderStep, RouteAttempt};
 use crate::plan::{plan, required_order, walk, Plan, PlanError, Tier};
 use crate::queue::{Job, RequestOutcome};
 
-pub(crate) fn worker_loop(shared: &Shared, worker: usize) {
+pub(crate) fn worker_loop(shared: &Shared) {
     // Per-worker network memo: `B(n)` is immutable wiring, cheap to keep
-    // one copy per worker and never lock for it. `worker` names this
-    // thread's home shard in the submission queue; it drains that shard
-    // first and steals from siblings when it runs dry.
+    // one copy per worker and never lock for it.
     let mut nets: HashMap<u32, Benes> = HashMap::new();
-    while let Some(batch) =
-        shared.sub.next_batch(&shared.recorder, shared.batch_size, worker)
-    {
+    while let Some(batch) = shared.sub.next_batch(&shared.recorder, shared.batch_size) {
         for job in batch {
             #[cfg(test)]
             test_hooks::maybe_kill_worker(&job.perm);
@@ -187,7 +183,7 @@ fn finish_job(
     let latency_ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
     shared.recorder.note_latency_ns(latency_ns, path);
     // Decompose end-to-end latency at the dequeue instant: how long the
-    // job sat in its shard vs how long the worker actually spent on it.
+    // job sat in the queue vs how long the worker actually spent on it.
     // Canceled strands never reached a worker and skip the split.
     if let Some(dequeued_at) = dequeued_at {
         let wait = dequeued_at.duration_since(job.submitted_at);
@@ -424,6 +420,14 @@ pub(crate) mod test_hooks {
 
     pub(crate) fn kill_guard() -> MutexGuard<'static, ()> {
         KILL_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Serializes tests arming [`HOLD_ON_FINGERPRINT`], for the same
+    /// reason: one test's release would free a sibling's trap.
+    static HOLD_GUARD: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn hold_guard() -> MutexGuard<'static, ()> {
+        HOLD_GUARD.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// When non-zero, [`maybe_panic`] panics on any permutation with

@@ -26,7 +26,7 @@ fn slow_engine(depth: usize, delay: Duration) -> Engine {
     let engine = Engine::new(EngineConfig {
         workers: 1,
         batch_size: 1,
-        max_queue_depth: Some(depth),
+        max_queue_depth: depth,
         ..EngineConfig::default()
     });
     engine.set_chaos(ChaosConfig {

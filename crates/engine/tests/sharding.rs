@@ -1,7 +1,6 @@
-//! Integration tests for the sharded work-stealing submission queue:
-//! conservation under steal races, drain-with-deadline across shards,
-//! the deadline-after-chaos-delay shed, and the per-shard / queue-wait
-//! observability surface.
+//! Integration tests for the engine's run queue: conservation under
+//! a submit storm, drain-with-deadline, the deadline-after-chaos-delay
+//! shed, and the queue-depth / queue-wait observability surface.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,14 +45,14 @@ fn chaos_delay_past_deadline_sheds_after_wake() {
     assert!(stats.conserves_requests());
 }
 
-/// Steal races: many submitters hammering a multi-worker engine whose
-/// batch size forces constant cross-shard stealing. Every request must
+/// Many submitters hammering a multi-worker engine whose batch size
+/// makes every take contend for the queue lock. Every request must
 /// land in exactly one terminal state.
 #[test]
-fn submit_storm_conserves_requests_across_steals() {
+fn submit_storm_conserves_requests() {
     let engine = Arc::new(Engine::new(EngineConfig {
         workers: 4,
-        batch_size: 1, // one job per take: maximal steal interleaving
+        batch_size: 1, // one job per take: maximal lock interleaving
         ..EngineConfig::default()
     }));
     let handles: Vec<_> = (0..8)
@@ -76,14 +75,14 @@ fn submit_storm_conserves_requests_across_steals() {
     assert_eq!(stats.completed, 8 * 50);
     assert!(
         stats.conserves_requests(),
-        "steal races must not lose or double-count:\n{stats}"
+        "the storm must not lose or double-count:\n{stats}"
     );
 }
 
-/// Drain with a deadline while strands sit in *every* shard: the
-/// timed-out drain must cancel all of them, not just one worker's.
+/// Drain with a deadline while strands sit queued behind busy workers:
+/// the timed-out drain must cancel all of them.
 #[test]
-fn drain_deadline_cancels_strands_in_every_shard() {
+fn drain_deadline_cancels_everything_queued() {
     let engine =
         Engine::new(EngineConfig { workers: 4, batch_size: 1, ..EngineConfig::default() });
     engine.set_chaos(ChaosConfig {
@@ -95,11 +94,11 @@ fn drain_deadline_cancels_strands_in_every_shard() {
     // Four in-flight jobs put every worker to sleep…
     let in_flight = engine.submit_all((0..4).map(|_| small()));
     std::thread::sleep(Duration::from_millis(60));
-    // …then twelve strands spread round-robin over the four shards.
+    // …then twelve strands queue behind them.
     let strands = engine.submit_all(mixed_workload(3, 12, 42));
     let report = engine.drain(Instant::now() + Duration::from_millis(10));
     assert!(report.timed_out, "deadline shorter than the in-flight sleeps");
-    assert_eq!(report.canceled, 12, "every shard's strands are canceled");
+    assert_eq!(report.canceled, 12, "every queued strand is canceled");
     for t in in_flight {
         assert!(t.wait().is_ok(), "in-flight jobs finish during join");
     }
@@ -109,28 +108,23 @@ fn drain_deadline_cancels_strands_in_every_shard() {
     assert!(engine.stats().conserves_requests());
 }
 
-/// The new observability surface: per-shard depths sized to the worker
-/// pool, and end-to-end latency decomposed into queue wait + service
-/// time, all visible in the stats report and the exposition.
+/// The observability surface: the current queue depth, and end-to-end
+/// latency decomposed into queue wait + service time, all visible in
+/// the stats report and the exposition.
 #[test]
-fn per_shard_depths_and_latency_split_are_visible() {
+fn depth_and_latency_split_are_visible() {
     let engine = Engine::new(EngineConfig { workers: 3, ..EngineConfig::default() });
     for t in engine.submit_all(mixed_workload(3, 30, 7)) {
         assert!(t.wait().is_ok());
     }
     let stats = engine.stats();
-    assert_eq!(stats.queue_depths.len(), 3, "one depth gauge per shard");
-    assert_eq!(
-        stats.queue_depths.iter().sum::<u64>(),
-        0,
-        "all served: every shard drained"
-    );
+    assert_eq!(stats.queue_depth, 0, "all served: the queue drained");
+    assert!(stats.queue_high_water >= 1, "the submits were seen queued");
     assert_eq!(stats.queue_wait.count(), 30, "every served job records its wait");
     assert_eq!(stats.service.count(), 30, "every served job records its service time");
     let text = stats.exposition().to_prometheus();
     for needle in [
-        "benes_queue_depth{shard=\"0\"}",
-        "benes_queue_depth{shard=\"2\"}",
+        "benes_queue_depth 0\n",
         "benes_queue_wait_ns{quantile=\"0.5\"}",
         "benes_service_ns{quantile=\"0.99\"}",
         "benes_queue_wait_ns_count",
@@ -141,5 +135,5 @@ fn per_shard_depths_and_latency_split_are_visible() {
     let human = stats.report();
     assert!(human.contains("queue wait (ns)"), "{human}");
     assert!(human.contains("service time (ns)"), "{human}");
-    assert!(human.contains("per-shard queue depth"), "{human}");
+    assert!(human.contains("queue depth: 0 (high-water mark"), "{human}");
 }

@@ -44,7 +44,7 @@ fn parse_args() -> Args {
             }
             "--queue-depth" => {
                 config.engine.max_queue_depth =
-                    Some(value("--queue-depth").parse().expect("--queue-depth: usize"))
+                    value("--queue-depth").parse().expect("--queue-depth: usize")
             }
             "--quota" => config.quota = value("--quota").parse().expect("--quota: usize"),
             "--quantum" => {

@@ -102,7 +102,7 @@ const CONTROL_EVENTS: usize = 2;
 /// server's memory without bound.
 const OUTBOX_LIMIT: usize = 4 << 20;
 
-/// Most requests the pump hands the engine in one admission (one shard
+/// Most requests the pump hands the engine in one admission (one queue
 /// lock); a longer backlog goes over in several.
 const PUMP_RUN: usize = 256;
 
@@ -113,10 +113,9 @@ pub struct ServeConfig {
     /// round-robin (thread-per-core: defaults to the machine's
     /// available parallelism).
     pub threads: usize,
-    /// The engine the server fronts. The default bounds the queue
-    /// (`max_queue_depth`) — unbounded admission would turn a flood
-    /// into unbounded memory. It must be at least `threads`: each
-    /// handler admits at most `max_queue_depth / threads`.
+    /// The engine the server fronts. Its queue bound
+    /// (`max_queue_depth`) must be at least `threads`: each handler
+    /// admits at most `max_queue_depth / threads`.
     pub engine: EngineConfig,
     /// Reap a connection idle this long with nothing in flight. Also
     /// bounds how long a connection's writer may block on a client
@@ -139,7 +138,7 @@ impl Default for ServeConfig {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Self {
             threads,
-            engine: EngineConfig { max_queue_depth: Some(4096), ..EngineConfig::default() },
+            engine: EngineConfig::default(),
             read_timeout: Duration::from_secs(10),
             quota: 1024,
             quantum: 64,
@@ -237,7 +236,7 @@ impl Server {
     /// spawning a thread.
     pub fn start(addr: &str, config: ServeConfig) -> std::io::Result<Self> {
         let handlers = config.threads.max(1);
-        let share = config.engine.max_queue_depth.map_or(usize::MAX, |d| d / handlers);
+        let share = config.engine.max_queue_depth / handlers;
         if share == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,

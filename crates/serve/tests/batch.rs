@@ -17,11 +17,7 @@ use benes_serve::Client;
 fn config(max_queue_depth: usize) -> ServeConfig {
     ServeConfig {
         threads: 1,
-        engine: EngineConfig {
-            workers: 1,
-            max_queue_depth: Some(max_queue_depth),
-            ..EngineConfig::default()
-        },
+        engine: EngineConfig { workers: 1, max_queue_depth, ..EngineConfig::default() },
         read_timeout: Duration::from_secs(5),
         ..ServeConfig::default()
     }

@@ -18,7 +18,7 @@ fn small_config() -> ServeConfig {
         threads: 1,
         engine: EngineConfig {
             workers: 2,
-            max_queue_depth: Some(256),
+            max_queue_depth: 256,
             ..EngineConfig::default()
         },
         read_timeout: Duration::from_secs(5),
@@ -338,7 +338,7 @@ fn a_client_that_stops_reading_stalls_no_one_else() {
     // trips must go on meanwhile.
     let mut config = small_config();
     config.engine.workers = 1;
-    config.engine.max_queue_depth = Some(4096);
+    config.engine.max_queue_depth = 4096;
     config.read_timeout = Duration::from_secs(10);
     let server = Server::start("127.0.0.1:0", config).expect("start");
     let flood_done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -445,7 +445,7 @@ fn a_backlog_behind_another_handlers_flood_still_drains() {
     let mut config = small_config();
     config.threads = 2;
     config.engine.workers = 1;
-    config.engine.max_queue_depth = Some(2);
+    config.engine.max_queue_depth = 2;
     let server = Server::start("127.0.0.1:0", config).expect("start");
 
     // Connections are dealt round-robin in accept order: make sure
@@ -519,7 +519,7 @@ fn a_backlog_behind_another_handlers_flood_still_drains() {
 fn a_queue_depth_below_the_handler_count_is_refused_at_start() {
     let mut config = small_config();
     config.threads = 2;
-    config.engine.max_queue_depth = Some(1);
+    config.engine.max_queue_depth = 1;
     let err = Server::start("127.0.0.1:0", config).err().expect("no share for handler 1");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }

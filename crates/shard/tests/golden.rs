@@ -67,7 +67,7 @@ fn engine_stats(scale: u64) -> EngineStats {
         queue_wait: hist(&[100, 300]),
         service: hist(&[700, 4_000]),
         breaker_states: vec![(3, BreakerState::Closed), (4, BreakerState::Open)],
-        queue_depths: vec![0, 2],
+        queue_depth: 2,
         tenants: vec![(7, Default::default()), (9, Default::default())],
     };
     let t7 = &mut s.tenants[0].1;

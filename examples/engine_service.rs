@@ -71,7 +71,7 @@ fn main() {
     //        non-blocking poll, and a graceful drain. ---
     let bounded = Engine::new(EngineConfig {
         workers: 2,
-        max_queue_depth: Some(64),
+        max_queue_depth: 64,
         ..EngineConfig::default()
     });
     let victim = hard_permutation(&mut rng, 4);

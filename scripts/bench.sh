@@ -10,7 +10,8 @@
 #   * engine: closed-loop throughput at n=8 must scale from 1 to 8
 #     workers by BENCH_SCALE_FACTOR ("auto" keys the factor to the
 #     machine's available cores; a single-core runner only asserts no
-#     regression). The open model paces arrivals at 70% of the
+#     regression), read as the median ratio of seven rounds that each
+#     time both phases back to back. The open model paces arrivals at 70% of the
 #     measured closed capacity across >= 2 submitter threads, so its
 #     latency quantiles are end-to-end under load, not backlog depth.
 #   * word kernel: single-thread routing at n=8 must beat the scalar

@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # Concurrency-proof gate: pillar 3 of the analyzer.
 #
-#  * `analyze concurrency` — exhaustive model check of the sharded
-#    submission-queue protocol (request conservation, deadlock freedom,
-#    no lost wakeups) under per-push, coalesced-burst and bounded
-#    abstractions, plus the seeded-mutant self-test (the reseeded PR 7
-#    lost-wakeup bug and the pre-PR 7 single-global-queue design must
-#    both be flagged with replayable traces).
+#  * `analyze concurrency` — exhaustive model check of the engine's
+#    one-lock run-queue protocol (request conservation, deadlock
+#    freedom, no lost wakeups) under per-push, coalesced-burst and
+#    bounded abstractions, plus the seeded-mutant self-test (a dropped
+#    post-take wake, a notify_one chain behind batch drains, a take
+#    without the space pulse and a refused batch that miscounts its
+#    tail must each be flagged with a replayable trace).
 #  * `analyze word` — symbolic equivalence proof of the word-parallel
 #    routing kernels (self-route, omega-bit and the replay of commanded
 #    control columns, including fault overlays) against the scalar
@@ -20,7 +21,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # State-budget cap for the model checker; the shipped protocol explores
-# ~15k states, so the default leaves two orders of magnitude of slack.
+# ~1.8k states, so the default leaves three orders of magnitude of slack.
 RACE_BUDGET="${RACE_BUDGET:-4000000}"
 
 mkdir -p target
