@@ -1965,11 +1965,12 @@ mod extension_tests {
 
     #[test]
     fn obs_histogram_reports_per_tier_quantiles() {
-        let out = run_str("obs histogram 4 400").unwrap();
+        // At the cache's admission order (B(10)) the mixed workload
+        // exercises the zero-setup, Waksman and cached tiers; each must
+        // surface its own histogram row.
+        let out = run_str("obs histogram 10 400").unwrap();
         assert!(out.contains("p50"), "{out}");
         assert!(out.contains("p99"), "{out}");
-        // The mixed workload exercises the zero-setup, Waksman and
-        // cached tiers; each must surface its own histogram row.
         assert!(out.contains("self-route"), "{out}");
         assert!(out.contains("waksman"), "{out}");
         assert!(out.contains("cached"), "{out}");

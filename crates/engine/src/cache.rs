@@ -1,5 +1,5 @@
-//! The sharded LRU plan cache: repeated permutations never pay set-up
-//! twice.
+//! The sharded LRU plan cache: from [`CACHE_MIN_ORDER`] up, a
+//! repeated permutation never pays set-up twice.
 //!
 //! Keys are the stable 64-bit fingerprint of the permutation
 //! ([`benes_perm::Permutation::fingerprint`]); the fingerprint is
@@ -21,6 +21,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use benes_perm::Permutation;
 
 use crate::plan::Plan;
+
+/// The smallest order whose fresh plans the engine caches (it looks
+/// every request up): the least `n` with `h · setup(n) > get +
+/// insert(n)`, where `h` is the highest hit rate measured on a
+/// benchmark stream (3.3%, EXP-ENGINE's break-even table). Below it an
+/// insert costs more than the set-up the expected hits would save.
+/// Fault-avoiding plans are cached at every order.
+pub const CACHE_MIN_ORDER: u32 = 10;
 
 /// splitmix64 finalizer: avalanches every input bit over every output
 /// bit, so any subset of fingerprint bits picks shards uniformly.
@@ -117,7 +125,12 @@ impl PlanCache {
     /// (the stored permutation is compared for equality).
     #[must_use]
     pub fn get(&self, d: &Permutation) -> Option<Arc<Plan>> {
-        let fp = d.fingerprint();
+        self.get_keyed(d.fingerprint(), d)
+    }
+
+    /// [`Self::get`] keyed by the caller's `fp == d.fingerprint()`: the
+    /// engine hashes each job once, at dequeue.
+    pub(crate) fn get_keyed(&self, fp: u64, d: &Permutation) -> Option<Arc<Plan>> {
         let mut shard = self.lock_shard(self.shard_for(fp));
         // The recency stamp is drawn *under* the shard lock: stamps taken
         // before acquiring it could be applied out of order under
@@ -140,7 +153,11 @@ impl PlanCache {
     /// map is keyed by fingerprint, so the shard ends with exactly one
     /// entry for `d` no matter how many threads raced.
     pub fn insert(&self, d: &Permutation, plan: Arc<Plan>) {
-        let fp = d.fingerprint();
+        self.insert_keyed(d.fingerprint(), d, plan);
+    }
+
+    /// [`Self::insert`] keyed by the caller's `fp == d.fingerprint()`.
+    pub(crate) fn insert_keyed(&self, fp: u64, d: &Permutation, plan: Arc<Plan>) {
         let mut shard = self.lock_shard(self.shard_for(fp));
         // analyze:allow(relaxed-control): same approximate-LRU argument as `get` — the stamp orders evictions, not correctness
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -152,16 +169,15 @@ impl PlanCache {
         shard.map.insert(fp, Entry { perm: d.clone(), plan, last_used: stamp });
     }
 
-    /// Removes the plan cached for `d`, returning whether an entry was
-    /// dropped. A fingerprint collision with a *different* permutation
-    /// is left untouched.
+    /// Removes the plan cached for `d`, whose fingerprint is `fp`,
+    /// returning whether an entry was dropped. A fingerprint collision
+    /// with a *different* permutation is left untouched.
     ///
     /// The engine calls this when a cached plan fails replay: the entry
     /// is corrupt (or the fabric it was computed for has changed), and
     /// leaving it in place would make every future request for `d`
     /// re-pay a failed replay.
-    pub fn invalidate(&self, d: &Permutation) -> bool {
-        let fp = d.fingerprint();
+    pub(crate) fn invalidate(&self, fp: u64, d: &Permutation) -> bool {
         let mut shard = self.lock_shard(self.shard_for(fp));
         match shard.map.get(&fp) {
             Some(entry) if entry.perm == *d => {
@@ -288,11 +304,14 @@ mod tests {
         let b = rotation(8, 2);
         cache.insert(&a, dummy_plan());
         cache.insert(&b, dummy_plan());
-        assert!(cache.invalidate(&a));
+        assert!(cache.invalidate(a.fingerprint(), &a));
         assert!(cache.get(&a).is_none(), "invalidated entry is gone");
         assert!(cache.get(&b).is_some(), "other entries untouched");
-        assert!(!cache.invalidate(&a), "second invalidation is a no-op");
-        assert!(!cache.invalidate(&rotation(8, 3)), "absent key is a no-op");
+        assert!(!cache.invalidate(a.fingerprint(), &a), "second invalidation is a no-op");
+        assert!(
+            !cache.invalidate(rotation(8, 3).fingerprint(), &rotation(8, 3)),
+            "absent key is a no-op"
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -317,7 +336,7 @@ mod tests {
         assert_eq!(cache.get(&d).as_deref(), Some(&Plan::SelfRoute));
         cache.insert(&rotation(8, 1), dummy_plan());
         assert_eq!(cache.len(), 2);
-        assert!(cache.invalidate(&d));
+        assert!(cache.invalidate(d.fingerprint(), &d));
         assert!(!cache.is_empty());
     }
 

@@ -656,9 +656,11 @@ impl fmt::Debug for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CACHE_MIN_ORDER;
     use crate::flightrec::LadderStep;
     use crate::plan::{Plan, Tier};
     use crate::worker::{capture_trace, test_hooks};
+    use crate::workload::Rng64;
     use benes_core::trace::{RouteTrace, TraceMode};
     use benes_core::{Benes, Control, SwitchState};
     use benes_perm::bpc::Bpc;
@@ -672,12 +674,18 @@ mod tests {
         p(&[2, 5, 3, 7, 1, 6, 4, 0])
     }
 
+    /// A fixed permutation outside `F(n) ∪ Ω(n)` at the smallest order
+    /// whose fresh plans the cache admits.
+    fn cacheable_witness() -> Permutation {
+        crate::workload::hard_permutation(&mut Rng64::new(0xcac4e), CACHE_MIN_ORDER)
+    }
+
     #[test]
     fn repeated_hard_permutation_hits_the_cache() {
         // Acceptance criterion (a): a repeated non-F(n) permutation is
         // served from the plan cache on its second submission.
         let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
-        let hard = hard_witness();
+        let hard = cacheable_witness();
         let first = engine.submit(hard.clone()).wait();
         assert_eq!(first.tier(), Some(Tier::Waksman));
         let second = engine.submit(hard).wait();
@@ -688,6 +696,20 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(engine.cache_len(), 1);
+    }
+
+    #[test]
+    fn fresh_plans_below_the_admission_order_are_not_cached() {
+        // Below CACHE_MIN_ORDER an insert costs more than the set-up the
+        // expected hits would save: a repeat pays set-up again and the
+        // cache stays empty.
+        let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+        let hard = hard_witness();
+        const { assert!(3 < CACHE_MIN_ORDER) };
+        assert_eq!(engine.submit(hard.clone()).wait().tier(), Some(Tier::Waksman));
+        assert_eq!(engine.submit(hard).wait().tier(), Some(Tier::Waksman));
+        assert_eq!(engine.cache_len(), 0);
+        assert_eq!(engine.stats().cache_misses, 2, "every request still looks up");
     }
 
     #[test]
@@ -706,7 +728,7 @@ mod tests {
             fallback: Fallback::Factored,
             ..EngineConfig::default()
         });
-        let hard = hard_witness();
+        let hard = cacheable_witness();
         assert_eq!(engine.submit(hard.clone()).wait().tier(), Some(Tier::Factored));
         assert_eq!(engine.submit(hard).wait().tier(), Some(Tier::Cached));
     }
@@ -960,7 +982,7 @@ mod tests {
         // switch leaves the cached Waksman plan servable (tier Cached,
         // static_validated counted), a disagreeing one evicts it.
         let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
-        let hard = hard_witness();
+        let hard = cacheable_witness();
         assert_eq!(engine.submit(hard.clone()).wait().tier(), Some(Tier::Waksman));
 
         let cached_plan = crate::plan::plan(&hard, Fallback::Waksman).unwrap();
@@ -972,7 +994,7 @@ mod tests {
             benes_core::SwitchState::Straight => FaultKind::StuckStraight,
             benes_core::SwitchState::Cross => FaultKind::StuckCross,
         };
-        engine.inject_fault(3, 0, 1, agreeing).unwrap();
+        engine.inject_fault(CACHE_MIN_ORDER, 0, 1, agreeing).unwrap();
 
         let second = engine.submit(hard.clone()).wait();
         assert_eq!(second.tier(), Some(Tier::Cached), "{:?}", second.result);
@@ -987,7 +1009,7 @@ mod tests {
             benes_core::SwitchState::Cross => FaultKind::StuckStraight,
         };
         engine.clear_faults();
-        engine.inject_fault(3, 0, 1, disagreeing).unwrap();
+        engine.inject_fault(CACHE_MIN_ORDER, 0, 1, disagreeing).unwrap();
         let third = engine.submit(hard).wait();
         assert!(third.is_ok(), "first-stage faults are avoidable: {:?}", third.result);
         assert_ne!(third.tier(), Some(Tier::Cached), "stale plan must be evicted");
@@ -1019,7 +1041,7 @@ mod tests {
     #[test]
     fn flight_recorder_keeps_successful_attempts() {
         let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
-        let hard = hard_witness();
+        let hard = cacheable_witness();
         assert!(engine.submit(hard.clone()).wait().is_ok());
         assert!(engine.submit(hard.clone()).wait().is_ok());
         let records = engine.flight_records(16);
@@ -1033,7 +1055,7 @@ mod tests {
         assert!(records[1].ladder.contains(&LadderStep::Planned(Tier::Waksman)));
         for r in &records {
             assert_eq!(r.fingerprint, hard.fingerprint());
-            assert_eq!(r.len, 8);
+            assert_eq!(r.len, 1 << CACHE_MIN_ORDER);
             assert!(r.trace.is_none(), "successes carry no trace");
             assert!(r.phases.total > 0);
         }
@@ -1079,6 +1101,73 @@ mod tests {
         assert_eq!(*trace, direct);
         // And it renders into the flight-record dump.
         assert!(record.render().contains("failing-plan trace:"));
+    }
+
+    #[test]
+    fn registered_fault_under_a_self_route_reaches_the_ladder() {
+        // A fresh self-route plan skips its second walk only when no
+        // fault set is registered for its order. A dead switch on the
+        // first stage breaks every self-route of B(3), so the bit
+        // reversal must still execute over the overlay, misroute, and
+        // enter the reroute ladder.
+        let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+        engine.inject_fault(3, 0, 0, FaultKind::Dead).unwrap();
+        let rev = Bpc::bit_reversal(3).to_permutation();
+        assert_eq!(engine.submit(rev).wait().result, Err(EngineError::Unroutable));
+        let record = engine.flight_records(1).pop().unwrap();
+        assert_eq!(
+            record.ladder,
+            vec![
+                LadderStep::CacheMiss,
+                LadderStep::Planned(Tier::SelfRoute),
+                LadderStep::Executed { ok: false },
+                LadderStep::FaultDetected,
+                LadderStep::Unavoidable,
+            ]
+        );
+        assert_eq!(engine.stats().faults_detected, 1);
+    }
+
+    #[test]
+    fn flight_records_carry_the_request_fingerprint_on_every_path() {
+        // The worker hashes each job once and hands that fingerprint to
+        // the flight record: it must equal the permutation's own on the
+        // served, shed and canceled paths alike. The bomb fingerprint is
+        // unique to this test (hook statics are process-wide).
+        let _guard = test_hooks::kill_guard();
+        let bomb = Permutation::from_fn(32, |i| (i + 19) % 32).unwrap();
+        test_hooks::KILL_WORKER_ON_FINGERPRINT.store(bomb.fingerprint(), Ordering::Relaxed);
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            batch_size: 1,
+            ..EngineConfig::default()
+        });
+        let served = hard_witness();
+        assert!(engine.submit(served.clone()).wait().is_ok());
+        let shed = Bpc::bit_reversal(4).to_permutation();
+        let expired = engine.submit_with_deadline(shed.clone(), Instant::now()).wait();
+        assert_eq!(expired.result, Err(EngineError::DeadlineExceeded));
+        // Kill the only worker so the next job is canceled, not served.
+        assert_eq!(engine.submit(bomb).wait().result, Err(EngineError::WorkerLost));
+        let canceled = Bpc::unshuffle(3).to_permutation();
+        let strand = engine.submit(canceled.clone());
+        engine.drain(Instant::now());
+        test_hooks::KILL_WORKER_ON_FINGERPRINT.store(0, Ordering::Relaxed);
+        assert_eq!(strand.wait().result, Err(EngineError::Canceled));
+
+        let records = engine.flight_records(8);
+        let paths = [
+            (&served, LadderStep::Executed { ok: true }),
+            (&shed, LadderStep::DeadlineShed),
+            (&canceled, LadderStep::Canceled),
+        ];
+        for (perm, step) in paths {
+            let record = records
+                .iter()
+                .find(|r| r.ladder.contains(&step))
+                .unwrap_or_else(|| panic!("no {step} record in {records:?}"));
+            assert_eq!(record.fingerprint, perm.fingerprint(), "{step}");
+        }
     }
 
     #[test]

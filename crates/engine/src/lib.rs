@@ -90,7 +90,7 @@ pub mod workload;
 pub use benes_core::faults::{FaultError, FaultKind, FaultSet};
 pub use benes_obs::{Ledger, Terminal};
 pub use breaker::{Admission, Breaker, BreakerConfig, BreakerState};
-pub use cache::PlanCache;
+pub use cache::{PlanCache, CACHE_MIN_ORDER};
 pub use chaos::{run_soak, ChaosConfig, ChaosEvent, ChaosSchedule, SoakConfig, SoakReport};
 pub use engine::{
     terminal, Completion, DrainReport, Engine, EngineConfig, EngineError, Refused,

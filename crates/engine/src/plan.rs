@@ -12,15 +12,17 @@
 //!
 //! A serving system should therefore *plan* per request: try the cheap
 //! tiers first, fall back to an expensive one, and cache what the
-//! expensive tiers computed so a repeated permutation never pays set-up
-//! twice (the [`crate::cache`] module). The planner here is the
-//! decision procedure; [`execute`] carries a plan out on a network.
+//! expensive tiers computed so that, from [`crate::cache::CACHE_MIN_ORDER`]
+//! up, a repeated permutation never pays set-up twice (the
+//! [`crate::cache`] module). The planner here is the decision procedure;
+//! [`execute`] carries a plan out on a network.
 //!
 //! The self-route rung tests `F(n)` membership by simulation: `F(n)` is
 //! the set of permutations the self-routing network realizes, so a
-//! successful word-kernel self-route attempt is the membership proof.
-//! Theorem 1's characterization ([`benes_core::class_f::is_in_f`])
-//! stays the oracle the tests hold the planner to.
+//! successful word-kernel self-route attempt is the membership proof and,
+//! with no faults registered, the engine's execution too. Theorem 1's
+//! characterization ([`benes_core::class_f::is_in_f`]) stays the oracle
+//! the tests hold the planner to.
 
 use std::fmt;
 

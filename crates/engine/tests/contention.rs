@@ -1,9 +1,11 @@
 //! Concurrency and end-to-end acceptance tests for the engine:
 //! cache behaviour under contention, and a large mixed-workload batch
-//! run on a multi-worker pool.
+//! run on a multi-worker pool. Every test that expects a cache replay
+//! runs at [`CACHE_MIN_ORDER`], the smallest order whose fresh plans
+//! the engine caches.
 
 use benes_engine::workload::{self, Rng64};
-use benes_engine::{Engine, EngineConfig, Fallback, Tier};
+use benes_engine::{Engine, EngineConfig, Fallback, Tier, CACHE_MIN_ORDER};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -12,7 +14,7 @@ use std::thread;
 #[test]
 fn concurrent_same_permutation_one_cache_entry() {
     let mut rng = Rng64::new(0x00c0_ffee);
-    let hard = workload::hard_permutation(&mut rng, 4);
+    let hard = workload::hard_permutation(&mut rng, CACHE_MIN_ORDER);
 
     // Repeat the race a few times: a single interleaving proves little.
     for round in 0..8 {
@@ -54,7 +56,8 @@ fn concurrent_same_permutation_one_cache_entry() {
 #[test]
 fn many_threads_small_keyspace() {
     let mut rng = Rng64::new(77);
-    let perms: Vec<_> = (0..4).map(|_| workload::hard_permutation(&mut rng, 4)).collect();
+    let perms: Vec<_> =
+        (0..4).map(|_| workload::hard_permutation(&mut rng, CACHE_MIN_ORDER)).collect();
 
     let engine =
         Arc::new(Engine::new(EngineConfig { workers: 4, ..EngineConfig::default() }));
@@ -94,7 +97,7 @@ fn many_threads_small_keyspace() {
 fn mixed_workload_1000_requests_on_four_workers() {
     let engine =
         Engine::new(EngineConfig { workers: 4, batch_size: 16, ..EngineConfig::default() });
-    let stream = workload::mixed_workload(4, 1000, 0xbe5e);
+    let stream = workload::mixed_workload(CACHE_MIN_ORDER, 1000, 0xbe5e);
 
     let outcomes = engine.run_batch(stream);
     assert_eq!(outcomes.len(), 1000);
@@ -132,7 +135,7 @@ fn mixed_workload_factored_fallback() {
         fallback: Fallback::Factored,
         ..EngineConfig::default()
     });
-    let stream = workload::mixed_workload(3, 400, 0xfac7);
+    let stream = workload::mixed_workload(CACHE_MIN_ORDER, 400, 0xfac7);
 
     let outcomes = engine.run_batch(stream);
     assert!(outcomes.iter().all(benes_engine::RequestOutcome::is_ok));
@@ -149,8 +152,8 @@ fn mixed_workload_factored_fallback() {
 fn outcomes_expose_their_tier() {
     let engine = Engine::new(EngineConfig::default());
     let mut rng = Rng64::new(11);
-    let hard = workload::hard_permutation(&mut rng, 3);
-    let bpc = workload::table1_permutations(3).remove(0).1;
+    let hard = workload::hard_permutation(&mut rng, CACHE_MIN_ORDER);
+    let bpc = workload::table1_permutations(CACHE_MIN_ORDER).remove(0).1;
 
     assert_eq!(engine.submit(bpc).wait().tier(), Some(Tier::SelfRoute));
     assert_eq!(engine.submit(hard.clone()).wait().tier(), Some(Tier::Waksman));

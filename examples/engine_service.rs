@@ -1,7 +1,8 @@
 //! Engine service demo: a batched, cached, multi-threaded routing
 //! engine fed a mixed workload — the paper's Table I BPC permutations
 //! (zero set-up), random `Ω(n)` members, and hard permutations that
-//! force a full Waksman set-up (first time) or a cache replay (after).
+//! force a full Waksman set-up — once, from `CACHE_MIN_ORDER` up, where
+//! a repeat replays the cached plan.
 //!
 //! Run with: `cargo run --example engine_service`
 
@@ -10,7 +11,9 @@ use std::time::{Duration, Instant};
 use benes::engine::workload::{
     hard_permutation, mixed_workload, table1_permutations, Rng64,
 };
-use benes::engine::{run_soak, Engine, EngineConfig, Fallback, SoakConfig};
+use benes::engine::{
+    run_soak, Engine, EngineConfig, Fallback, SoakConfig, CACHE_MIN_ORDER,
+};
 
 fn main() {
     // --- 1. Single requests: watch the tier ladder fire. ---
@@ -32,11 +35,11 @@ fn main() {
     }
 
     let mut rng = Rng64::new(7);
-    let hard = hard_permutation(&mut rng, 4);
+    let hard = hard_permutation(&mut rng, CACHE_MIN_ORDER);
     let first = engine.submit(hard.clone()).wait();
     let second = engine.submit(hard).wait();
     println!(
-        "\n  a hard permutation:  first = {} ({} ns), repeat = {} ({} ns)\n",
+        "\n  a hard permutation on B({CACHE_MIN_ORDER}):  first = {} ({} ns), repeat = {} ({} ns)\n",
         first.tier().expect("routes").name(),
         first.latency.as_nanos(),
         second.tier().expect("routes").name(),

@@ -7,10 +7,10 @@
 # on stdout. Also runs EXP-WORD, the scalar-vs-word kernel microbench.
 #
 # Both runs carry smoke assertions:
-#   * engine: closed-loop throughput at n=8 must scale from 1 to 8
-#     workers by BENCH_SCALE_FACTOR ("auto" keys the factor to the
-#     machine's available cores; a single-core runner only asserts no
-#     regression), read as the median ratio of seven rounds that each
+#   * engine: closed-loop throughput at n=8 must scale from 1 to
+#     min(8, cores) workers by BENCH_SCALE_FACTOR ("auto" keys the factor
+#     to the machine's available cores; a single-core runner only asserts
+#     no regression), read as the median ratio of fifteen rounds that each
 #     time both phases back to back. The open model paces arrivals at 70% of the
 #     measured closed capacity across >= 2 submitter threads, so its
 #     latency quantiles are end-to-end under load, not backlog depth.
