@@ -1,4 +1,4 @@
-//! Lock-discipline lints over the engine source.
+//! Lock-discipline lints over the engine and wire-server sources.
 //!
 //! Two related checks:
 //!

@@ -45,8 +45,9 @@ pub(crate) fn source_brace_delta(code: &str) -> i32 {
 }
 
 /// Files covered by the lock and discarded-result lints: the whole
-/// multi-threaded engine.
-const LOCK_SCOPE: &[&str] = &["crates/engine/src"];
+/// multi-threaded engine, and the wire server whose shard locks nest
+/// the outbox locks and whose completions run on engine workers.
+const LOCK_SCOPE: &[&str] = &["crates/engine/src", "crates/serve/src"];
 
 /// Files covered by the truncating-cast lint: the routing hot paths.
 const CAST_SCOPE: &[&str] = &[

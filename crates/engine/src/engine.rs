@@ -387,9 +387,10 @@ impl Engine {
     /// crosses the queue once: one lock for as many requests as fit,
     /// one wake. The requests stay separate jobs, so every idle worker
     /// can take some. The worker that finishes a request runs its sink
-    /// with the outcome; a caller that already blocks on a channel (the
-    /// wire server's handler) passes sinks that wake it, so a reply
-    /// needs no polling.
+    /// with the outcome, so a reply needs no polling; a sink may itself
+    /// call this again (the wire server's completions pump their
+    /// backlog from the worker), since no sink runs under the queue
+    /// lock.
     ///
     /// # Errors
     ///

@@ -19,7 +19,7 @@
 //! * [`engine`] — the **batched worker pool**: `k` `std::thread`
 //!   workers drain a submission queue in configurable batches and
 //!   hand each outcome to its [`Completion`] sink (a [`Ticket`], or a
-//!   send into the caller's own channel) — with a shared
+//!   callback on the caller's own state) — with a shared
 //!   fault registry ([`Engine::inject_fault`]) and a detect → evict →
 //!   re-plan-around-faults → bounded-retry ladder that keeps serving
 //!   through stuck switches;

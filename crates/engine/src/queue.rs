@@ -105,8 +105,15 @@ impl RequestOutcome {
 /// one-slot channel, and a caller with its own wake-up channel passes
 /// a sink that sends there instead ([`crate::Engine::try_submit_all_to`]).
 ///
-/// The callback runs on an engine worker: it should hand the outcome
-/// off (a channel send) rather than do work of its own.
+/// The callback runs with no engine lock held — on the worker, on the
+/// worker's unwind for a job it dropped ([`EngineError::WorkerLost`]),
+/// or on the thread running [`crate::Engine::drain`]'s cancel sweep —
+/// so it may lock the caller's own state and re-enter the engine
+/// through the non-blocking [`crate::Engine::try_submit_all_to`] or
+/// [`crate::Engine::try_submit_to`] (a wire server's completion pumps
+/// its backlog that way). It must not call a blocking `submit` (a
+/// worker waiting for queue space only workers free) or drain its own
+/// engine, and the time it takes is time its worker serves nothing.
 pub struct Completion(Box<dyn FnOnce(RequestOutcome) + Send>);
 
 impl Completion {

@@ -295,3 +295,118 @@ fn shutdown_condvar_race_never_hangs() {
         handle.join().unwrap();
     }
 }
+
+/// What the re-entrant sinks below record, under the caller's own lock:
+/// each resubmission's admission verdict, and the outcomes seen.
+#[derive(Default)]
+struct Chains {
+    resubmitted: Vec<Result<(), SubmitError>>,
+    outcomes: Vec<Result<benes_engine::Tier, EngineError>>,
+}
+
+/// A sink that records its outcome under the caller's lock and, while
+/// `hops` remain, submits the next request of its chain to the same
+/// engine from inside the sink, still holding that lock: the shape of a
+/// wire server whose completions pump its own backlog. `ended` hears
+/// once per chain, when it runs out of hops or is refused.
+fn chain_sink(
+    engine: Arc<Engine>,
+    chains: Arc<std::sync::Mutex<Chains>>,
+    hops: u32,
+    ended: mpsc::Sender<()>,
+) -> Completion {
+    Completion::new(move |outcome| {
+        let mut state = chains.lock().unwrap();
+        state.outcomes.push(outcome.result);
+        let verdict = if hops == 0 {
+            Err(SubmitError::ShuttingDown)
+        } else {
+            let next = chain_sink(
+                Arc::clone(&engine),
+                Arc::clone(&chains),
+                hops - 1,
+                ended.clone(),
+            );
+            let verdict = engine.try_submit_to(small(), SubmitOpts::default(), next);
+            state.resubmitted.push(verdict);
+            verdict
+        };
+        drop(state);
+        if verdict.is_err() {
+            ended.send(()).unwrap();
+        }
+    })
+}
+
+#[test]
+fn a_sink_may_resubmit_to_its_own_engine_from_a_worker() {
+    // Four chains of 50 hops on two workers and a queue of four: every
+    // hop after the first is submitted by a worker, inside the sink,
+    // with the caller's lock held. No completion runs under the queue
+    // lock, so none of this can deadlock, and every hop is booked.
+    const CHAINS: u32 = 4;
+    const HOPS: u32 = 50;
+    let engine = Arc::new(Engine::new(EngineConfig {
+        workers: 2,
+        max_queue_depth: 4,
+        ..EngineConfig::default()
+    }));
+    let chains = Arc::new(std::sync::Mutex::new(Chains::default()));
+    let (ended, rx) = mpsc::channel();
+    for _ in 0..CHAINS {
+        let sink =
+            chain_sink(Arc::clone(&engine), Arc::clone(&chains), HOPS, ended.clone());
+        engine.try_submit_to(small(), SubmitOpts::default(), sink).expect("room for four");
+    }
+    for _ in 0..CHAINS {
+        rx.recv_timeout(Duration::from_secs(20)).expect("a chain stalled: deadlock");
+    }
+    let state = chains.lock().unwrap();
+    // The queue holds one job per chain, so no resubmission is refused.
+    assert_eq!(state.resubmitted.len(), (CHAINS * HOPS) as usize);
+    assert!(state.resubmitted.iter().all(Result::is_ok));
+    assert_eq!(state.outcomes.len(), (CHAINS * (HOPS + 1)) as usize);
+    assert!(state.outcomes.iter().all(Result::is_ok));
+    drop(state);
+    let stats = engine.stats();
+    assert_eq!(stats.submitted, u64::from(CHAINS * (HOPS + 1)));
+    assert_eq!(stats.completed, stats.submitted);
+    assert!(stats.conserves_requests());
+}
+
+#[test]
+fn a_sink_may_resubmit_to_its_own_engine_from_the_drain_sweep() {
+    // One worker asleep on its first job and four more queued behind
+    // it; a drain past its deadline cancels the four on the draining
+    // thread, and their sinks resubmit from there (the sleeping job's
+    // sink, on the worker, too). Admission is closed, so each
+    // resubmission is refused and counted, nothing deadlocks, and the
+    // ledger conserves.
+    let engine = Arc::new(slow_engine(4, Duration::from_millis(200)));
+    let chains = Arc::new(std::sync::Mutex::new(Chains::default()));
+    let (ended, rx) = mpsc::channel();
+    let sink = || chain_sink(Arc::clone(&engine), Arc::clone(&chains), 1, ended.clone());
+    engine.try_submit_to(small(), SubmitOpts::default(), sink()).expect("queue empty");
+    std::thread::sleep(Duration::from_millis(30));
+    for _ in 0..4 {
+        engine.try_submit_to(small(), SubmitOpts::default(), sink()).expect("four slots");
+    }
+    let drainer = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.drain(Instant::now()))
+    };
+    for _ in 0..5 {
+        rx.recv_timeout(Duration::from_secs(20)).expect("a sink never ran: deadlock");
+    }
+    let report = drainer.join().expect("drain");
+    assert_eq!(report.canceled, 4);
+    let state = chains.lock().unwrap();
+    assert_eq!(state.resubmitted, vec![Err(SubmitError::ShuttingDown); 5]);
+    let canceled =
+        state.outcomes.iter().filter(|r| **r == Err(EngineError::Canceled)).count();
+    assert_eq!((state.outcomes.len(), canceled), (5, 4));
+    drop(state);
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.canceled, stats.rejected), (5, 4, 5));
+    assert!(stats.conserves_requests());
+}

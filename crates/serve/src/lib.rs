@@ -13,8 +13,9 @@
 //!   round share of engine slots instead of all of them;
 //! * [`server`] — the **server**: blocking `std::net` connection
 //!   handling in which every thread waits in one place (an acceptor,
-//!   one reader per connection, handlers that each block on a single
-//!   event channel the engine completes into), read-timeout reaping,
+//!   and a reader and a writer per connection), handler shards whose
+//!   state the readers and the engine's completions drive under one
+//!   lock each, with no scheduler thread, read-timeout reaping,
 //!   shed/rejected surfaced as protocol status codes, and graceful
 //!   drain wired to [`benes_engine::Engine::drain`];
 //! * [`client`] — a small blocking client (the load generator and the

@@ -55,7 +55,7 @@ fn idle_server_with_a_silent_client_does_not_poll() {
     let before = switches(&prefixes);
     let names: Vec<&str> = before.values().map(|(name, _)| name.as_str()).collect();
     for expected in
-        ["benes-serve-acc", "benes-serve-rd-", "benes-serve-0", "benes-engine-0"]
+        ["benes-serve-acc", "benes-serve-rd-", "benes-serve-wr-", "benes-engine-0"]
     {
         assert!(names.contains(&expected), "no {expected} thread among {names:?}");
     }

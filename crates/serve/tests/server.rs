@@ -523,3 +523,110 @@ fn a_queue_depth_below_the_handler_count_is_refused_at_start() {
     let err = Server::start("127.0.0.1:0", config).err().expect("no share for handler 1");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
 }
+
+#[test]
+fn drain_with_a_queued_backlog_answers_every_item_once() {
+    // Two shards whose share of the engine queue is one request each:
+    // a connection on each, one with 100 pipelined Routes and one with
+    // a 96-item RouteBatch, and a Drain that arrives while both
+    // backlogs wait in the shards' schedulers. Completions keep pumping
+    // the backlogs through the drain; every request is answered exactly
+    // once, both ledgers conserve, and the server exits by quiescence,
+    // well within its grace.
+    let mut config = small_config();
+    config.threads = 2;
+    config.engine.workers = 1;
+    config.engine.max_queue_depth = 2;
+    config.allow_drain = true;
+    config.drain_grace = Duration::from_secs(10);
+    let grace = config.drain_grace;
+    let server = Server::start("127.0.0.1:0", config).expect("start");
+    let (addr, engine) = (server.local_addr(), server.engine_arc());
+    let waiter = std::thread::spawn(move || server.wait());
+
+    // Accepted first, so dealt to shard 0.
+    let mut routes = Client::connect(addr).expect("connect routes");
+    routes.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    routes.send(&Frame::Stats).unwrap();
+    assert!(matches!(routes.recv().unwrap(), Frame::StatsReply { .. }));
+    let mut batch = Client::connect(addr).expect("connect batch");
+    batch.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // The batch and a Stats behind it: the Stats reply means the
+    // batch's items are in shard 1's scheduler.
+    const ITEMS: u64 = 96;
+    let items = (0..ITEMS)
+        .map(|i| benes_serve::proto::BatchItem {
+            req_id: 500 + i,
+            deadline_ms: 0,
+            destinations: perm((i % 7) as u32),
+        })
+        .collect();
+    batch.send_all(&[Frame::RouteBatch { tenant: 2, items }, Frame::Stats]).unwrap();
+    let mut batch_frames = Vec::new();
+    loop {
+        match batch.recv().expect("batch connection reply") {
+            Frame::StatsReply { .. } => break,
+            other => batch_frames.push(other),
+        }
+    }
+
+    // 100 Routes and the Drain in one write: one read hands shard 0
+    // all of them, so the Drain finds 99 Routes still queued.
+    const ROUTES: u64 = 100;
+    let mut frames: Vec<Frame> = (0..ROUTES)
+        .map(|i| Frame::Route {
+            req_id: i,
+            tenant: 1,
+            deadline_ms: 0,
+            destinations: perm((i % 7) as u32),
+        })
+        .collect();
+    frames.push(Frame::Drain);
+    let drained_at = Instant::now();
+    routes.send_all(&frames).unwrap();
+
+    // Each connection's replies up to the server closing it.
+    let until_closed = |client: &mut Client, frames: &mut Vec<Frame>| loop {
+        match client.recv() {
+            Ok(frame) => frames.push(frame),
+            Err(benes_serve::RecvError::Closed) => break,
+            Err(err) => panic!("expected the server to close the connection: {err:?}"),
+        }
+    };
+    let mut route_frames = Vec::new();
+    until_closed(&mut routes, &mut route_frames);
+    until_closed(&mut batch, &mut batch_frames);
+    let report = waiter.join().expect("server wait");
+    assert!(drained_at.elapsed() < grace, "drain took {:?}", drained_at.elapsed());
+    assert!(!report.timed_out);
+
+    let mut answered = std::collections::HashSet::new();
+    let mut acks = 0;
+    for frame in route_frames {
+        match frame {
+            Frame::RouteReply { req_id, status, .. } => {
+                assert_eq!(status, Status::Ok, "route {req_id}");
+                assert!(answered.insert(req_id), "route {req_id} answered twice");
+            }
+            Frame::StatsReply { .. } => acks += 1,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!((answered.len() as u64, acks), (ROUTES, 1));
+    let [Frame::RouteBatchReply { items }] = batch_frames.as_slice() else {
+        panic!("expected one RouteBatchReply, got {batch_frames:?}");
+    };
+    let ids: Vec<u64> = items.iter().map(|i| i.req_id).collect();
+    assert_eq!(ids, (500..500 + ITEMS).collect::<Vec<_>>());
+    assert!(items.iter().all(|i| i.status == Status::Ok), "{items:?}");
+
+    let rows = engine.stats().tenants;
+    for (tenant, count) in [(1, ROUTES), (2, ITEMS)] {
+        let row = TenantRow::from(
+            rows.iter().find(|(t, _)| *t == tenant).cloned().expect("tenant row"),
+        );
+        assert!(row.conserves_requests(), "{row:?}");
+        assert_eq!((row.submitted, row.completed), (count, count), "{row:?}");
+    }
+}
